@@ -57,8 +57,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_eps < 0 or self.rel_eps < 0:
-            raise BadParams("tolerance components must be nonnegative")
+        if not all(0 <= eps < math.inf for eps in (self.abs_eps, self.rel_eps)):
+            raise BadParams("tolerance components must be finite and nonnegative")
 
     def slack(self, scale: float) -> float:
         return max(self.abs_eps, self.rel_eps * abs(scale))

@@ -11,13 +11,16 @@ Two covering objectives are supported for a finite set A:
 On a tree the two are tightly linked: a set of diameter b fits inside a
 single closed ball of radius b/2 centered at the midpoint of its farthest
 pair, and a radius-r ball never holds two points further than 2r apart.  The
-per-n covering profiles built on top of this (``alpha_profile`` for
-partitions, ``beta_profile`` for balls, ``beta_star_profile`` for
-diameter-constrained balls) therefore satisfy exactly
+per-n covering profiles (``beta_profile`` for balls, ``alpha_profile`` for
+partitions, ``beta_star_profile`` for diameter-constrained balls) therefore
+satisfy exactly
 
     alpha_n = 2 * beta_n = beta_star_n
 
-which the test suite verifies against an exhaustive partition oracle.
+so one binary search, ``beta_profile``, yields all three: alpha and beta*
+double its values, alpha's witnesses are the blocks of its covers and
+beta*'s witnesses are its covers.  The acceptance suite checks alpha and
+beta* against an exhaustive partition oracle that shares none of this.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     if not ps.points:
         raise EmptySet("cover of an empty point set")
     tree = ps.tree
-    if radius < -tree.tol.abs_eps:
+    if not radius >= -tree.tol.abs_eps:  # also rejects NaN
         raise NegativeRadius(f"radius must be nonnegative, got {radius!r}")
     radius = max(float(radius), 0.0)
 
@@ -210,10 +213,14 @@ def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:
     """
     if not ps.points:
         raise EmptySet("partition of an empty point set")
-    if bound < -ps.tree.tol.abs_eps:
+    if not bound >= -ps.tree.tol.abs_eps:  # also rejects NaN
         raise NegativeDiameter(f"diameter bound must be nonnegative, got {bound!r}")
     bound = max(float(bound), 0.0)
-    cover = min_ball_cover(ps, 0.5 * bound)
+    return _partition(min_ball_cover(ps, 0.5 * bound), bound)
+
+
+def _partition(cover: BallCover, bound: float) -> DiameterPartition:
+    """The blocks of points that share a ball of ``cover``."""
     blocks: list[list[int]] = [[] for _ in cover.centers]
     for i, ci in enumerate(cover.assignment):
         blocks[ci].append(i)
@@ -235,64 +242,61 @@ def _pairwise_distances(ps: PointSet) -> list[float]:
     ]
 
 
-def _profile_values(ps: PointSet, n_max: int, candidates: list[float], half: bool):
-    """Smallest candidate value whose induced cover needs <= n parts.
-
-    ``half`` selects ball semantics (cover at radius c) versus diameter
-    semantics (cover at radius c/2).  Candidates must be sorted ascending;
-    the cover count is nonincreasing along them, so binary search applies.
-    """
-    counts: dict[float, int] = {}
-
-    def count(c: float) -> int:
-        r = c if half else 0.5 * c
-        if r not in counts:
-            counts[r] = len(min_ball_cover(ps, r).centers)
-        return counts[r]
-
-    values = []
-    hi = len(candidates) - 1
-    for n in range(1, n_max + 1):
-        lo = 0
-        top = hi
-        while lo < top:
-            mid = (lo + top) // 2
-            if count(candidates[mid]) <= n:
-                top = mid
-            else:
-                lo = mid + 1
-        values.append(candidates[lo])
-        hi = lo  # profiles are nonincreasing in n
-    return values
-
-
 def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     """Optimal radius for covering by n closed balls, n = 1..n_max.
 
     The optimum is always half a pairwise distance: an optimal ball for any
     cluster is the cluster's circumball.  beta_1 is diameter/2; the profile
-    is nonincreasing and hits 0 at n = number of distinct points.
+    is nonincreasing and hits 0 at n = number of distinct points.  Binary
+    search over those candidates, since the greedy ball count is
+    nonincreasing in the radius; the witnesses are the covers it computed.
     """
     if n_max < 1:
         raise BadParams("n_max must be >= 1")
     if not ps.points:
         raise EmptySet("profile of an empty point set")
+    covers: dict[float, BallCover] = {}
+
+    def cover(r: float) -> BallCover:
+        if r not in covers:
+            covers[r] = min_ball_cover(ps, r)
+        return covers[r]
+
     cands = sorted({0.0, *(0.5 * d for d in _pairwise_distances(ps))})
-    values = _profile_values(ps, n_max, cands, half=True)
-    witnesses = tuple(min_ball_cover(ps, v) for v in values)
-    return CoverProfile("radius", tuple(values), witnesses)
+    values = []
+    hi = len(cands) - 1
+    for n in range(1, n_max + 1):
+        lo = 0
+        top = hi
+        while lo < top:
+            mid = (lo + top) // 2
+            if len(cover(cands[mid]).centers) <= n:
+                top = mid
+            else:
+                lo = mid + 1
+        values.append(cands[lo])
+        hi = lo  # profiles are nonincreasing in n
+    return CoverProfile("radius", tuple(values), tuple(cover(v) for v in values))
+
+
+def _doubled_profiles(beta: CoverProfile) -> tuple[CoverProfile, CoverProfile]:
+    """(alpha, beta*) read off a beta profile: both are 2 * beta on a tree.
+
+    Doubling is exact in floating point, so the values equal the pairwise
+    distances a search over diameters would return.  A radius-r cover's
+    blocks have diameter <= 2r, and its balls have ball diameter <= 2r.
+    """
+    values = tuple(2.0 * r for r in beta.values)
+    blocks = tuple(_partition(c, v) for c, v in zip(beta.witnesses, values))
+    return (
+        CoverProfile("diameter", values, blocks),
+        CoverProfile("ball_diameter", values, beta.witnesses),
+    )
 
 
 def alpha_profile(ps: PointSet, n_max: int) -> CoverProfile:
     """Optimal max-block-diameter over partitions into n blocks."""
-    if n_max < 1:
-        raise BadParams("n_max must be >= 1")
-    if not ps.points:
-        raise EmptySet("profile of an empty point set")
-    cands = sorted({0.0, *_pairwise_distances(ps)})
-    values = _profile_values(ps, n_max, cands, half=False)
-    witnesses = tuple(min_diameter_partition(ps, v) for v in values)
-    return CoverProfile("diameter", tuple(values), witnesses)
+    return _doubled_profiles(beta_profile(ps, n_max))[0]
 
 
 def beta_star_profile(ps: PointSet, n_max: int) -> CoverProfile:
@@ -303,14 +307,7 @@ def beta_star_profile(ps: PointSet, n_max: int) -> CoverProfile:
     coincides with the partition optimum: circumballs of the optimal blocks
     have ball diameter exactly the block diameter.
     """
-    if n_max < 1:
-        raise BadParams("n_max must be >= 1")
-    if not ps.points:
-        raise EmptySet("profile of an empty point set")
-    cands = sorted({0.0, *_pairwise_distances(ps)})
-    values = _profile_values(ps, n_max, cands, half=False)
-    witnesses = tuple(min_ball_cover(ps, 0.5 * v) for v in values)
-    return CoverProfile("ball_diameter", tuple(values), witnesses)
+    return _doubled_profiles(beta_profile(ps, n_max))[1]
 
 
 # --------------------------------------------------------------------- #
@@ -438,7 +435,7 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     distance exactly rho along edges leaving it.
     """
     tree._own(center)
-    if rho < 0:
+    if not rho >= 0:  # also rejects NaN
         raise NegativeRadius(f"radius must be nonnegative, got {rho!r}")
     ext: list[TreePoint] = [center]
     node_dist = [tree.distance(tree.node_point(i), center) for i in range(tree.n_nodes)]
@@ -456,10 +453,4 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
             ext.append(tree._edge_point_at(e, min(rho - du, length)))
         if dv <= rho:
             ext.append(tree._edge_point_at(e, max(length - (rho - dv), 0.0)))
-    best = 0.0
-    for i in range(len(ext)):
-        for j in range(i + 1, len(ext)):
-            d = tree.distance(ext[i], ext[j])
-            if d > best:
-                best = d
-    return best
+    return diameter(PointSet(tree, ext))[0]

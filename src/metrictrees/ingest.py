@@ -358,7 +358,16 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
 
     if not node_ids:
         raise TreeParseError("document defines no nodes", 1, 1)
-    n_nodes = max(node_ids) + 1
+    n_nodes = len(node_ids)
+    if min(node_ids) < 0:
+        raise TreeParseError(f"node id {min(node_ids)} is negative", 1, 1)
+    if max(node_ids) >= n_nodes:
+        # checked before the tree allocates max(id) + 1 slots; some id in
+        # 0..n_nodes is free because only n_nodes of them are used
+        missing = next(k for k in range(n_nodes + 1) if k not in node_ids)
+        raise TreeParseError(
+            f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
+        )
     tree = validate_tree(n_nodes, [e for _, e in edge_lines], tol=tol)
 
     points: dict[str, TreePoint] = {}

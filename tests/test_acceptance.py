@@ -15,6 +15,7 @@ from metrictrees import (
     PointMap,
     PointSet,
     alpha_profile,
+    ball_diameter,
     beta_profile,
     beta_star_profile,
     check_four_point,
@@ -63,7 +64,7 @@ def instance_profiles():
         n_max = len(ps.points)
         a = alpha_profile(ps, n_max).values
         b = beta_profile(ps, n_max).values
-        bs = beta_star_profile(ps, n_max).values
+        bs = beta_star_profile(ps, n_max)
         oa, ob = oracle_profiles(ps, n_max)
         out.append((ps, a, b, bs, oa, ob))
     return out
@@ -82,13 +83,26 @@ def test_criterion_01_alpha_twice_beta(instance_profiles):
 
 
 def test_criterion_02_beta_star_twice_beta(instance_profiles):
+    """beta*_n is checked from both sides without the profile search: it
+    equals the oracle's alpha_n = 2*beta_n (balls of diameter <= b induce
+    blocks of diameter <= b), and each witness is a feasible cover, with at
+    most n balls, every point inside its ball and every ball's diameter at
+    most the value."""
     failures = checks = 0
-    for _ps, _a, b, bs, _oa, _ob in instance_profiles:
-        for k in range(len(b)):
+    for ps, _a, _b, bs, oa, _ob in instance_profiles:
+        tree = ps.tree
+        for k, (value, cover) in enumerate(zip(bs.values, bs.witnesses)):
             checks += 1
-            if abs(bs[k] - 2.0 * b[k]) > TOL:
+            if abs(value - oa[k]) > TOL or len(cover.centers) > k + 1:
                 failures += 1
-    _report(2, "beta*_n = 2*beta_n", failures, checks)
+            elif any(
+                tree.distance(cover.centers[ci], p) > cover.radius + TOL
+                for p, ci in zip(ps.points, cover.assignment)
+            ):
+                failures += 1
+            elif any(ball_diameter(tree, c, cover.radius) > value + TOL for c in cover.centers):
+                failures += 1
+    _report(2, "beta*_n = oracle alpha_n, witnesses feasible", failures, checks)
 
 
 def test_criterion_03_circumcenter_exactness(instance_profiles):

@@ -148,6 +148,13 @@ class TestMeasure:
         assert code == 0
         assert "passed: True" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_one(self, star_tree_file, capsys, tol):
+        code, out, err = run(capsys, "measure", str(star_tree_file), "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "finite and nonnegative" in err
+
 
 class TestCover:
     @pytest.fixture
@@ -191,8 +198,18 @@ class TestCover:
         assert len(part["blocks"]) == 1
 
     def test_negative_radius_exits_one(self, star_tree_file, capsys):
-        code, _, err = run(capsys, "cover", str(star_tree_file), "--radius", "-1")
-        assert code == 1
+        for radius in ("-1", "nan"):
+            code, out, err = run(capsys, "cover", str(star_tree_file), "--radius", radius)
+            assert code == 1
+            assert out == ""
+            assert "radius must be nonnegative" in err
+
+    def test_negative_diameter_exits_one(self, star_tree_file, capsys):
+        for bound in ("-1", "nan"):
+            code, out, err = run(capsys, "cover", str(star_tree_file), "--diameter", bound)
+            assert code == 1
+            assert out == ""
+            assert "diameter bound must be nonnegative" in err
 
     def test_requires_a_mode(self, star_tree_file, capsys):
         code, _, err = run(capsys, "cover", str(star_tree_file))

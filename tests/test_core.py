@@ -6,6 +6,8 @@ transitivity, segment gluing, ball convexity, four-point) are checked
 against direct distance arithmetic on sampled points.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -458,6 +460,11 @@ class TestConcurrencySafety:
 def test_tolerance_validation():
     with pytest.raises(BadParams):
         Tolerance(-1e-9, 1e-9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadParams):
+            Tolerance(bad, 1e-9)
+        with pytest.raises(BadParams):
+            Tolerance(1e-9, bad)
     tol = Tolerance(1e-6, 1e-9)
     assert tol.close(1.0, 1.0 + 5e-7)
     assert not tol.close(1.0, 1.0 + 5e-6)

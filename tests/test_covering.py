@@ -149,8 +149,9 @@ class TestMinBallCover:
 
     def test_negative_radius(self, simple_doc):
         ps = PointSet(simple_doc.tree, [simple_doc.points["A"]])
-        with pytest.raises(NegativeRadius):
-            min_ball_cover(ps, -0.5)
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(NegativeRadius):
+                min_ball_cover(ps, bad)
 
     def test_assignment_is_valid(self, rng):
         for _ in range(40):
@@ -213,8 +214,9 @@ class TestMinDiameterPartition:
 
     def test_negative_bound(self, simple_doc):
         ps = PointSet(simple_doc.tree, [simple_doc.points["A"]])
-        with pytest.raises(NegativeDiameter):
-            min_diameter_partition(ps, -1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(NegativeDiameter):
+                min_diameter_partition(ps, bad)
 
 
 class TestProfiles:
@@ -329,6 +331,11 @@ class TestBallDiameter:
         t = simple_doc.tree
         c = t.edge_point(0, 1, 1.0)
         assert ball_diameter(t, c, 0.5) == pytest.approx(1.0)
+
+    def test_rejects_negative_and_nan_radius(self, simple_doc):
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(NegativeRadius):
+                ball_diameter(simple_doc.tree, simple_doc.points["B"], bad)
 
     def test_bounded_by_twice_radius(self, rng):
         for _ in range(40):

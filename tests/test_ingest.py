@@ -2,6 +2,7 @@
 the gallery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ class TestDocuments:
     def test_duplicate_point_name(self):
         with pytest.raises(TreeParseError):
             parse_tree("edge 0 1 1.0\npoint a node 0\npoint a node 1\n")
+
+    def test_skipped_node_id_named(self):
+        with pytest.raises(TreeParseError, match="node 2 is missing"):
+            parse_tree("edge 0 1 1.0\nedge 1 3 1.0\n")
+
+    def test_huge_node_id_rejected_before_allocation(self):
+        start = time.perf_counter()
+        with pytest.raises(TreeParseError, match="node 2 is missing"):
+            parse_tree("edge 0 1 1.0\nedge 1 1000000000 1.0\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_negative_node_id(self):
+        with pytest.raises(TreeParseError, match="-1 is negative"):
+            parse_tree("edge -1 0 1.0\n")
 
     def test_offset_beyond_edge_length(self):
         with pytest.raises(ParameterOutOfRange):
