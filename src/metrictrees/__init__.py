@@ -9,6 +9,7 @@ algorithm is backed by a brute-force oracle in the test suite.
 
 from .core import (
     MetricTree,
+    PointArray,
     Segment,
     Tolerance,
     TreePoint,

@@ -11,7 +11,11 @@ points, parameterized by arc length: ``Segment.point_at`` is an isometry from
 ``[0, total_length]`` onto the segment.
 
 ``MetricTree`` is immutable after validation.  All queries are read-only and
-safe to call from concurrent threads; no operation retains mutable state.
+safe to call from concurrent threads.  The numpy arrays behind
+``MetricTree.distances`` (preorder intervals and root distances per tree,
+anchor arrays per ``PointArray``) are built on first use and assigned once;
+a build is deterministic, so two threads that race on it store equal arrays
+and neither ever sees a partial one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     BadParams,
@@ -37,6 +43,7 @@ __all__ = [
     "Tolerance",
     "MetricTree",
     "TreePoint",
+    "PointArray",
     "Segment",
     "validate_tree",
     "segment_intersection",
@@ -69,6 +76,11 @@ class Tolerance:
     def leq(self, a: float, b: float) -> bool:
         """a <= b up to slack at the magnitude of the operands."""
         return a <= b + self.slack(max(abs(a), abs(b)))
+
+    def leq_array(self, a: np.ndarray, b: float) -> np.ndarray:
+        """Elementwise ``leq``; each verdict equals the scalar one."""
+        scale = np.maximum(np.abs(a), abs(b))
+        return a <= b + np.maximum(self.abs_eps, self.rel_eps * scale)
 
 
 class TreePoint:
@@ -121,6 +133,87 @@ class TreePoint:
         return {"kind": "edge", "u": u, "v": v, "offset": self.offset}
 
 
+class PointArray(Sequence[TreePoint]):
+    """A read-only sequence of points of one tree, stored as numpy arrays.
+
+    Point ``i`` is the node ``node[i]`` when that is nonnegative, and
+    otherwise the interior point of edge ``edge[i]`` at ``offset[i]`` from
+    its tail, in canonical form.  Items are built on indexing and equal the
+    ``TreePoint`` they describe; ``MetricTree.distances`` reads the arrays.
+    """
+
+    __slots__ = ("tree", "node", "edge", "offset", "_anchor_arrays")
+
+    def __init__(self, tree: "MetricTree", node: np.ndarray, edge: np.ndarray, offset: np.ndarray):
+        self.tree = tree
+        self.node = np.asarray(node, dtype=np.intp)
+        self.edge = np.asarray(edge, dtype=np.intp)
+        self.offset = np.asarray(offset, dtype=np.float64)
+        for arr in (self.node, self.edge, self.offset):
+            arr.flags.writeable = False
+        self._anchor_arrays: tuple[np.ndarray, ...] | None = None
+
+    @classmethod
+    def of(cls, tree: "MetricTree", points: Sequence[TreePoint]) -> "PointArray":
+        """``points`` as a PointArray of ``tree`` (itself if it already is one)."""
+        if isinstance(points, PointArray):
+            if points.tree is not tree:
+                raise ForeignPoint("points belong to a different tree")
+            return points
+        node, edge, offset = [], [], []
+        for p in points:
+            tree._own(p)
+            node.append(-1 if p.node is None else p.node)
+            edge.append(-1 if p.edge is None else p.edge)
+            offset.append(p.offset)
+        return cls(tree, node, edge, offset)
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PointArray(self.tree, self.node[i], self.edge[i], self.offset[i])
+        node = int(self.node[i])
+        if node >= 0:
+            return TreePoint(self.tree, node, None, 0.0)
+        return TreePoint(self.tree, None, int(self.edge[i]), float(self.offset[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __repr__(self) -> str:
+        return f"PointArray({len(self)} points)"
+
+    def _anchors(self) -> tuple[np.ndarray, ...]:
+        # (node, cost) of both anchors of every point, as in MetricTree._anchors;
+        # a node's second anchor repeats its first
+        anchors = self._anchor_arrays
+        if anchors is None:
+            k = self.tree._kernel()
+            a1, a2 = self.node.copy(), self.node.copy()
+            c2 = np.zeros(len(self))
+            inside = np.flatnonzero(self.node < 0)
+            e = self.edge[inside]
+            a1[inside] = k.edge_u[e]
+            a2[inside] = k.edge_v[e]
+            c2[inside] = k.lengths[e] - self.offset[inside]
+            anchors = self._anchor_arrays = (a1, self.offset, a2, c2)
+        return anchors
+
+
+class _KernelArrays(NamedTuple):
+    """Per-tree arrays of the batched distance kernel."""
+
+    tin: np.ndarray  # preorder position of each node
+    end: np.ndarray  # by position: one past the last position of its subtree
+    root_dist: np.ndarray  # by node
+    pre_root_dist: np.ndarray  # by position
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    lengths: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """The unique geodesic between two points of a metric tree.
@@ -160,7 +253,7 @@ class Segment:
         """The point at arc length ``t`` from endpoint ``a``."""
         tol = self.tree.tol
         slack = tol.slack(max(self.total_length, abs(t)))
-        if t < -slack or t > self.total_length + slack:
+        if not (math.isfinite(t) and -slack <= t <= self.total_length + slack):
             raise ParameterOutOfRange(
                 f"arc length {t!r} outside [0, {self.total_length!r}]"
             )
@@ -225,7 +318,8 @@ class MetricTree:
     is legal; all its distances are zero.
 
     Distance queries resolve through a rooted ancestor structure (binary
-    lifting at node 0), so point-to-point distance costs O(log n).
+    lifting at node 0), so point-to-point distance costs O(log n);
+    ``distances`` measures one point against many in O(n + len(qs)).
     """
 
     __slots__ = (
@@ -242,6 +336,7 @@ class MetricTree:
         "_root_dist",
         "_up",
         "_degree",
+        "_kernel_arrays",
     )
 
     def __init__(
@@ -331,6 +426,7 @@ class MetricTree:
             prev = up[-1]
             up.append([prev[prev[u]] for u in range(n_nodes)])
         self._up = tuple(tuple(row) for row in up)
+        self._kernel_arrays: _KernelArrays | None = None
 
     # ------------------------------------------------------------------ #
     # Construction of points                                              #
@@ -352,7 +448,7 @@ class MetricTree:
             raise BadParams(f"no edge between nodes {u} and {v}")
         offset = float(offset)
         length = self._lengths[idx]
-        if offset < -self.tol.abs_eps or offset > length + self.tol.slack(length):
+        if not -self.tol.abs_eps <= offset <= length + self.tol.slack(length):  # also rejects NaN
             raise ParameterOutOfRange(
                 f"offset {offset!r} outside [0, {length!r}] on edge ({u}, {v})"
             )
@@ -458,6 +554,73 @@ class MetricTree:
         self._own(x)
         self._own(y)
         return self._dist(x, y)
+
+    def distances(self, p: TreePoint, qs: Sequence[TreePoint]) -> np.ndarray:
+        """``distance(p, q)`` for every q in ``qs``, bit for bit, as an array.
+
+        Each anchor of p costs one O(n) numpy pass that measures it against
+        every node; each q then combines its anchors in ``_dist``'s order, so
+        no entry differs from the scalar query even in the last bit.
+        """
+        self._own(p)
+        qs = PointArray.of(self, qs)
+        a1, c1, a2, c2 = qs._anchors()
+        out = None
+        for s, c in self._anchors(p):
+            ds = self._node_distances(s)
+            d = np.minimum((c + ds[a1]) + c1, (c + ds[a2]) + c2)
+            out = d if out is None else np.minimum(out, d)
+        if p.edge is not None:
+            same = qs.edge == p.edge
+            out[same] = np.abs(p.offset - qs.offset[same])
+        return out
+
+    def _node_distances(self, s: int) -> np.ndarray:
+        """``node_distance(s, v)`` for every node v.
+
+        The ancestors of s are the positions whose preorder interval holds
+        s's position; their nested intervals cut the preorder into runs that
+        share one lowest common ancestor with s.
+        """
+        k = self._kernel()
+        t = k.tin[s]
+        anc = np.flatnonzero(k.end[: t + 1] > t)  # root first
+        ends = k.end[anc]
+        runs = np.concatenate((np.diff(anc), ends[-1:] - t, -np.diff(ends)[::-1]))
+        rd_anc = k.pre_root_dist[anc]
+        lca_rd = np.repeat(np.concatenate((rd_anc, rd_anc[-2::-1])), runs)[k.tin]
+        rd = k.root_dist
+        return rd[s] + rd - 2.0 * lca_rd
+
+    def _kernel(self) -> _KernelArrays:
+        k = self._kernel_arrays
+        if k is None:
+            adj, parent = self._adj, self._parent
+            order: list[int] = []
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for v, _e in adj[u]:
+                    if v != parent[u]:
+                        stack.append(v)
+            size = [1] * self.n_nodes
+            for u in reversed(order[1:]):
+                size[parent[u]] += size[u]
+            order_arr = np.array(order, dtype=np.intp)
+            tin = np.empty(self.n_nodes, dtype=np.intp)
+            tin[order_arr] = np.arange(self.n_nodes)
+            root_dist = np.array(self._root_dist)
+            k = self._kernel_arrays = _KernelArrays(
+                tin=tin,
+                end=np.arange(self.n_nodes) + np.array(size, dtype=np.intp)[order_arr],
+                root_dist=root_dist,
+                pre_root_dist=root_dist[order_arr],
+                edge_u=np.array(self._edge_u, dtype=np.intp),
+                edge_v=np.array(self._edge_v, dtype=np.intp),
+                lengths=np.array(self._lengths, dtype=np.float64),
+            )
+        return k
 
     def _dist(self, x: TreePoint, y: TreePoint) -> float:
         if x.node is not None and y.node is not None:

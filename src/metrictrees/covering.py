@@ -38,6 +38,7 @@ from .errors import (
     NegativeRadius,
     TooLargeForOracle,
 )
+from .sampling import edge_samples
 
 __all__ = [
     "PointSet",
@@ -359,7 +360,7 @@ def oracle_min_cover(
     if mode not in ("ball", "diameter"):
         raise BadParams(f"mode must be 'ball' or 'diameter', got {mode!r}")
     tree = ps.tree
-    if value < -tree.tol.abs_eps:
+    if not value >= -tree.tol.abs_eps:  # also rejects NaN
         if mode == "ball":
             raise NegativeRadius(f"radius must be nonnegative, got {value!r}")
         raise NegativeDiameter(f"diameter bound must be nonnegative, got {value!r}")
@@ -438,7 +439,8 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     if not rho >= 0:  # also rejects NaN
         raise NegativeRadius(f"radius must be nonnegative, got {rho!r}")
     ext: list[TreePoint] = [center]
-    node_dist = [tree.distance(tree.node_point(i), center) for i in range(tree.n_nodes)]
+    # one side of each pair is a node, so d(center, node) == d(node, center) exactly
+    node_dist = tree.distances(center, edge_samples(tree, per_edge=0)).tolist()
     for i in range(tree.n_nodes):
         if node_dist[i] <= rho and tree.degree(i) <= 1:
             ext.append(tree.node_point(i))

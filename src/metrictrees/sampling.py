@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint
 
 __all__ = ["random_tree", "random_point", "random_points", "edge_samples"]
 
@@ -40,10 +40,24 @@ def random_points(rng: np.random.Generator, tree: MetricTree, k: int) -> list[Tr
     return [random_point(rng, tree) for _ in range(k)]
 
 
-def edge_samples(tree: MetricTree, per_edge: int = 3) -> list[TreePoint]:
-    """Deterministic dense sample: every node plus interior edge points."""
-    pts = [tree.node_point(i) for i in range(tree.n_nodes)]
-    for e, (u, v, length) in enumerate(tree.edges):
-        for j in range(1, per_edge + 1):
-            pts.append(tree.edge_point(u, v, length * j / (per_edge + 1)))
-    return pts
+def edge_samples(tree: MetricTree, per_edge: int = 3) -> PointArray:
+    """Deterministic dense sample: every node plus interior edge points.
+
+    The nodes in order, then for each edge its ``per_edge`` evenly spaced
+    points from the tail, canonicalized as ``MetricTree.edge_point`` does.
+    """
+    k = tree._kernel()
+    j = np.arange(1, per_edge + 1)
+    coord = (k.lengths[:, None] * j / (per_edge + 1)).ravel()
+    edge = np.repeat(np.arange(len(k.lengths)), len(j))
+    length = k.lengths[edge]
+    eps = tree.tol.abs_eps
+    node = np.where(coord >= length - eps, k.edge_v[edge], -1)
+    node = np.where(coord <= eps, k.edge_u[edge], node)
+    inside = node < 0
+    return PointArray(
+        tree,
+        np.concatenate((np.arange(tree.n_nodes), node)),
+        np.concatenate((np.full(tree.n_nodes, -1), np.where(inside, edge, -1))),
+        np.concatenate((np.zeros(tree.n_nodes), np.where(inside, coord, 0.0))),
+    )

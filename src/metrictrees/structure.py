@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint
 from .errors import BadParams, PreconditionViolation
 from .sampling import edge_samples, random_point
 
@@ -175,15 +175,13 @@ def lifschitz_witness(
     b = 2.0 - 2.0 * eps
     z = tree.point_at(x, y, eps * r)
     tol = tree.tol
-    applicable = 0
-    failures = []
-    for w in test_points:
-        if tol.leq(tree.distance(w, x), a * r) and tol.leq(tree.distance(w, y), b * r):
-            applicable += 1
-            if not tol.leq(tree.distance(w, z), r):
-                failures.append(w)
+    pts = PointArray.of(tree, test_points)
+    inside = tol.leq_array(tree.distances(x, pts), a * r)
+    inside &= tol.leq_array(tree.distances(y, pts), b * r)
+    failed = inside & ~tol.leq_array(tree.distances(z, pts), r)
+    failures = tuple(pts[i] for i in np.flatnonzero(failed))
     witness = LifschitzWitness(x, y, float(r), float(eps), a, b, z)
-    return witness, WitnessVerification(len(test_points), applicable, tuple(failures))
+    return witness, WitnessVerification(len(pts), int(inside.sum()), failures)
 
 
 @dataclass(frozen=True)

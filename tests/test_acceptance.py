@@ -62,7 +62,7 @@ def instance_profiles():
     for _ in range(N_INSTANCES):
         ps = _instance(rng)
         n_max = len(ps.points)
-        a = alpha_profile(ps, n_max).values
+        a = alpha_profile(ps, n_max)
         b = beta_profile(ps, n_max).values
         bs = beta_star_profile(ps, n_max)
         oa, ob = oracle_profiles(ps, n_max)
@@ -71,15 +71,27 @@ def instance_profiles():
 
 
 def test_criterion_01_alpha_twice_beta(instance_profiles):
+    """alpha_n and beta_n equal the oracle's alpha_n = 2*beta_n, and each
+    alpha witness is checked without the profile search: at most n blocks
+    that partition the points, each of pairwise diameter at most the value."""
     failures = checks = 0
     for ps, a, b, _bs, oa, ob in instance_profiles:
-        for k in range(len(a)):
+        tree, pts = ps.tree, ps.points
+        for k, (value, part) in enumerate(zip(a.values, a.witnesses)):
             checks += 1
-            if abs(a[k] - 2.0 * b[k]) > TOL:
+            if abs(value - oa[k]) > TOL or abs(b[k] - ob[k]) > TOL:
                 failures += 1
-            if abs(a[k] - oa[k]) > TOL or abs(b[k] - ob[k]) > TOL:
+            elif len(part.blocks) > k + 1 or sorted(
+                i for block in part.blocks for i in block
+            ) != list(range(len(pts))):
                 failures += 1
-    _report(1, "alpha_n = 2*beta_n, both oracle-validated", failures, checks)
+            elif any(
+                tree.distance(pts[i], pts[j]) > value + TOL
+                for block in part.blocks
+                for i, j in itertools.combinations(block, 2)
+            ):
+                failures += 1
+    _report(1, "alpha_n = oracle alpha_n = 2*beta_n, witnesses feasible", failures, checks)
 
 
 def test_criterion_02_beta_star_twice_beta(instance_profiles):

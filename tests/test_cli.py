@@ -128,6 +128,14 @@ class TestMeasure:
         rep = json.loads(out)["report"]
         assert [v["value"] for v in rep["alpha"]["values"]] == [0.0, 0.0]
 
+    def test_nan_offset_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.tree"
+        path.write_text("edge 0 1 2.0\npoint p edge 0 1 nan\n")
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 1
+        assert out == ""
+        assert "offset nan outside" in err
+
     def test_unknown_point_exits_one(self, star_tree_file, capsys):
         code, _, err = run(capsys, "measure", str(star_tree_file), "nope")
         assert code == 1

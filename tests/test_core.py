@@ -19,11 +19,16 @@ from metrictrees import (
     Disconnected,
     DuplicateEdge,
     ForeignPoint,
+    MetricTree,
     NonpositiveEdgeLength,
     ParameterOutOfRange,
+    PointArray,
     Tolerance,
     TooFewPoints,
+    edge_samples,
+    gallery,
     is_metric_segment,
+    lifschitz_witness,
     random_point,
     random_points,
     random_tree,
@@ -139,6 +144,9 @@ class TestCanonicalization:
             simple_doc.tree.edge_point(0, 1, 2.5)
         with pytest.raises(ParameterOutOfRange):
             simple_doc.tree.edge_point(0, 1, -0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterOutOfRange):
+                simple_doc.tree.edge_point(0, 1, bad)
 
     def test_no_such_edge(self, simple_doc):
         with pytest.raises(BadParams):
@@ -265,6 +273,11 @@ class TestPointAt:
             t.point_at(p["A"], p["C"], 3.5)
         with pytest.raises(ParameterOutOfRange):
             t.point_at(p["A"], p["C"], -0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterOutOfRange):
+                t.point_at(p["A"], p["C"], bad)
+            with pytest.raises(ParameterOutOfRange):
+                t.segment(p["A"], p["B"]).point_at(bad)
 
     def test_postcondition(self, rng):
         for _ in range(40):
@@ -443,18 +456,31 @@ class TestBallGeometry:
 
 class TestConcurrencySafety:
     def test_parallel_reads(self, simple_doc):
-        """Queries share no mutable state; hammer them from threads."""
+        """Queries share no mutable state beyond the lazily built kernel
+        arrays, which the first calls race to build; hammer them from threads."""
         import concurrent.futures
+        import sys
 
         t, p = simple_doc.tree, simple_doc.points
+        sample = edge_samples(t, 5)  # builds the tree's arrays, not the sample's
+        fresh = gallery("simple")  # no arrays built yet
+        expected = [t.distance(p["D"], q) for q in sample]
 
         def work(_):
             assert t.distance(p["A"], p["C"]) == pytest.approx(3.0)
             assert t.median(p["A"], p["C"], p["D"]) == p["B"]
+            assert t.distances(p["D"], sample).tolist() == expected
+            q = fresh.points
+            assert fresh.tree.distances(q["A"], [q["C"], q["D"]]).tolist() == [3.0, 3.0]
             return True
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            assert all(pool.map(work, range(64)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                assert all(pool.map(work, range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_tolerance_validation():
@@ -468,3 +494,155 @@ def test_tolerance_validation():
     tol = Tolerance(1e-6, 1e-9)
     assert tol.close(1.0, 1.0 + 5e-7)
     assert not tol.close(1.0, 1.0 + 5e-6)
+
+
+def test_leq_array_matches_scalar(rng):
+    tol = Tolerance(1e-6, 1e-3)
+    for b in (0.0, 1e-7, 2.0, 5000.0):
+        # the slack at b is max(1e-6, 1e-3 * b): probe both sides of it
+        a = b + np.concatenate((
+            [-1.0, 0.0, 9e-7, 1.1e-6, 1.9e-3 * b, 2.1e-3 * b, 1e4],
+            rng.uniform(-3e-3, 3e-3, 200) * max(b, 1e-3),
+        ))
+        assert tol.leq_array(a, b).tolist() == [tol.leq(float(x), b) for x in a]
+
+
+def _shaped_tree(rng, shape, n):
+    """A random tree, path or caterpillar on n nodes under shuffled ids."""
+    spine = max(1, n // 2)
+    parent = [
+        i - 1 if shape == "path" or (shape == "caterpillar" and i < spine)
+        else int(rng.integers(0, spine if shape == "caterpillar" else i))
+        for i in range(1, n)
+    ]
+    perm = rng.permutation(n)
+    edges = []
+    for i, p in enumerate(parent, start=1):
+        u, v = int(perm[p]), int(perm[i])
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, float(rng.uniform(0.2, 2.5))))
+    return MetricTree(n, edges)
+
+
+def _edge_samples_reference(tree, per_edge):
+    pts = [tree.node_point(i) for i in range(tree.n_nodes)]
+    for u, v, length in tree.edges:
+        for j in range(1, per_edge + 1):
+            pts.append(tree.edge_point(u, v, length * j / (per_edge + 1)))
+    return pts
+
+
+def _witness_reference(tree, x, y, r, eps, test_points):
+    """The scalar loop ``lifschitz_witness`` replaced: (applicable, failures)."""
+    z = tree.point_at(x, y, eps * r)
+    a, b, tol = 1.0 + eps, 2.0 - 2.0 * eps, tree.tol
+    applicable, failures = 0, []
+    for w in test_points:
+        if tol.leq(tree.distance(w, x), a * r) and tol.leq(tree.distance(w, y), b * r):
+            applicable += 1
+            if not tol.leq(tree.distance(w, z), r):
+                failures.append(w)
+    return applicable, failures
+
+
+class TestDistancesKernel:
+    """``distances`` against the scalar ``distance`` it must equal bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        n=st.integers(1, 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scalar_distance(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        tree = _shaped_tree(rng, shape, n)
+        sources = random_points(rng, tree, 6) + [tree.node_point(int(rng.integers(0, n)))]
+        targets = random_points(rng, tree, 30) + list(edge_samples(tree, 2))
+        for p in sources:
+            if p.edge is not None:  # pairs on one edge take the direct branch
+                u, v = tree.edge_nodes(p.edge)
+                length = tree.edge_length(p.edge)
+                targets += [tree.edge_point(u, v, float(x)) for x in rng.uniform(0, length, 3)]
+        for p in sources:
+            expected = np.array([tree.distance(p, q) for q in targets])
+            got = tree.distances(p, targets)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected)
+            assert np.array_equal(tree.distances(p, PointArray.of(tree, targets)), expected)
+
+    def test_empty_targets(self, simple_doc):
+        t = simple_doc.tree
+        assert t.distances(simple_doc.points["A"], []).shape == (0,)
+
+    def test_foreign_point(self, simple_doc, star_doc):
+        t, p = simple_doc.tree, simple_doc.points["A"]
+        other = star_doc(3)
+        with pytest.raises(ForeignPoint):
+            t.distances(other.points["hub"], [p])
+        with pytest.raises(ForeignPoint):
+            t.distances(p, [p, other.points["hub"]])
+        with pytest.raises(ForeignPoint):
+            t.distances(p, edge_samples(other.tree, 2))
+
+
+class TestEdgeSamples:
+    def test_equals_list_reference(self, rng):
+        trees = [random_tree(rng, max_nodes=12) for _ in range(20)]
+        # edges near abs_eps long: interior offsets snap to the end nodes
+        trees.append(MetricTree(3, [(0, 1, 1.0), (2, 1, 3e-9)]))
+        for tree in trees:
+            for per_edge in (0, 1, 3, 7):
+                sample = edge_samples(tree, per_edge)
+                expected = _edge_samples_reference(tree, per_edge)
+                assert list(sample) == expected
+                assert all(type(p.offset) is float for p in sample)
+                assert len(sample) == len(expected)
+                if expected:
+                    assert sample[-1] == expected[-1]
+                    assert list(sample[1::2]) == expected[1::2]
+
+    def test_read_only(self, simple_doc):
+        sample = edge_samples(simple_doc.tree, 2)
+        with pytest.raises(ValueError):
+            sample.offset[0] = 1.0
+
+
+class TestWitnessScan:
+    """``lifschitz_witness``'s array scans against the scalar loop.
+
+    Scalar ``distance`` is not bit-symmetric on two edge-interior points, so
+    the verdicts are compared, not the distances.
+    """
+
+    def _cases(self, rng):
+        for _ in range(40):
+            tree = _shaped_tree(rng, str(rng.choice(["random", "path", "caterpillar"])), 12)
+            x, y = random_points(rng, tree, 2)
+            d = tree.distance(x, y)
+            if d > 1e-9:
+                r = float(rng.uniform(0.05, 0.95)) * d
+                yield tree, x, y, r, float(rng.uniform(0.05, 0.95))
+
+    def test_verdicts_match_scalar_loop(self, rng):
+        for tree, x, y, r, eps in self._cases(rng):
+            pts = random_points(rng, tree, 20) + list(edge_samples(tree, 3))
+            _w, ver = lifschitz_witness(tree, x, y, r, eps, pts)
+            applicable, failures = _witness_reference(tree, x, y, r, eps, pts)
+            assert (ver.checked, ver.applicable, list(ver.failures)) == (
+                len(pts), applicable, failures
+            )
+
+    def test_failures_match_scalar_loop(self, rng, monkeypatch):
+        # a wrong center (the far end y) makes points fail, so that the
+        # failure list is compared on nonempty cases too
+        monkeypatch.setattr(MetricTree, "point_at", lambda self, x, y, t: y)
+        seen = 0
+        for tree, x, y, r, eps in self._cases(rng):
+            pts = edge_samples(tree, 3)
+            _w, ver = lifschitz_witness(tree, x, y, r, eps, pts)
+            applicable, failures = _witness_reference(tree, x, y, r, eps, pts)
+            assert (ver.applicable, list(ver.failures)) == (applicable, failures)
+            seen += len(failures)
+        assert seen > 0

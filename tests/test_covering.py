@@ -295,6 +295,14 @@ class TestOracle:
         ps = PointSet(doc.tree, star_tips(doc))
         assert oracle_min_cover(ps, 0.0, "ball") == 5
 
+    def test_negative_value(self, simple_doc):
+        ps = PointSet(simple_doc.tree, [simple_doc.points["A"], simple_doc.points["C"]])
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(NegativeRadius):
+                oracle_min_cover(ps, bad, "ball")
+            with pytest.raises(NegativeDiameter):
+                oracle_min_cover(ps, bad, "diameter")
+
     def test_guard(self, rng):
         tree = random_tree(rng, n_nodes=14)
         pts = [tree.node_point(i) for i in range(tree.n_nodes)]
