@@ -181,9 +181,9 @@ def _cmd_build(args, tol) -> int:
         _emit({**base, "built": False, "reason": "not a tree metric",
                "violating_quadruple": list(exc.quadruple or ())}, args)
         return 2
-    doc = TreeDocument(tree, points)
+    text = serialize_tree(TreeDocument(tree, points))  # before the file is created
     with open(args.tree_out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_tree(doc))
+        fh.write(text)
     rebuilt = matrix_from_points(tree, points)
     deviation = float(abs(rebuilt.values - matrix.values).max(initial=0.0))
     _emit({**base, "built": True, "tree_file": args.tree_out,

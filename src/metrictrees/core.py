@@ -24,7 +24,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -317,6 +318,13 @@ class MetricTree:
     duplicate edges, and nonpositive lengths.  A single-node tree (no edges)
     is legal; all its distances are zero.
 
+    Validation is one linear pass: the input is a tree when it has exactly
+    ``n_nodes - 1`` edges, every endpoint is in range, every length is
+    finite and positive, and one BFS from node 0 reaches all nodes; that BFS
+    also fills the rooted tables.  Only when this check fails does a
+    sequential union-find scan run, to name the first bad edge in input
+    order.
+
     Distance queries resolve through a rooted ancestor structure (binary
     lifting at node 0), so point-to-point distance costs O(log n);
     ``distances`` measures one point against many in O(n + len(qs)).
@@ -348,84 +356,67 @@ class MetricTree:
         if not isinstance(n_nodes, int) or n_nodes < 1:
             raise BadParams("n_nodes must be a positive integer")
         self.tol = tol if tol is not None else Tolerance()
-        edge_list: list[tuple[int, int, float]] = []
-        seen: set[tuple[int, int]] = set()
-        uf = list(range(n_nodes))
-
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        for raw in edges:
-            u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
-            if not (math.isfinite(length) and length > 0.0):
-                raise NonpositiveEdgeLength(
-                    f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
-                )
-            if u == v:
-                raise CycleDetected(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-            seen.add(key)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
-            uf[ru] = rv
-            edge_list.append((u, v, length))
-
-        if len(edge_list) != n_nodes - 1:
-            raise Disconnected(
-                f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {len(edge_list)}"
-            )
-
-        self.n_nodes = n_nodes
-        self.edges = tuple(edge_list)
-        self._edge_u = tuple(e[0] for e in edge_list)
-        self._edge_v = tuple(e[1] for e in edge_list)
-        self._lengths = tuple(e[2] for e in edge_list)
+        edges = list(edges)
+        try:
+            us = tuple(map(int, map(itemgetter(0), edges)))
+            vs = tuple(map(int, map(itemgetter(1), edges)))
+            lengths = tuple(map(float, map(itemgetter(2), edges)))
+        except (LookupError, TypeError, ValueError, OverflowError):
+            _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
+        ends = us + vs
+        if not (
+            len(edges) == n_nodes - 1
+            and 0 <= min(ends, default=0)
+            and max(ends, default=0) < n_nodes
+            and all(map(math.isfinite, lengths))
+            and min(lengths, default=1.0) > 0.0
+        ):
+            _raise_first_edge_fault(n_nodes, edges)
 
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
         edge_between: dict[tuple[int, int], int] = {}
-        for idx, (u, v, _length) in enumerate(edge_list):
+        for idx, (u, v) in enumerate(zip(us, vs)):
             adj[u].append((v, idx))
             adj[v].append((u, idx))
             edge_between[(u, v)] = idx
             edge_between[(v, u)] = idx
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
-        self._edge_between = edge_between
-        self._degree = tuple(len(nbrs) for nbrs in adj)
 
-        # Rooted ancestor structure (root = node 0).
-        parent = [-1] * n_nodes
+        # Rooted ancestor structure (root = node 0), filled by one BFS; with
+        # n - 1 edges, reaching every node proves the input is a tree.
+        # ``up0`` is the parent table with the root as its own parent.
+        up0 = [-1] * n_nodes
+        up0[0] = 0
         hops = [0] * n_nodes
         root_dist = [0.0] * n_nodes
-        stack = [0]
-        visited = [False] * n_nodes
-        visited[0] = True
-        while stack:
-            u = stack.pop()
-            for v, idx in self._adj[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
-                    hops[v] = hops[u] + 1
-                    root_dist[v] = root_dist[u] + self._lengths[idx]
-                    stack.append(v)
-        self._parent = tuple(parent)
+        order = [0]
+        for u in order:
+            h, d = hops[u] + 1, root_dist[u]
+            for v, idx in adj[u]:
+                if up0[v] < 0:
+                    up0[v] = u
+                    hops[v] = h
+                    root_dist[v] = d + lengths[idx]
+                    order.append(v)
+        if len(order) != n_nodes:
+            _raise_first_edge_fault(n_nodes, edges)
+
+        self.n_nodes = n_nodes
+        self.edges = tuple(zip(us, vs, lengths))
+        self._edge_u = us
+        self._edge_v = vs
+        self._lengths = lengths
+        self._adj = tuple(map(tuple, adj))
+        self._edge_between = edge_between
+        self._degree = tuple(map(len, adj))
+        self._parent = (-1, *up0[1:])
         self._hops = tuple(hops)
         self._root_dist = tuple(root_dist)
 
-        levels = max(1, max(hops).bit_length()) if n_nodes > 1 else 1
-        up = [[p if p >= 0 else u for u, p in enumerate(parent)]]
-        for _ in range(1, levels):
+        up = [up0]
+        for _ in range(1, max(1, max(hops).bit_length())):
             prev = up[-1]
-            up.append([prev[prev[u]] for u in range(n_nodes)])
-        self._up = tuple(tuple(row) for row in up)
+            up.append([prev[x] for x in prev])
+        self._up = tuple(map(tuple, up))
         self._kernel_arrays: _KernelArrays | None = None
 
     # ------------------------------------------------------------------ #
@@ -719,6 +710,47 @@ class MetricTree:
         if p.node == self._edge_u[e]:
             return 0.0
         return self._lengths[e]
+
+
+def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
+    """Raise the error for the first edge, in input order, that keeps
+    ``edges`` from being a tree on ``n_nodes`` nodes.
+
+    ``MetricTree`` calls this only after its linear check has failed, so
+    the sequential scan below only names the error.  Its union-find holds
+    only the nodes the edges name, so a huge ``n_nodes`` costs nothing.
+    """
+    seen: set[tuple[int, int]] = set()
+    uf: dict[int, int] = {}  # a node absent from uf is its own root
+
+    def find(x: int) -> int:
+        while uf.get(x, x) != x:
+            uf[x] = uf.get(uf[x], uf[x])
+            x = uf[x]
+        return x
+
+    count = 0
+    for raw in edges:
+        u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
+        if not (math.isfinite(length) and length > 0.0):
+            raise NonpositiveEdgeLength(
+                f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
+            )
+        if u == v:
+            raise CycleDetected(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
+        seen.add(key)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
+        uf[ru] = rv
+        count += 1
+    # a forest with n - 1 edges spans all n nodes, so the count is off
+    raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {count}")
 
 
 def validate_tree(

@@ -25,6 +25,7 @@ import io
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -296,93 +297,115 @@ class TreeDocument:
     __hash__ = None  # type: ignore[assignment]
 
 
-_TOKEN = re.compile(r"\S+")
+_TOKEN = re.compile(r"\S+")  # the tokens of str.split(), with their positions
+
+
+def _error_at(line: str, lineno: int, k: int, message: str) -> TreeParseError:
+    """TreeParseError at the column of the k-th token of ``line``."""
+    column = [m.start() + 1 for m in _TOKEN.finditer(line)][k]
+    return TreeParseError(message, lineno, column)
+
+
+def _raise_number_error(
+    line: str, lineno: int, words: list[str], first: int, convs: tuple
+) -> None:
+    """Raise the TreeParseError for the first of ``words[first:]`` that its
+    entry of ``convs`` (``int`` or ``float``) rejects; return if none does."""
+    for k, conv in enumerate(convs, start=first):
+        try:
+            conv(words[k])
+        except ValueError:
+            what = "integer" if conv is int else "number"
+            raise _error_at(line, lineno, k, f"expected {what}, got {words[k]!r}")
 
 
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     """Parse a tree document; raises TreeParseError with line/column."""
-    node_ids: set[int] = set()
-    edge_lines: list[tuple[int, tuple[int, int, float]]] = []
-    point_lines: list[tuple[int, str, list[str], list[int]]] = []
+    node_ids: list[int] = []
+    edges: list[tuple[int, int, float]] = []
+    point_lines: list[tuple[int, str, tuple]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-        if not tokens:
+        words = line.split()
+        if not words:
             continue
-        words = [t for t, _ in tokens]
-        cols = [c for _, c in tokens]
-
-        def want_int(k: int) -> int:
-            try:
-                return int(words[k])
-            except ValueError:
-                raise TreeParseError(f"expected integer, got {words[k]!r}", lineno, cols[k])
-
-        def want_float(k: int) -> float:
-            try:
-                return float(words[k])
-            except ValueError:
-                raise TreeParseError(f"expected number, got {words[k]!r}", lineno, cols[k])
-
         kind = words[0]
-        if kind == "node":
-            if len(words) != 2:
-                raise TreeParseError("node line takes one id", lineno, cols[0])
-            node_ids.add(want_int(1))
-        elif kind == "edge":
+        if kind == "edge":
             if len(words) != 4:
-                raise TreeParseError("edge line takes: edge <u> <v> <length>", lineno, cols[0])
-            u, v = want_int(1), want_int(2)
-            edge_lines.append((lineno, (u, v, want_float(3))))
-            node_ids.update((u, v))
+                raise _error_at(line, lineno, 0, "edge line takes: edge <u> <v> <length>")
+            try:
+                edges.append((int(words[1]), int(words[2]), float(words[3])))
+            except ValueError:
+                _raise_number_error(line, lineno, words, 1, (int, int, float))
+                raise
         elif kind == "point":
             if len(words) < 3:
-                raise TreeParseError(
+                raise _error_at(
+                    line, lineno, 0,
                     "point line takes: point <name> node <id> | edge <u> <v> <offset>",
-                    lineno,
-                    cols[0],
                 )
-            name, mode = words[1], words[2]
+            mode = words[2]
             if mode == "node" and len(words) == 4:
-                point_lines.append((lineno, name, ["node"], [want_int(3)]))
+                convs: tuple = (int,)
             elif mode == "edge" and len(words) == 6:
-                point_lines.append(
-                    (lineno, name, ["edge", words[5]], [want_int(3), want_int(4)])
-                )
-                _ = want_float(5)
+                convs = (int, int, float)
             else:
-                raise TreeParseError("malformed point line", lineno, cols[0])
+                raise _error_at(line, lineno, 0, "malformed point line")
+            try:
+                where = tuple(conv(w) for conv, w in zip(convs, words[3:]))
+            except ValueError:
+                _raise_number_error(line, lineno, words, 3, convs)
+                raise
+            point_lines.append((lineno, words[1], where))
+        elif kind == "node":
+            if len(words) != 2:
+                raise _error_at(line, lineno, 0, "node line takes one id")
+            try:
+                node_ids.append(int(words[1]))
+            except ValueError:
+                _raise_number_error(line, lineno, words, 1, (int,))
+                raise
         else:
-            raise TreeParseError(f"unknown directive {kind!r}", lineno, cols[0])
+            raise _error_at(line, lineno, 0, f"unknown directive {kind!r}")
 
-    if not node_ids:
+    ids = set(node_ids)
+    ids.update(map(itemgetter(0), edges))
+    ids.update(map(itemgetter(1), edges))
+    if not ids:
         raise TreeParseError("document defines no nodes", 1, 1)
-    n_nodes = len(node_ids)
-    if min(node_ids) < 0:
-        raise TreeParseError(f"node id {min(node_ids)} is negative", 1, 1)
-    if max(node_ids) >= n_nodes:
+    n_nodes = len(ids)
+    if min(ids) < 0:
+        raise TreeParseError(f"node id {min(ids)} is negative", 1, 1)
+    if max(ids) >= n_nodes:
         # checked before the tree allocates max(id) + 1 slots; some id in
         # 0..n_nodes is free because only n_nodes of them are used
-        missing = next(k for k in range(n_nodes + 1) if k not in node_ids)
+        missing = next(k for k in range(n_nodes + 1) if k not in ids)
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    tree = validate_tree(n_nodes, [e for _, e in edge_lines], tol=tol)
+    tree = validate_tree(n_nodes, edges, tol=tol)
 
     points: dict[str, TreePoint] = {}
-    for lineno, name, mode, ids in point_lines:
+    for lineno, name, where in point_lines:
         if name in points:
             raise TreeParseError(f"duplicate point name {name!r}", lineno)
-        if mode[0] == "node":
-            points[name] = tree.node_point(ids[0])
-        else:
-            points[name] = tree.edge_point(ids[0], ids[1], float(mode[1]))
+        points[name] = tree.node_point(*where) if len(where) == 1 else tree.edge_point(*where)
     return TreeDocument(tree, points)
 
 
 def serialize_tree(doc: TreeDocument) -> str:
-    """Render a TreeDocument; floats use shortest round-trip form."""
+    """Render a TreeDocument; floats use shortest round-trip form.
+
+    Raises BadParams for a point name that ``parse_tree`` could not read
+    back: an empty one, or one containing whitespace or ``#``.
+    """
+    for name in doc.points:
+        if name.split() != [name] or "#" in name:
+            raise BadParams(
+                f"point name {name!r} cannot be written to a tree document: "
+                "names must be nonempty, without whitespace or '#'"
+            )
     out = []
     if not doc.tree.edges:
         for i in range(doc.tree.n_nodes):

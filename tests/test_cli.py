@@ -103,6 +103,17 @@ class TestBuild:
         assert code == 2
         assert json.loads(out)["built"] is False
 
+    def test_unwritable_label_exits_one_without_file(self, tmp_path, capsys):
+        # labels a document cannot hold: whitespace, '#'
+        matrix = tmp_path / "labels.csv"
+        matrix.write_text(",a b,c#d,e\na b,0,1,2\nc#d,1,0,1\ne,2,1,0\n")
+        out_tree = tmp_path / "labels.tree"
+        code, out, err = run(capsys, "build", str(matrix), "--tree-out", str(out_tree))
+        assert code == 1
+        assert out == ""
+        assert "'a b'" in err
+        assert not out_tree.exists()
+
 
 class TestMeasure:
     @pytest.fixture

@@ -7,6 +7,7 @@ against direct distance arithmetic on sampled points.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestValidation:
     def test_bad_node_reference(self):
         with pytest.raises(BadParams):
             validate_tree(2, [(0, 5, 1.0)])
+
+    def test_huge_node_count_fails_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Disconnected):
+                validate_tree(10**6, [(0, 1, 1.0), (1, 2, 1.0)])
+            with pytest.raises(DuplicateEdge):
+                validate_tree(10**6, [(0, 1, 1.0), (1, 0, 1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestDistance:
@@ -507,11 +520,13 @@ def test_leq_array_matches_scalar(rng):
         assert tol.leq_array(a, b).tolist() == [tol.leq(float(x), b) for x in a]
 
 
-def _shaped_tree(rng, shape, n):
-    """A random tree, path or caterpillar on n nodes under shuffled ids."""
+def _shaped_edges(rng, shape, n):
+    """Edges of a random tree, path, caterpillar or star on n nodes under
+    shuffled ids, each edge in random orientation."""
     spine = max(1, n // 2)
     parent = [
         i - 1 if shape == "path" or (shape == "caterpillar" and i < spine)
+        else 0 if shape == "star"
         else int(rng.integers(0, spine if shape == "caterpillar" else i))
         for i in range(1, n)
     ]
@@ -522,7 +537,11 @@ def _shaped_tree(rng, shape, n):
         if rng.random() < 0.5:
             u, v = v, u
         edges.append((u, v, float(rng.uniform(0.2, 2.5))))
-    return MetricTree(n, edges)
+    return edges
+
+
+def _shaped_tree(rng, shape, n):
+    return MetricTree(n, _shaped_edges(rng, shape, n))
 
 
 def _edge_samples_reference(tree, per_edge):
@@ -646,3 +665,194 @@ class TestWitnessScan:
             assert (ver.applicable, list(ver.failures)) == (applicable, failures)
             seen += len(failures)
         assert seen > 0
+
+
+def _reference_tables(n_nodes, edges):
+    """The sequential constructor ``MetricTree`` replaced, kept as the
+    reference: union-find validation edge by edge, then a DFS from node 0.
+    Returns the tables it stored, or raises what it raised."""
+    edge_list = []
+    seen = set()
+    uf = list(range(n_nodes))
+
+    def find(x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    for raw in edges:
+        u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
+        if not (math.isfinite(length) and length > 0.0):
+            raise NonpositiveEdgeLength(
+                f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
+            )
+        if u == v:
+            raise CycleDetected(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
+        seen.add(key)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
+        uf[ru] = rv
+        edge_list.append((u, v, length))
+    if len(edge_list) != n_nodes - 1:
+        raise Disconnected(
+            f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {len(edge_list)}"
+        )
+
+    adj = [[] for _ in range(n_nodes)]
+    edge_between = {}
+    for idx, (u, v, _length) in enumerate(edge_list):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+        edge_between[(u, v)] = idx
+        edge_between[(v, u)] = idx
+    adj = tuple(tuple(nbrs) for nbrs in adj)
+    parent, hops, root_dist = [-1] * n_nodes, [0] * n_nodes, [0.0] * n_nodes
+    stack, visited = [0], [False] * n_nodes
+    visited[0] = True
+    while stack:
+        u = stack.pop()
+        for v, idx in adj[u]:
+            if not visited[v]:
+                visited[v] = True
+                parent[v] = u
+                hops[v] = hops[u] + 1
+                root_dist[v] = root_dist[u] + edge_list[idx][2]
+                stack.append(v)
+    levels = max(1, max(hops).bit_length()) if n_nodes > 1 else 1
+    up = [[p if p >= 0 else u for u, p in enumerate(parent)]]
+    for _ in range(1, levels):
+        prev = up[-1]
+        up.append([prev[prev[u]] for u in range(n_nodes)])
+    return {
+        "edges": tuple(edge_list),
+        "_edge_u": tuple(e[0] for e in edge_list),
+        "_edge_v": tuple(e[1] for e in edge_list),
+        "_lengths": tuple(e[2] for e in edge_list),
+        "_adj": adj,
+        "_edge_between": edge_between,
+        "_degree": tuple(len(nbrs) for nbrs in adj),
+        "_parent": tuple(parent),
+        "_hops": tuple(hops),
+        "_root_dist": tuple(root_dist),
+        "_up": tuple(tuple(row) for row in up),
+    }
+
+
+def _outcome(build):
+    """``build()``, or (error type, message) when it raises."""
+    try:
+        return build()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _tables(tree):
+    return {key: getattr(tree, key) for key in _reference_tables(1, [])}
+
+
+_FAULTS = (
+    "out_of_range", "negative_endpoint", "nan_length", "inf_length", "zero_length",
+    "negative_length", "self_loop", "duplicate", "reversed_duplicate", "cycle_n_minus_1",
+    "one_too_many", "one_too_few", "unconvertible_length",
+)
+
+
+def _add_fault(edges, n, fault):
+    """Put one fault into a list of at least three edges on n nodes."""
+    (a, b, x), (u, v, y) = edges[0], edges[1]
+    if fault == "out_of_range":
+        edges[1] = (u, n, y)
+    elif fault == "negative_endpoint":
+        edges[1] = (-1, v, y)
+    elif fault.endswith("_length"):
+        bad = {"nan": math.nan, "inf": math.inf, "zero": 0.0, "negative": -1.5,
+               "unconvertible": "x"}
+        edges[1] = (u, v, bad[fault[: -len("_length")]])
+    elif fault == "self_loop":
+        edges[1] = (u, u, y)
+    elif fault == "duplicate":
+        edges.insert(2, (a, b, x))
+    elif fault == "reversed_duplicate":
+        edges.insert(2, (b, a, 3.0))
+    elif fault == "cycle_n_minus_1":  # n - 1 edges, one of them on a cycle
+        edges[2] = (a, v, 1.0)
+    elif fault == "one_too_many":
+        edges.append((a, v, 1.0))
+    else:
+        assert fault == "one_too_few"
+        del edges[1]
+
+
+class TestConstructionParity:
+    """The linear constructor against the sequential one it replaced."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar", "star"]),
+        n=st.integers(1, 40),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tables_equal_reference(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        edges = _shaped_edges(rng, shape, n)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        tree = MetricTree(n, edges)
+        assert _tables(tree) == _reference_tables(n, edges)
+        assert tree.n_nodes == n
+
+    def test_generator_and_numpy_input(self, rng):
+        edges = _shaped_edges(rng, "random", 12)
+        as_numpy = [(np.int64(u), np.int32(v), np.float64(x)) for u, v, x in edges]
+        expected = _reference_tables(12, edges)
+        assert _tables(MetricTree(12, iter(edges))) == expected
+        tables = _tables(MetricTree(12, as_numpy))
+        assert tables == expected
+        assert all(type(u) is int for u in tables["_edge_u"] + tables["_edge_v"])
+        assert all(type(x) is float for x in tables["_lengths"])
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    @pytest.mark.parametrize("shape", ["random", "path", "star"])
+    def test_each_fault_raises_like_reference(self, fault, shape, rng):
+        n = 9
+        edges = _shaped_edges(rng, shape, n)
+        _add_fault(edges, n, fault)
+        got = _outcome(lambda: MetricTree(n, edges))
+        assert isinstance(got, tuple) and got == _outcome(lambda: _reference_tables(n, edges))
+
+    def test_first_of_two_faults_wins(self):
+        n = 6
+        cases = [
+            ([(0, 1, 1.0), (2, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 9, 1.0)], CycleDetected),
+            ([(0, 1, 1.0), (1, 2, math.nan), (1, 0, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
+             NonpositiveEdgeLength),
+            ([(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.0), (2, 3, 1.0), (3, 4, 1.0)], DuplicateEdge),
+            ([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, -1.0), (4, 5, 1.0)], CycleDetected),
+            ([(0, 1, 1.0), (1, 1, 1.0), (1, 2, "x"), (2, 3, 1.0), (3, 4, 1.0)], CycleDetected),
+            ([(0, 1, 1.0), (1, 7, 1.0)], BadParams),
+        ]
+        for edges, first in cases:
+            got = _outcome(lambda: MetricTree(n, edges))
+            assert got == _outcome(lambda: _reference_tables(n, edges))
+            assert got[0] is first
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        faults=st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_faults_raise_like_reference(self, seed, faults):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(7, 20))
+        edges = _shaped_edges(rng, str(rng.choice(["random", "path", "star"])), n)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        for fault in faults:
+            _add_fault(edges, n, fault)
+        got = _outcome(lambda: _tables(MetricTree(n, edges)))
+        assert got == _outcome(lambda: _reference_tables(n, edges))

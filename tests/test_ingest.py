@@ -2,6 +2,7 @@
 the gallery."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from metrictrees import (
     NotAMetric,
     NotTreeMetric,
     ParameterOutOfRange,
+    TreeDocument,
     TreeParseError,
     UnknownGallery,
     check_four_point,
@@ -28,6 +30,7 @@ from metrictrees import (
     random_tree,
     serialize_tree,
     tree_from_distances,
+    validate_tree,
 )
 
 
@@ -201,6 +204,17 @@ class TestDocuments:
         with pytest.raises(ParameterOutOfRange):
             parse_tree("edge 0 1 1.0\npoint a edge 0 1 1.5\n")
 
+    @pytest.mark.parametrize("name", ["a b", "c#d", "", "x\ty", "#", "tail\xa0", "line\x85"])
+    def test_unwritable_point_name(self, simple_doc, name):
+        simple_doc.points[name] = simple_doc.tree.node_point(0)
+        with pytest.raises(BadParams, match=re.escape(repr(name))):
+            serialize_tree(simple_doc)
+
+    def test_written_names_parse_back(self, simple_doc):
+        for name in ("x-y", "p.1", "\u00e9t\u00e9", "node", "edge"):
+            simple_doc.points[name] = simple_doc.tree.node_point(1)
+        assert parse_tree(serialize_tree(simple_doc)) == simple_doc
+
     def test_roundtrip_random_documents(self, rng):
         from metrictrees import TreeDocument
 
@@ -315,3 +329,239 @@ class TestMatrixText:
     def test_garbage_rejected(self):
         with pytest.raises(InvalidDistanceMatrix):
             parse_matrix("a\nb x\n")
+
+
+_REF_TOKEN = re.compile(r"\S+")
+
+
+def _parse_tree_reference(text, tol=None):
+    """The regex tokenizer ``parse_tree`` replaced, kept as the reference."""
+    node_ids = set()
+    edge_lines = []
+    point_lines = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _REF_TOKEN.finditer(line)]
+        if not tokens:
+            continue
+        words = [t for t, _ in tokens]
+        cols = [c for _, c in tokens]
+
+        def want_int(k: int) -> int:
+            try:
+                return int(words[k])
+            except ValueError:
+                raise TreeParseError(f"expected integer, got {words[k]!r}", lineno, cols[k])
+
+        def want_float(k: int) -> float:
+            try:
+                return float(words[k])
+            except ValueError:
+                raise TreeParseError(f"expected number, got {words[k]!r}", lineno, cols[k])
+
+        kind = words[0]
+        if kind == "node":
+            if len(words) != 2:
+                raise TreeParseError("node line takes one id", lineno, cols[0])
+            node_ids.add(want_int(1))
+        elif kind == "edge":
+            if len(words) != 4:
+                raise TreeParseError("edge line takes: edge <u> <v> <length>", lineno, cols[0])
+            u, v = want_int(1), want_int(2)
+            edge_lines.append((lineno, (u, v, want_float(3))))
+            node_ids.update((u, v))
+        elif kind == "point":
+            if len(words) < 3:
+                raise TreeParseError(
+                    "point line takes: point <name> node <id> | edge <u> <v> <offset>",
+                    lineno,
+                    cols[0],
+                )
+            name, mode = words[1], words[2]
+            if mode == "node" and len(words) == 4:
+                point_lines.append((lineno, name, ["node"], [want_int(3)]))
+            elif mode == "edge" and len(words) == 6:
+                point_lines.append(
+                    (lineno, name, ["edge", words[5]], [want_int(3), want_int(4)])
+                )
+                _ = want_float(5)
+            else:
+                raise TreeParseError("malformed point line", lineno, cols[0])
+        else:
+            raise TreeParseError(f"unknown directive {kind!r}", lineno, cols[0])
+
+    if not node_ids:
+        raise TreeParseError("document defines no nodes", 1, 1)
+    n_nodes = len(node_ids)
+    if min(node_ids) < 0:
+        raise TreeParseError(f"node id {min(node_ids)} is negative", 1, 1)
+    if max(node_ids) >= n_nodes:
+        # checked before the tree allocates max(id) + 1 slots; some id in
+        # 0..n_nodes is free because only n_nodes of them are used
+        missing = next(k for k in range(n_nodes + 1) if k not in node_ids)
+        raise TreeParseError(
+            f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
+        )
+    tree = validate_tree(n_nodes, [e for _, e in edge_lines], tol=tol)
+
+    points = {}
+    for lineno, name, mode, ids in point_lines:
+        if name in points:
+            raise TreeParseError(f"duplicate point name {name!r}", lineno)
+        if mode[0] == "node":
+            points[name] = tree.node_point(ids[0])
+        else:
+            points[name] = tree.edge_point(ids[0], ids[1], float(mode[1]))
+    return TreeDocument(tree, points)
+
+
+# token separators inside a line; \x0b and \x0c also end a line for
+# str.splitlines, so they are only used as padding, where they add lines
+_SEPS = (" ", "\t", "\x1f", "\xa0", " \t", "\xa0\x1f\t")
+_PADS = ("", "", " ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\t\x0c ")
+
+
+def _doc_lines(rng, n):
+    """Token lists of a valid document on n nodes: edges in random order and
+    orientation, some node lines, points of both forms."""
+    perm = rng.permutation(n)
+    edges = []
+    for i in range(1, n):
+        u, v = int(perm[int(rng.integers(0, i))]), int(perm[i])
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, float(rng.uniform(0.2, 2.5))))
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+
+    def num(x):
+        return str(rng.choice([repr(x), f"{x:.6e}"])) if isinstance(x, float) else (
+            str(rng.choice([str(x), f"+{x}", f"0{x}"]))
+        )
+
+    lines = [["edge", num(u), num(v), num(x)] for u, v, x in edges]
+    lines += [["node", num(int(k))] for k in rng.choice(n, int(rng.integers(n == 1, 3)))]
+    for k in range(int(rng.integers(0, 5))):
+        if edges and rng.random() < 0.6:
+            u, v, x = edges[int(rng.integers(0, len(edges)))]
+            lines.append(["point", f"p{k}", "edge", num(u), num(v), num(x * rng.random())])
+        else:
+            lines.append(["point", f"p{k}", "node", num(int(rng.integers(0, n)))])
+    return [lines[i] for i in rng.permutation(len(lines))]
+
+
+def _render(rng, lines):
+    """Document text: random separators, padding, comments, blank lines and
+    line endings around the token lists (a list of tokens or a raw string)."""
+    out = []
+    for tokens in lines:
+        if rng.random() < 0.2:
+            out.append(str(rng.choice(["", "# a comment: edge 0 1 x", "   ", "#"])))
+        if isinstance(tokens, str):
+            text = tokens
+        else:
+            text = tokens[0]
+            for tok in tokens[1:]:
+                text += str(rng.choice(_SEPS)) + tok
+        text = str(rng.choice(_PADS)) + text + str(rng.choice(_PADS))
+        if rng.random() < 0.2:
+            text += str(rng.choice(_SEPS)) + "# trailing edge 1 2 #x"
+        out.append(text)
+    ending = str(rng.choice(["\n", "\r\n"]))
+    return ending.join(out) + str(rng.choice(["", ending]))
+
+
+def _parse_outcome(parse, text):
+    """The parsed document's edges and point records, or the error raised."""
+    try:
+        doc = parse(text)
+    except TreeParseError as exc:
+        return TreeParseError, exc.line, exc.column, str(exc)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return doc.tree.n_nodes, doc.tree.edges, {k: p.record() for k, p in doc.points.items()}
+
+
+# malformed lines, each with the name of what is wrong with it
+_BAD_LINES = {
+    "short_edge": "edge 0 1",
+    "long_edge": "edge 0 1 1.0 7",
+    "bad_int_u": "edge x 1 1.0",
+    "bad_int_v": "edge 0 1.5 1.0",
+    "bad_float": "edge 0 1 abc",
+    "two_bad_numbers": "edge 0 y zz",
+    "short_point": "point p",
+    "point_no_mode": "point p node",
+    "point_long_node": "point p node 1 2",
+    "point_short_edge": "point p edge 0 1",
+    "point_unknown_mode": "point p vertex 0",
+    "point_bad_node_id": "point p node one",
+    "point_bad_edge_id": "point p edge 0 q 1.0",
+    "point_bad_offset": "point p edge 0 1 far",
+    "short_node": "node",
+    "long_node": "node 1 2",
+    "bad_node_id": "node zero",
+    "unknown_directive": "edgee 0 1 1.0",
+    "capitalized_directive": "Edge 0 1 1.0",
+    "indented_bad_float": " \t\xa0edge 0 1 abc",
+    "bad_float_before_comment": "edge 0 1 abc # edge 0 1 1.0",
+    "unknown_after_indent": "\xa0\x1f  vertex 0",
+}
+
+
+class TestParseParity:
+    """``parse_tree`` against the regex tokenizer it replaced."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_documents_parse_like_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        text = _render(rng, _doc_lines(rng, n))
+        got = _parse_outcome(parse_tree, text)
+        assert got == _parse_outcome(_parse_tree_reference, text)
+        assert got[0] == n  # a valid document
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_LINES))
+    def test_malformed_line_raises_like_reference(self, kind, rng):
+        for _ in range(5):
+            lines = _doc_lines(rng, int(rng.integers(1, 8)))
+            lines.insert(int(rng.integers(0, len(lines) + 1)), _BAD_LINES[kind])
+            text = _render(rng, lines)
+            got = _parse_outcome(parse_tree, text)
+            assert got[0] is TreeParseError
+            assert got == _parse_outcome(_parse_tree_reference, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# only a comment\n\n",
+            "edge -1 0 1.0\n",
+            "edge 0 1 1.0\nedge 1 3 1.0\n",
+            "node 0\nnode 2\n",
+            "edge 0 1 1.0\npoint a node 0\npoint a node 1\n",
+            "edge 0 1 1.0\npoint a edge 0 1 1.5\n",
+            "edge 0 1 1.0\npoint a edge 0 1 nan\n",
+            "edge 0 1 1.0\nedge 1 0 2.0\n",
+            "edge 0 1 0.0\n",
+            "edge 0 1 1.0\npoint a node 2\n",
+        ],
+    )
+    def test_document_errors_like_reference(self, text):
+        got = _parse_outcome(parse_tree, text)
+        assert isinstance(got[0], type)
+        assert got == _parse_outcome(_parse_tree_reference, text)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_whitespace_like_reference(self, seed):
+        # separators may include line breaks here, so most documents fail;
+        # both parsers must fail the same way
+        rng = np.random.default_rng(seed)
+        lines = _doc_lines(rng, int(rng.integers(1, 8)))
+        if rng.random() < 0.5:
+            lines.insert(0, str(rng.choice(list(_BAD_LINES.values()))))
+        text = "\n".join(
+            str(rng.choice(_PADS)).join(tokens) + str(rng.choice(_PADS)) for tokens in lines
+        )
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
