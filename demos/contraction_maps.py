@@ -9,13 +9,13 @@ halve together; this demo measures the ratios on three maps.
 import numpy as np
 
 from metrictrees import (
+    MetricTree,
     PointMap,
     contraction_bound_check,
     contraction_constants,
     gallery,
     random_points,
     random_tree,
-    validate_tree,
 )
 
 star = gallery("star", n=4)
@@ -34,7 +34,7 @@ rep = contraction_constants(collapse)
 print("collapsing map   set ratios:", rep.set_ratios, " ball ratios:", rep.ball_ratios)
 
 # Pull every node of a path halfway toward one end: ratios are exactly 1/2.
-path = validate_tree(9, [(i, i + 1, 1.0) for i in range(8)])
+path = MetricTree(9, [(i, i + 1, 1.0) for i in range(8)])
 end = path.node_point(0)
 far = path.node_point(8)
 half = PointMap(

@@ -10,6 +10,7 @@ b < 2 and fail for b = 2, pinning the characteristic at exactly 2.
 import numpy as np
 
 from metrictrees import (
+    MetricTree,
     edge_samples,
     gallery,
     kappa_probe,
@@ -19,7 +20,6 @@ from metrictrees import (
     lifschitz_counterexample,
     lifschitz_witness,
     random_tree,
-    validate_tree,
 )
 
 doc = gallery("comb_noncompact", n=5)
@@ -40,7 +40,7 @@ print("dense sample covered by base-to-leaf segments:", ok)
 # b < 2: choose a = 1 + eps and b = 2 - 2*eps.  The point z at distance
 # eps*r from x along [x, y] caps the intersection of B(x; a*r) and
 # B(y; b*r) inside B(z; r).
-path = validate_tree(11, [(i, i + 1, 1.0) for i in range(10)])
+path = MetricTree(11, [(i, i + 1, 1.0) for i in range(10)])
 x, y = path.node_point(0), path.node_point(10)
 witness, verification = lifschitz_witness(
     path, x, y, r=4.0, eps=0.25, test_points=edge_samples(path, 8)

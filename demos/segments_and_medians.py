@@ -5,7 +5,7 @@ B--D.  Every pair of points has a unique geodesic, so these queries have
 exact answers.
 """
 
-from metrictrees import gallery, is_metric_segment, segment_intersection
+from metrictrees import gallery, is_metric_segment
 
 doc = gallery("simple")
 tree = doc.tree
@@ -35,7 +35,7 @@ w = tree.median(A, C, D)
 print("median(A, C, D) =", w, " (the branch point B)")
 
 # Its characterization via segment intersections:
-inter = segment_intersection(tree.segment(A, C), tree.segment(A, D))
+inter = tree.segment(A, C).intersect(tree.segment(A, D))
 print("[A,C] ∩ [A,D] runs from", inter.a, "to", inter.b)
 
 # A sampled geodesic passes the arc criterion; a detour through a third

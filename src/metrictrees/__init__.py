@@ -14,8 +14,6 @@ from .core import (
     Tolerance,
     TreePoint,
     is_metric_segment,
-    segment_intersection,
-    validate_tree,
 )
 from .covering import (
     BallCover,

@@ -188,7 +188,7 @@ def _cmd_build(args, tol) -> int:
     deviation = float(abs(rebuilt.values - matrix.values).max(initial=0.0))
     _emit({**base, "built": True, "tree_file": args.tree_out,
            "n_nodes": tree.n_nodes,
-           "points": {name: reports.point_obj(p) for name, p in points.items()},
+           "points": reports.report_obj(points),
            "max_deviation": deviation}, args)
     return 0
 
@@ -202,8 +202,8 @@ def _cmd_measure(args, tol) -> int:
         "schema": reports.SCHEMA_VERSION,
         "command": "measure",
         "input": args.tree,
-        "points": [reports.point_obj(p) for p in pts],
-        "report": reports.measure_obj(report),
+        "points": reports.report_obj(pts),
+        "report": reports.report_obj(report),
     }
     _emit(body, args)
     return 0 if report.passed else 2
@@ -217,15 +217,14 @@ def _cmd_cover(args, tol) -> int:
         "schema": reports.SCHEMA_VERSION,
         "command": "cover",
         "input": args.tree,
-        "points": [reports.point_obj(p) for p in pts],
+        "points": reports.report_obj(pts),
     }
     if args.radius is not None:
         cover = min_ball_cover(ps, args.radius)
-        _emit({**base, "mode": "radius", "cover": reports.ball_cover_obj(cover)}, args)
+        _emit({**base, "mode": "radius", "cover": reports.report_obj(cover)}, args)
     else:
         partition = min_diameter_partition(ps, args.diameter)
-        _emit({**base, "mode": "diameter",
-               "partition": reports.partition_obj(partition)}, args)
+        _emit({**base, "mode": "diameter", "partition": reports.report_obj(partition)}, args)
     return 0
 
 
@@ -237,7 +236,7 @@ def _cmd_kappa(args, tol) -> int:
         "command": "kappa",
         "input": args.tree,
         "seed": args.seed,
-        "report": reports.kappa_obj(report),
+        "report": reports.report_obj(report),
     }
     _emit(body, args)
     return 0 if report.consistent else 2

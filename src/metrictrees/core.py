@@ -46,8 +46,6 @@ __all__ = [
     "TreePoint",
     "PointArray",
     "Segment",
-    "validate_tree",
-    "segment_intersection",
     "is_metric_segment",
 ]
 
@@ -314,9 +312,13 @@ class Segment:
 class MetricTree:
     """Immutable weighted tree with the shortest-path metric.
 
-    Nodes are ``0..n_nodes-1``.  Validation rejects cycles, disconnection,
-    duplicate edges, and nonpositive lengths.  A single-node tree (no edges)
-    is legal; all its distances are zero.
+    Nodes are ``0..n_nodes-1``.  A single-node tree (no edges) is legal;
+    all its distances are zero.  An edge list that is not a weighted tree
+    raises a ``TreeValidationError`` naming its first bad edge:
+    ``CycleDetected`` (self-loop or cycle), ``DuplicateEdge``,
+    ``NonpositiveEdgeLength`` (zero, negative, or non-finite) or
+    ``Disconnected``; an edge that is not a (u, v, length) triple of numbers
+    or names a node outside ``0..n_nodes-1`` raises ``BadParams``.
 
     Validation is one linear pass: the input is a tree when it has exactly
     ``n_nodes - 1`` edges, every endpoint is in range, every length is
@@ -731,7 +733,10 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
 
     count = 0
     for raw in edges:
-        u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
+        try:
+            u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):
             raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
         if not (math.isfinite(length) and length > 0.0):
@@ -751,24 +756,6 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
         count += 1
     # a forest with n - 1 edges spans all n nodes, so the count is off
     raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {count}")
-
-
-def validate_tree(
-    n_nodes: int,
-    edges: Iterable[tuple[int, int, float]],
-    tol: Tolerance | None = None,
-) -> MetricTree:
-    """Validate raw node/edge lists and build a MetricTree.
-
-    Raises CycleDetected, Disconnected, NonpositiveEdgeLength, or
-    DuplicateEdge when the input is not a weighted tree.
-    """
-    return MetricTree(n_nodes, edges, tol=tol)
-
-
-def segment_intersection(s1: Segment, s2: Segment) -> Segment | None:
-    """Exact intersection of two segments; None when disjoint."""
-    return s1.intersect(s2)
 
 
 def is_metric_segment(points: Sequence[TreePoint]) -> bool:

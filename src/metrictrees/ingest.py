@@ -29,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint, validate_tree
+from .core import MetricTree, Tolerance, TreePoint
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
@@ -256,7 +256,7 @@ def tree_from_distances(
             builder.add_edge(attach, leaf, rem)
             position[x] = leaf
 
-    tree = validate_tree(len(builder.adj), builder.edges(), tol=tol)
+    tree = MetricTree(len(builder.adj), builder.edges(), tol=tol)
     points = {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
 
     verify_slack = tol.slack(float(d.max(initial=1.0))) * 16.0
@@ -384,7 +384,7 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    tree = validate_tree(n_nodes, edges, tol=tol)
+    tree = MetricTree(n_nodes, edges, tol=tol)
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:
@@ -456,7 +456,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
     if name == "simple":
         if params:
             raise BadParams(f"gallery 'simple' takes no parameters, got {sorted(params)}")
-        tree = validate_tree(4, [(0, 1, 2.0), (1, 2, 1.0), (1, 3, 1.0)], tol=tol)
+        tree = MetricTree(4, [(0, 1, 2.0), (1, 2, 1.0), (1, 3, 1.0)], tol=tol)
         points = {nm: tree.node_point(i) for i, nm in enumerate("ABCD")}
         return TreeDocument(tree, points)
 
@@ -468,7 +468,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
         if not spoke_len > 0:
             raise BadParams("spoke_len must be positive")
         edges = [(0, i, spoke_len) for i in range(1, n + 1)]
-        tree = validate_tree(n + 1, edges, tol=tol)
+        tree = MetricTree(n + 1, edges, tol=tol)
         points = {"hub": tree.node_point(0)}
         points.update({f"tip{i}": tree.node_point(i) for i in range(1, n + 1)})
         return TreeDocument(tree, points)
@@ -488,7 +488,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
     for k, x in enumerate(xs, start=1):
         tooth = x if name == "comb_compact" else 1.0
         edges.append((k, n + k, tooth))
-    tree = validate_tree(2 * n + 1, edges, tol=tol)
+    tree = MetricTree(2 * n + 1, edges, tol=tol)
     points = {"origin": tree.node_point(0)}
     for k, x in enumerate(xs, start=1):
         i = round(1.0 / x)  # tooth index: spine node k sits at x = 1/i

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import MetricTree, TreePoint
-from .covering import CoverProfile, PointSet, _doubled_profiles, beta_profile
+from .covering import (
+    BallCover,
+    CoverProfile,
+    DiameterPartition,
+    PointSet,
+    _doubled_profiles,
+    beta_profile,
+)
 from .errors import BadParams, EmptySet, ForeignPoint, NotIsometric
 
 __all__ = [
@@ -82,6 +89,14 @@ class MeasureReport:
     @property
     def passed(self) -> bool:
         return all(self.alpha_twice_beta) and all(self.beta_star_twice_beta)
+
+    @property
+    def witness_covers(self) -> tuple[BallCover, ...]:
+        return self.beta.witnesses
+
+    @property
+    def witness_partitions(self) -> tuple[DiameterPartition, ...]:
+        return self.alpha.witnesses
 
 
 def measure_report(ps: PointSet, n_max: int | None = None) -> MeasureReport:

@@ -1,162 +1,53 @@
-"""JSON-ready report objects for covers, profiles, and probe results.
+"""JSON-ready report objects: one serializer for every report dataclass.
 
-Every builder returns plain dicts/lists/scalars so ``json.dumps(...,
-sort_keys=True)`` yields deterministic bytes.  Points serialize as
-node/edge-offset records with full coordinates for external audit.
+A report's JSON is its dataclass fields plus its read-only verdict
+properties (``passed``, ``consistent``), so the dataclass is the only
+statement of its schema.  Fields declared ``repr=False`` are left out.
+Points serialize as their ``TreePoint.record()`` (node, or edge and offset),
+a ``CoverProfile`` as ``{"kind", "values": [{"n", "value"}, ...]}``, tuples
+as lists.  Everything returned is plain dicts/lists/scalars, so
+``json.dumps(..., sort_keys=True)`` yields deterministic bytes.
 """
 
 from __future__ import annotations
 
-from .core import TreePoint
-from .covering import BallCover, CoverProfile, DiameterPartition
-from .noncompactness import (
-    BoundCheckReport,
-    ContractionReport,
-    EmbeddingReport,
-    MeasureReport,
-)
-from .structure import (
-    CounterexampleRecord,
-    KappaReport,
-    LifschitzWitness,
-    WitnessVerification,
-)
+from dataclasses import fields, is_dataclass
+from functools import cache
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "point_obj",
-    "profile_obj",
-    "ball_cover_obj",
-    "partition_obj",
-    "measure_obj",
-    "embedding_obj",
-    "contraction_obj",
-    "bound_check_obj",
-    "witness_obj",
-    "counterexample_obj",
-    "kappa_obj",
-]
+from .core import TreePoint
+from .covering import CoverProfile
+
+__all__ = ["SCHEMA_VERSION", "report_obj"]
 
 SCHEMA_VERSION = 1
 
-
-def point_obj(p: TreePoint) -> dict:
-    return p.record()
+_SCALARS = (str, int, float, type(None))
 
 
-def profile_obj(profile: CoverProfile) -> dict:
-    return {
-        "kind": profile.kind,
-        "values": [
-            {"n": k + 1, "value": v} for k, v in enumerate(profile.values)
-        ],
-    }
+def report_obj(value):
+    """Plain JSON data for a report, a point, or a list or dict of them."""
+    return _obj(value)  # recursion stays inside, so a wrapper sees one call
 
 
-def ball_cover_obj(cover: BallCover) -> dict:
-    return {
-        "radius": cover.radius,
-        "centers": [point_obj(c) for c in cover.centers],
-        "assignment": list(cover.assignment),
-    }
+def _obj(value):
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, TreePoint):
+        return value.record()
+    if isinstance(value, CoverProfile):
+        return {"kind": value.kind,
+                "values": [{"n": k + 1, "value": v} for k, v in enumerate(value.values)]}
+    if isinstance(value, (tuple, list)):
+        return [_obj(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _obj(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {name: _obj(getattr(value, name)) for name in _keys(type(value))}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-def partition_obj(partition: DiameterPartition) -> dict:
-    return {
-        "diameter_bound": partition.diameter_bound,
-        "blocks": [list(b) for b in partition.blocks],
-    }
-
-
-def measure_obj(report: MeasureReport) -> dict:
-    return {
-        "n_max": report.n_max,
-        "alpha": profile_obj(report.alpha),
-        "beta": profile_obj(report.beta),
-        "beta_star": profile_obj(report.beta_star),
-        "alpha_twice_beta": list(report.alpha_twice_beta),
-        "beta_star_twice_beta": list(report.beta_star_twice_beta),
-        "ratios": list(report.ratios),
-        "passed": report.passed,
-        "witness_covers": [ball_cover_obj(c) for c in report.beta.witnesses],
-        "witness_partitions": [partition_obj(p) for p in report.alpha.witnesses],
-    }
-
-
-def embedding_obj(report: EmbeddingReport) -> dict:
-    return {
-        "n_max": report.n_max,
-        "source_alpha": list(report.source_alpha),
-        "source_beta": list(report.source_beta),
-        "host_alpha": list(report.host_alpha),
-        "host_beta": list(report.host_beta),
-        "alpha_invariant": list(report.alpha_invariant),
-        "beta_invariant": list(report.beta_invariant),
-        "passed": report.passed,
-    }
-
-
-def contraction_obj(report: ContractionReport) -> dict:
-    return {
-        "ns": list(report.ns),
-        "set_ratios": list(report.set_ratios),
-        "ball_ratios": list(report.ball_ratios),
-        "skipped": list(report.skipped),
-        "k_set": report.k_set,
-        "k_ball": report.k_ball,
-    }
-
-
-def bound_check_obj(report: BoundCheckReport) -> dict:
-    return {
-        "ns": list(report.ns),
-        "ball_le_2set": list(report.ball_le_2set),
-        "set_le_2ball": list(report.set_le_2ball),
-        "passed": report.passed,
-    }
-
-
-def witness_obj(w: LifschitzWitness, verification: WitnessVerification) -> dict:
-    return {
-        "x": point_obj(w.x),
-        "y": point_obj(w.y),
-        "r": w.r,
-        "eps": w.eps,
-        "a": w.a,
-        "b": w.b,
-        "z": point_obj(w.z),
-        "checked": verification.checked,
-        "applicable": verification.applicable,
-        "failures": [point_obj(p) for p in verification.failures],
-        "passed": verification.passed,
-    }
-
-
-def counterexample_obj(rec: CounterexampleRecord) -> dict:
-    return {
-        "r": rec.r,
-        "a": rec.a,
-        "w": point_obj(rec.w),
-        "v": point_obj(rec.v),
-        "y": point_obj(rec.y),
-        "x": point_obj(rec.x),
-        "u": point_obj(rec.u),
-        "clamped": rec.clamped,
-        "uv_diameter": rec.uv_diameter,
-        "containment_ok": rec.containment_ok,
-        "diameter_exceeds_2r": rec.diameter_exceeds_2r,
-        "no_small_ball_ok": rec.no_small_ball_ok,
-        "passed": rec.passed,
-    }
-
-
-def kappa_obj(report: KappaReport) -> dict:
-    return {
-        "trials": report.trials,
-        "witness_trials": report.witness_trials,
-        "witness_failures": report.witness_failures,
-        "counterexample_trials": report.counterexample_trials,
-        "counterexample_failures": report.counterexample_failures,
-        "vacuous": report.vacuous,
-        "consistent": report.consistent,
-    }
+@cache
+def _keys(cls: type) -> tuple[str, ...]:
+    """The shown fields of a report dataclass, then its properties."""
+    shown = [f.name for f in fields(cls) if f.repr]
+    return (*shown, *(n for n in dir(cls) if isinstance(getattr(cls, n), property)))

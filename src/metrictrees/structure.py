@@ -17,7 +17,7 @@ given point.  The Lifschitz characteristic of a metric tree equals 2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -195,7 +195,7 @@ class CounterexampleRecord:
     diameter > 2r, so no closed ball of radius r contains it.
     """
 
-    tree: MetricTree
+    tree: MetricTree = field(repr=False)
     r: float
     a: float
     w: TreePoint

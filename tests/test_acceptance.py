@@ -34,7 +34,6 @@ from metrictrees import (
     random_point,
     random_points,
     random_tree,
-    segment_intersection,
     tree_from_distances,
 )
 
@@ -161,7 +160,7 @@ def test_criterion_05_median_characterization():
         x, y, z = random_points(rng, tree, 3)
         w = tree.median(x, y, z)
         ok = tree.is_between(x, w, y)
-        inter = segment_intersection(tree.segment(x, z), tree.segment(y, z))
+        inter = tree.segment(x, z).intersect(tree.segment(y, z))
         wz = tree.segment(w, z)
         ok = ok and inter is not None
         if ok:
@@ -170,7 +169,7 @@ def test_criterion_05_median_characterization():
             ok = ok and wz.contains(inter.a) and wz.contains(inter.b)
             ok = ok and inter.contains(w) and inter.contains(z)
             # [x,y] ∩ [w,z] = {w}
-            pinch = segment_intersection(tree.segment(x, y), wz)
+            pinch = tree.segment(x, y).intersect(wz)
             ok = ok and pinch is not None
             ok = ok and pinch.total_length <= TOL
             ok = ok and tree.distance(pinch.a, w) <= TOL
@@ -252,6 +251,11 @@ def test_criterion_08_leaf_decomposition():
 
 
 def test_criterion_09_contraction_equivalence():
+    """Set ratio = ball ratio exactly at every valid n, and both follow the
+    exhaustive oracle.  With alpha taken as 2*beta the equality holds by
+    construction; the oracle profiles of the source and image sets are the
+    independent check: ``ns``/``skipped`` must follow the oracle's
+    alpha_n > abs_eps, and each ratio must match the oracle's within TOL."""
     rng = np.random.default_rng(1039)
     failures = checks = 0
     for _ in range(100):
@@ -260,11 +264,23 @@ def test_criterion_09_contraction_equivalence():
         srcs = list(dict.fromkeys(random_points(rng, src, int(rng.integers(2, 8)))))
         imgs = random_points(rng, dst, len(srcs))
         rep = contraction_constants(PointMap(src, dst, list(zip(srcs, imgs))))
-        for rs, rb in zip(rep.set_ratios, rep.ball_ratios):
-            checks += 1
+        n_max = len(srcs)
+        sa, sb = oracle_profiles(PointSet(src, srcs), n_max)
+        ia, ib = oracle_profiles(PointSet(dst, imgs), n_max)
+        valid = [n for n in range(1, n_max + 1) if sa[n - 1] > src.tol.abs_eps]
+        checks += 1
+        if list(rep.ns) != valid or sorted(rep.skipped + rep.ns) != list(range(1, n_max + 1)):
+            failures += 1
+            continue
+        for n, rs, rb in zip(rep.ns, rep.set_ratios, rep.ball_ratios):
+            checks += 3
             if rs != rb:  # exact equality demanded
                 failures += 1
-    _report(9, "set ratio = ball ratio exactly at every valid n", failures, checks)
+            if abs(rs - ia[n - 1] / sa[n - 1]) > TOL:
+                failures += 1
+            if abs(rb - ib[n - 1] / sb[n - 1]) > TOL:
+                failures += 1
+    _report(9, "set ratio = ball ratio exactly, both = oracle ratios", failures, checks)
 
 
 def test_criterion_10_star_fixture_regression():

@@ -1,0 +1,39 @@
+"""The public names: every ``__all__`` entry resolves, removed names stay gone."""
+
+import importlib
+
+import pytest
+
+import metrictrees
+
+MODULES = ("cli", "core", "covering", "errors", "ingest", "noncompactness", "reports",
+           "sampling", "structure")
+
+# pass-through wrappers and per-report builders that were folded into
+# ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``
+REMOVED = ("validate_tree", "segment_intersection", "point_obj", "profile_obj",
+           "ball_cover_obj", "partition_obj", "measure_obj", "embedding_obj",
+           "contraction_obj", "bound_check_obj", "witness_obj", "counterexample_obj",
+           "kappa_obj")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"metrictrees.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_reports_exports_one_serializer():
+    from metrictrees import reports
+
+    assert reports.__all__ == ["SCHEMA_VERSION", "report_obj"]
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    from metrictrees import core, reports
+
+    for module in (metrictrees, core, reports):
+        assert not hasattr(module, name)

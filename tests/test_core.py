@@ -33,8 +33,6 @@ from metrictrees import (
     random_point,
     random_points,
     random_tree,
-    segment_intersection,
-    validate_tree,
 )
 
 from conftest import star_tips
@@ -42,46 +40,59 @@ from conftest import star_tips
 
 class TestValidation:
     def test_smallest_tree(self):
-        tree = validate_tree(2, [(0, 1, 1.0)])
+        tree = MetricTree(2, [(0, 1, 1.0)])
         assert tree.n_nodes == 2
         assert tree.edge_length(0) == 1.0
 
     def test_triangle_is_cycle(self):
         with pytest.raises(CycleDetected):
-            validate_tree(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+            MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
 
     def test_zero_length_spoke(self):
         with pytest.raises(NonpositiveEdgeLength):
-            validate_tree(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 0.0)])
+            MetricTree(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 0.0)])
 
     def test_self_loop(self):
         with pytest.raises(CycleDetected):
-            validate_tree(2, [(0, 0, 1.0)])
+            MetricTree(2, [(0, 0, 1.0)])
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
-            validate_tree(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)])
+            MetricTree(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)])
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            validate_tree(4, [(0, 1, 1.0), (2, 3, 1.0)])
+            MetricTree(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
     def test_single_node_tree_is_legal(self):
-        tree = validate_tree(1, [])
+        tree = MetricTree(1, [])
         p = tree.node_point(0)
         assert tree.distance(p, p) == 0.0
 
     def test_bad_node_reference(self):
         with pytest.raises(BadParams):
-            validate_tree(2, [(0, 5, 1.0)])
+            MetricTree(2, [(0, 5, 1.0)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, "x"), (0, 1), (0, None, 1.0)])
+    def test_malformed_edge_is_bad_params(self, edge):
+        # these used to escape as ValueError, IndexError and TypeError
+        with pytest.raises(BadParams) as exc:
+            MetricTree(2, [edge])
+        assert str(exc.value).startswith(f"edge {edge!r} is not a (u, v, length) triple")
+
+    def test_earlier_fault_wins_over_malformed_edge(self):
+        with pytest.raises(CycleDetected):
+            MetricTree(3, [(1, 1, 1.0), (0, 1)])
+        with pytest.raises(BadParams, match="not a"):
+            MetricTree(3, [(0, 1, None), (1, 1, 1.0)])
 
     def test_huge_node_count_fails_without_allocating(self):
         tracemalloc.start()
         try:
             with pytest.raises(Disconnected):
-                validate_tree(10**6, [(0, 1, 1.0), (1, 2, 1.0)])
+                MetricTree(10**6, [(0, 1, 1.0), (1, 2, 1.0)])
             with pytest.raises(DuplicateEdge):
-                validate_tree(10**6, [(0, 1, 1.0), (1, 0, 1.0)])
+                MetricTree(10**6, [(0, 1, 1.0), (1, 0, 1.0)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -168,7 +179,7 @@ class TestCanonicalization:
 
 class TestBetweenness:
     def test_collinear_path(self):
-        t = validate_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        t = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
         n = [t.node_point(i) for i in range(3)]
         assert t.is_between(n[0], n[1], n[2])
 
@@ -272,11 +283,11 @@ class TestPointAt:
         assert t.point_at(p["A"], p["C"], 3.0) == p["C"]
 
     def test_node_hit(self):
-        t = validate_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        t = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert t.point_at(t.node_point(0), t.node_point(2), 1.0) == t.node_point(1)
 
     def test_edge_interior(self):
-        t = validate_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        t = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
         p = t.point_at(t.node_point(0), t.node_point(2), 0.5)
         assert p.record() == {"kind": "edge", "u": 0, "v": 1, "offset": 0.5}
 
@@ -348,7 +359,7 @@ class TestMedian:
             x, y, z = random_points(rng, tree, 3)
             w = tree.median(x, y, z)
             assert tree.is_between(x, w, y)
-            inter = segment_intersection(tree.segment(x, z), tree.segment(y, z))
+            inter = tree.segment(x, z).intersect(tree.segment(y, z))
             assert inter is not None
             wz = tree.segment(w, z)
             assert tree.distance(inter.a, inter.b) == pytest.approx(
@@ -356,7 +367,7 @@ class TestMedian:
             )
             assert wz.contains(inter.a) and wz.contains(inter.b)
             assert inter.contains(w) and inter.contains(z)
-            pinch = segment_intersection(tree.segment(x, y), wz)
+            pinch = tree.segment(x, y).intersect(wz)
             assert pinch is not None
             assert pinch.total_length == pytest.approx(0.0, abs=1e-9)
             assert tree.distance(pinch.a, w) == pytest.approx(0.0, abs=1e-9)
@@ -374,25 +385,25 @@ class TestSegmentIntersection:
     def test_idempotence(self, simple_doc):
         t, p = simple_doc.tree, simple_doc.points
         s = t.segment(p["A"], p["C"])
-        inter = segment_intersection(s, s)
+        inter = s.intersect(s)
         assert inter.total_length == pytest.approx(s.total_length)
 
     def test_shared_prefix(self, simple_doc):
         t, p = simple_doc.tree, simple_doc.points
-        inter = segment_intersection(t.segment(p["A"], p["C"]), t.segment(p["A"], p["D"]))
+        inter = t.segment(p["A"], p["C"]).intersect(t.segment(p["A"], p["D"]))
         assert inter is not None
         ab = t.segment(p["A"], p["B"])
         assert inter.total_length == pytest.approx(ab.total_length)
         assert {inter.a, inter.b} == {p["A"], p["B"]}
 
     def test_disjoint_subpaths(self):
-        t = validate_tree(5, [(i, i + 1, 1.0) for i in range(4)])
+        t = MetricTree(5, [(i, i + 1, 1.0) for i in range(4)])
         n = [t.node_point(i) for i in range(5)]
-        assert segment_intersection(t.segment(n[0], n[1]), t.segment(n[3], n[4])) is None
+        assert t.segment(n[0], n[1]).intersect(t.segment(n[3], n[4])) is None
 
     def test_single_point_touch(self, simple_doc):
         t, p = simple_doc.tree, simple_doc.points
-        inter = segment_intersection(t.segment(p["A"], p["B"]), t.segment(p["B"], p["C"]))
+        inter = t.segment(p["A"], p["B"]).intersect(t.segment(p["B"], p["C"]))
         assert inter is not None
         assert inter.total_length == pytest.approx(0.0, abs=1e-12)
         assert inter.a == p["B"]
@@ -404,7 +415,7 @@ class TestArcCriterion:
         assert is_metric_segment([p["A"], p["C"]])
 
     def test_collinear_in_order(self):
-        t = validate_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        t = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert is_metric_segment([t.node_point(i) for i in range(3)])
 
     def test_star_detour_fails(self, star_doc):
@@ -414,7 +425,7 @@ class TestArcCriterion:
         assert not is_metric_segment(pts)
 
     def test_point_outside_span_fails(self):
-        t = validate_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        t = MetricTree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         n = [t.node_point(i) for i in range(4)]
         # n0 lies beyond the first endpoint n1, so the sample is not a
         # subset of the geodesic [n1, n3]
@@ -753,6 +764,25 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _reference_outcome(n_nodes, edges):
+    """``_outcome`` of ``_reference_tables``, except that an edge value that
+    does not convert, a ``ValueError`` there, is now the ``BadParams`` that
+    names the edge."""
+    want = _outcome(lambda: _reference_tables(n_nodes, edges))
+    if isinstance(want, tuple) and want[0] is ValueError:
+        raw = next(e for e in edges if not _converts(e))
+        return BadParams, f"edge {raw!r} is not a (u, v, length) triple: {want[1]}"
+    return want
+
+
+def _converts(raw):
+    try:
+        int(raw[0]), int(raw[1]), float(raw[2])
+    except ValueError:
+        return False
+    return True
+
+
 def _tables(tree):
     return {key: getattr(tree, key) for key in _reference_tables(1, [])}
 
@@ -824,7 +854,7 @@ class TestConstructionParity:
         edges = _shaped_edges(rng, shape, n)
         _add_fault(edges, n, fault)
         got = _outcome(lambda: MetricTree(n, edges))
-        assert isinstance(got, tuple) and got == _outcome(lambda: _reference_tables(n, edges))
+        assert isinstance(got, tuple) and got == _reference_outcome(n, edges)
 
     def test_first_of_two_faults_wins(self):
         n = 6
@@ -839,7 +869,7 @@ class TestConstructionParity:
         ]
         for edges, first in cases:
             got = _outcome(lambda: MetricTree(n, edges))
-            assert got == _outcome(lambda: _reference_tables(n, edges))
+            assert got == _reference_outcome(n, edges)
             assert got[0] is first
 
     @given(
@@ -855,4 +885,4 @@ class TestConstructionParity:
         for fault in faults:
             _add_fault(edges, n, fault)
         got = _outcome(lambda: _tables(MetricTree(n, edges)))
-        assert got == _outcome(lambda: _reference_tables(n, edges))
+        assert got == _reference_outcome(n, edges)

@@ -14,6 +14,7 @@ from metrictrees import (
     BadParams,
     DistanceMatrix,
     InvalidDistanceMatrix,
+    MetricTree,
     NotAMetric,
     NotTreeMetric,
     ParameterOutOfRange,
@@ -30,7 +31,6 @@ from metrictrees import (
     random_tree,
     serialize_tree,
     tree_from_distances,
-    validate_tree,
 )
 
 
@@ -403,7 +403,7 @@ def _parse_tree_reference(text, tol=None):
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    tree = validate_tree(n_nodes, [e for _, e in edge_lines], tol=tol)
+    tree = MetricTree(n_nodes, [e for _, e in edge_lines], tol=tol)
 
     points = {}
     for lineno, name, mode, ids in point_lines:

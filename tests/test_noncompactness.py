@@ -5,6 +5,7 @@ import pytest
 from metrictrees import (
     BadParams,
     EmptySet,
+    MetricTree,
     NotIsometric,
     PointMap,
     PointSet,
@@ -15,7 +16,6 @@ from metrictrees import (
     measure_report,
     random_points,
     random_tree,
-    validate_tree,
 )
 
 from conftest import star_tips
@@ -67,7 +67,7 @@ class TestEmbeddingInvariance:
                 (int(rng.integers(0, n)), n, float(rng.uniform(0.5, 2.0))),
                 (n, n + 1, float(rng.uniform(0.5, 2.0))),
             ]
-            host = validate_tree(n + 2, list(tree.edges) + extra, tol=tree.tol)
+            host = MetricTree(n + 2, list(tree.edges) + extra, tol=tree.tol)
             pts = random_points(rng, tree, 6)
             images = [_copy_point(host, p) for p in pts]
             rep = embedding_invariance_check(PointSet(tree, pts), host, images)
@@ -104,7 +104,7 @@ def _copy_point(host, p):
 
 
 def _path_tree(k):
-    return validate_tree(k + 1, [(i, i + 1, 1.0) for i in range(k)])
+    return MetricTree(k + 1, [(i, i + 1, 1.0) for i in range(k)])
 
 
 class TestContraction:

@@ -4,6 +4,7 @@ import pytest
 
 from metrictrees import (
     BadParams,
+    MetricTree,
     PointSet,
     PreconditionViolation,
     circumcenter,
@@ -18,13 +19,12 @@ from metrictrees import (
     random_point,
     random_points,
     random_tree,
-    validate_tree,
 )
 
 
 
 def _path_tree(k, step=1.0):
-    return validate_tree(k + 1, [(i, i + 1, step) for i in range(k)])
+    return MetricTree(k + 1, [(i, i + 1, step) for i in range(k)])
 
 
 class TestLeaves:
@@ -41,7 +41,7 @@ class TestLeaves:
         assert got == {simple_doc.points[k].node for k in "ACD"}
 
     def test_single_node(self):
-        t = validate_tree(1, [])
+        t = MetricTree(1, [])
         assert [p.node for p in leaves(t)] == [0]
 
     def test_degree_one_exactly(self, rng):
@@ -65,7 +65,7 @@ class TestLeaves:
                 for u, v, l in tree.edges
                 if drop not in (u, v)
             ]
-            smaller = validate_tree(tree.n_nodes - 1, edges)
+            smaller = MetricTree(tree.n_nodes - 1, edges)
             got = {p.node for p in leaves(smaller)}
             want = {relabel[p.node] for p in leaves(tree) if p.node != drop}
             if smaller.degree(relabel[nbr]) == 1:
@@ -222,7 +222,7 @@ class TestKappaProbe:
         assert rep.consistent
 
     def test_single_node_vacuous(self):
-        t = validate_tree(1, [])
+        t = MetricTree(1, [])
         rep = kappa_probe(t, trials=10, rng=0)
         assert rep.vacuous
         assert rep.consistent
