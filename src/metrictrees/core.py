@@ -21,10 +21,12 @@ and neither ever sees a partial one.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -233,25 +235,36 @@ class Segment:
         return self.a.tree
 
     @cached_property
-    def _stations(self) -> tuple[tuple[TreePoint, ...], tuple[float, ...]]:
-        # Waypoints along the geodesic with cumulative arc length; consecutive
-        # waypoints always lie on one common edge.
-        tree = self.tree
-        pts = [self.a, *(tree.node_point(i) for i in self.node_chain), self.b]
+    def _stations(self) -> tuple[tuple, tuple[float, ...]]:
+        # The stops along the geodesic -- the path nodes from a to b, with an
+        # endpoint inside an edge kept as its point -- and the arc length
+        # from a at each; consecutive stops always lie on one common edge.
+        a, b = (p if p.node is None else p.node for p in (self.a, self.b))
+        stops = (a, *self.node_chain, b)
         cum = [0.0]
-        for s, t in zip(pts, pts[1:]):
-            if s == t:
-                leg = 0.0
-            else:
-                e = tree._shared_edge(s, t)
-                leg = abs(tree._coord_on_edge(s, e) - tree._coord_on_edge(t, e))
-            cum.append(cum[-1] + leg)
-        return tuple(pts), tuple(cum)
+        for s, t in zip(stops, stops[1:]):
+            _e, cs, ct = self._leg(s, t) if s != t else (None, 0.0, 0.0)
+            cum.append(cum[-1] + abs(cs - ct))
+        return stops, tuple(cum)
+
+    def _leg(self, s, t) -> tuple[int, float, float]:
+        """(edge, coordinate of s, coordinate of t) for two consecutive stops."""
+        tree = self.tree
+        if isinstance(s, TreePoint):
+            e = s.edge
+        elif isinstance(t, TreePoint):
+            e = t.edge
+        else:
+            e = tree._edge_of(s, t)
+        u, length = tree._edge_u[e], tree._lengths[e]
+        cs = s.offset if isinstance(s, TreePoint) else 0.0 if s == u else length
+        ct = t.offset if isinstance(t, TreePoint) else 0.0 if t == u else length
+        return e, cs, ct
 
     def point_at(self, t: float) -> TreePoint:
         """The point at arc length ``t`` from endpoint ``a``."""
-        tol = self.tree.tol
-        slack = tol.slack(max(self.total_length, abs(t)))
+        tree = self.tree
+        slack = tree.tol.slack(max(self.total_length, abs(t)))
         if not (math.isfinite(t) and -slack <= t <= self.total_length + slack):
             raise ParameterOutOfRange(
                 f"arc length {t!r} outside [0, {self.total_length!r}]"
@@ -261,17 +274,13 @@ class Segment:
             return self.a
         if t >= self.total_length:
             return self.b
-        pts, cum = self._stations
+        stops, cum = self._stations
         i = bisect_right(cum, t) - 1
-        i = min(i, len(pts) - 2)
-        if t == cum[i]:
-            return pts[i]
-        if t == cum[i + 1]:
-            return pts[i + 1]
-        tree = self.tree
-        e = tree._shared_edge(pts[i], pts[i + 1])
-        cs = tree._coord_on_edge(pts[i], e)
-        ct = tree._coord_on_edge(pts[i + 1], e)
+        i = min(i, len(stops) - 2)
+        if t == cum[i] or t == cum[i + 1]:
+            stop = stops[i] if t == cum[i] else stops[i + 1]
+            return stop if isinstance(stop, TreePoint) else tree.node_point(stop)
+        e, cs, ct = self._leg(stops[i], stops[i + 1])
         delta = t - cum[i]
         coord = cs + delta if ct > cs else cs - delta
         return tree._edge_point_at(e, coord)
@@ -318,17 +327,22 @@ class MetricTree:
     ``CycleDetected`` (self-loop or cycle), ``DuplicateEdge``,
     ``NonpositiveEdgeLength`` (zero, negative, or non-finite) or
     ``Disconnected``; an edge that is not a (u, v, length) triple of numbers
-    or names a node outside ``0..n_nodes-1`` raises ``BadParams``.
+    (a bool, a string or a non-integral endpoint included) or names a node
+    outside ``0..n_nodes-1`` raises ``BadParams``.
 
     Validation is one linear pass: the input is a tree when it has exactly
     ``n_nodes - 1`` edges, every endpoint is in range, every length is
-    finite and positive, and one BFS from node 0 reaches all nodes; that BFS
-    also fills the rooted tables.  Only when this check fails does a
-    sequential union-find scan run, to name the first bad edge in input
-    order.
+    finite and positive, and one DFS from node 0 reaches all nodes.  Only
+    when this check fails does a sequential union-find scan run, to name the
+    first bad edge in input order.
 
-    Distance queries resolve through a rooted ancestor structure (binary
-    lifting at node 0), so point-to-point distance costs O(log n);
+    That DFS fills the rooted tables, root = node 0, which hold all the
+    tree's structure: per node its parent, the edge to its parent, its hop
+    count and its distance from the root, plus the DFS preorder and the
+    binary-lifting ancestor rows.  The edge between two adjacent nodes is
+    the parent edge of one of them, so ``edge_point`` and the legs of a
+    ``Segment`` read it there; ``distances`` builds its preorder intervals
+    from the stored preorder.  Point-to-point distance costs O(log n);
     ``distances`` measures one point against many in O(n + len(qs)).
     """
 
@@ -340,12 +354,12 @@ class MetricTree:
         "_edge_v",
         "_lengths",
         "_adj",
-        "_edge_between",
         "_parent",
+        "_parent_edge",
         "_hops",
         "_root_dist",
+        "_preorder",
         "_up",
-        "_degree",
         "_kernel_arrays",
     )
 
@@ -360,14 +374,16 @@ class MetricTree:
         self.tol = tol if tol is not None else Tolerance()
         edges = list(edges)
         try:
-            us = tuple(map(int, map(itemgetter(0), edges)))
-            vs = tuple(map(int, map(itemgetter(1), edges)))
-            lengths = tuple(map(float, map(itemgetter(2), edges)))
+            raw = [tuple(map(itemgetter(k), edges)) for k in range(3)]
+            us, vs = tuple(map(int, raw[0])), tuple(map(int, raw[1]))
+            lengths = tuple(map(float, raw[2]))
         except (LookupError, TypeError, ValueError, OverflowError):
             _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
         ends = us + vs
         if not (
             len(edges) == n_nodes - 1
+            and all(map(_is_number_type, set(map(type, chain(*raw)))))
+            and (us, vs) == (raw[0], raw[1])
             and 0 <= min(ends, default=0)
             and max(ends, default=0) < n_nodes
             and all(map(math.isfinite, lengths))
@@ -376,30 +392,32 @@ class MetricTree:
             _raise_first_edge_fault(n_nodes, edges)
 
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-        edge_between: dict[tuple[int, int], int] = {}
         for idx, (u, v) in enumerate(zip(us, vs)):
             adj[u].append((v, idx))
             adj[v].append((u, idx))
-            edge_between[(u, v)] = idx
-            edge_between[(v, u)] = idx
 
-        # Rooted ancestor structure (root = node 0), filled by one BFS; with
-        # n - 1 edges, reaching every node proves the input is a tree.
-        # ``up0`` is the parent table with the root as its own parent.
+        # Rooted tables, filled by one DFS from node 0 (``up0`` is the parent
+        # table with the root as its own parent).  With n - 1 edges, reaching
+        # every node proves a tree, and in a tree the pop order is a preorder.
         up0 = [-1] * n_nodes
         up0[0] = 0
+        parent_edge = [-1] * n_nodes
         hops = [0] * n_nodes
         root_dist = [0.0] * n_nodes
-        order = [0]
-        for u in order:
+        preorder = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            preorder.append(u)
             h, d = hops[u] + 1, root_dist[u]
             for v, idx in adj[u]:
                 if up0[v] < 0:
                     up0[v] = u
+                    parent_edge[v] = idx
                     hops[v] = h
                     root_dist[v] = d + lengths[idx]
-                    order.append(v)
-        if len(order) != n_nodes:
+                    stack.append(v)
+        if len(preorder) != n_nodes:
             _raise_first_edge_fault(n_nodes, edges)
 
         self.n_nodes = n_nodes
@@ -408,11 +426,11 @@ class MetricTree:
         self._edge_v = vs
         self._lengths = lengths
         self._adj = tuple(map(tuple, adj))
-        self._edge_between = edge_between
-        self._degree = tuple(map(len, adj))
         self._parent = (-1, *up0[1:])
+        self._parent_edge = tuple(parent_edge)
         self._hops = tuple(hops)
         self._root_dist = tuple(root_dist)
+        self._preorder = tuple(preorder)
 
         up = [up0]
         for _ in range(1, max(1, max(hops).bit_length())):
@@ -436,7 +454,7 @@ class MetricTree:
         Offsets within ``abs_eps`` of an endpoint canonicalize to that node;
         offsets beyond ``[0, length]`` raise ParameterOutOfRange.
         """
-        idx = self._edge_between.get((u, v))
+        idx = self._edge_of(u, v)
         if idx is None:
             raise BadParams(f"no edge between nodes {u} and {v}")
         offset = float(offset)
@@ -468,11 +486,25 @@ class MetricTree:
         return self._lengths[idx]
 
     def degree(self, node: int) -> int:
-        return self._degree[node]
+        return len(self._adj[node])
 
     def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge index) pairs of a node."""
         return self._adj[node]
+
+    def _edge_of(self, u, v) -> int | None:
+        """Index of the edge joining nodes u and v; None when they are not
+        adjacent or either is not a node id."""
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            return None
+        n, parent = self.n_nodes, self._parent
+        if 0 <= v < n and 0 <= u == parent[v]:
+            return self._parent_edge[v]
+        if 0 <= u < n and 0 <= v == parent[u]:
+            return self._parent_edge[u]
+        return None
 
     def lca(self, u: int, v: int) -> int:
         hu, hv = self._hops[u], self._hops[v]
@@ -588,15 +620,7 @@ class MetricTree:
     def _kernel(self) -> _KernelArrays:
         k = self._kernel_arrays
         if k is None:
-            adj, parent = self._adj, self._parent
-            order: list[int] = []
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                for v, _e in adj[u]:
-                    if v != parent[u]:
-                        stack.append(v)
+            order, parent = self._preorder, self._parent
             size = [1] * self.n_nodes
             for u in reversed(order[1:]):
                 size[parent[u]] += size[u]
@@ -692,26 +716,11 @@ class MetricTree:
         t = min(max(t, 0.0), dxy)
         return self.segment(x, y).point_at(t)
 
-    # ------------------------------------------------------------------ #
-    # Shared-edge helpers used by Segment                                  #
-    # ------------------------------------------------------------------ #
 
-    def _shared_edge(self, s: TreePoint, t: TreePoint) -> int:
-        if s.edge is not None:
-            return s.edge
-        if t.edge is not None:
-            return t.edge
-        idx = self._edge_between.get((s.node, t.node))
-        if idx is None:
-            raise BadParams(f"nodes {s.node} and {t.node} are not adjacent")
-        return idx
-
-    def _coord_on_edge(self, p: TreePoint, e: int) -> float:
-        if p.edge is not None:
-            return p.offset
-        if p.node == self._edge_u[e]:
-            return 0.0
-        return self._lengths[e]
+def _is_number_type(kind: type) -> bool:
+    """Whether values of ``kind`` may be edge values: real numbers, numpy's
+    included, but not bools, which would read as 0 and 1."""
+    return issubclass(kind, numbers.Real) and kind is not bool
 
 
 def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
@@ -735,6 +744,11 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
     for raw in edges:
         try:
             u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
+            for x in (raw[0], raw[1], raw[2]):
+                if not _is_number_type(type(x)):
+                    raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
+            if (u, v) != (raw[0], raw[1]):
+                raise ValueError(f"endpoint {raw[0] if u != raw[0] else raw[1]!r} is not an integer")
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):

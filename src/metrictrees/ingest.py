@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -143,68 +142,52 @@ def check_four_point(
 
 
 class _Builder:
-    """Mutable weighted tree used only during reconstruction."""
+    """Tree under construction, rooted at node 0: per node c, ``parent[c]``
+    and the length of the edge (parent[c], c).
+
+    Reconstruction always measures from node 0, so a path from it is a walk
+    up the parent pointers.  Every edge is made together with its higher
+    endpoint, the newest node, so listing the edges by (lower, higher)
+    endpoint lists each node's edges in the order they were made.
+    """
 
     def __init__(self) -> None:
-        self.adj: dict[int, dict[int, float]] = {0: {}}
+        self.parent = [-1]
+        self.length = [0.0]
 
-    def add_node(self) -> int:
-        node = len(self.adj)
-        self.adj[node] = {}
-        return node
+    def add_node(self, parent: int, length: float) -> int:
+        """A new node hanging from ``parent`` by an edge of ``length``."""
+        self.parent.append(parent)
+        self.length.append(length)
+        return len(self.parent) - 1
 
-    def add_edge(self, u: int, v: int, length: float) -> None:
-        self.adj[u][v] = length
-        self.adj[v][u] = length
-
-    def path(self, u: int, v: int) -> tuple[list[int], list[float]]:
-        """Node sequence u..v and cumulative distances along it."""
-        parent: dict[int, int] = {u: -1}
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            if a == v:
-                break
-            for b in self.adj[a]:
-                if b not in parent:
-                    parent[b] = a
-                    queue.append(b)
+    def locate(self, v: int, t: float, snap: float) -> int:
+        """Node at distance t from node 0 on the path to v, splitting an
+        edge when t falls strictly inside one."""
         nodes = [v]
-        while nodes[-1] != u:
-            nodes.append(parent[nodes[-1]])
+        while nodes[-1]:
+            nodes.append(self.parent[nodes[-1]])
         nodes.reverse()
         cum = [0.0]
-        for a, b in zip(nodes, nodes[1:]):
-            cum.append(cum[-1] + self.adj[a][b])
-        return nodes, cum
-
-    def locate(self, u: int, v: int, t: float, snap: float) -> int:
-        """Node at distance t from u on the path to v, splitting an edge
-        when t falls strictly inside one."""
-        nodes, cum = self.path(u, v)
+        for b in nodes[1:]:
+            cum.append(cum[-1] + self.length[b])
         for k, c in enumerate(cum):
             if abs(c - t) <= snap:
                 return nodes[k]
         for k in range(len(nodes) - 1):
             if cum[k] < t < cum[k + 1]:
-                a, b = nodes[k], nodes[k + 1]
-                length = self.adj[a][b]
-                del self.adj[a][b]
-                del self.adj[b][a]
-                m = self.add_node()
-                self.add_edge(a, m, t - cum[k])
-                self.add_edge(m, b, length - (t - cum[k]))
+                b = nodes[k + 1]
+                m = self.add_node(nodes[k], t - cum[k])
+                self.parent[b] = m
+                self.length[b] = self.length[b] - (t - cum[k])
                 return m
         # t beyond the path end (can only be float slop): clamp to v
         return v
 
     def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for u, nbrs in self.adj.items():
-            for v, length in nbrs.items():
-                if u < v:
-                    out.append((u, v, length))
-        return out
+        return sorted(
+            (min(p, c), max(p, c), self.length[c]) for c, p in enumerate(self.parent) if c
+        )
 
 
 def tree_from_distances(
@@ -237,7 +220,7 @@ def tree_from_distances(
         if dup is not None:
             position[x] = position[dup]
             continue
-        i = 0
+        i = 0  # the reference label; it sits at node 0, the builder's root
         best_t, best_j = 0.0, None
         for j in range(1, x):
             t = 0.5 * (d[i, x] + d[i, j] - d[j, x])
@@ -247,16 +230,14 @@ def tree_from_distances(
             attach = position[i]
         else:
             best_t = min(max(best_t, 0.0), float(d[i, best_j]))
-            attach = builder.locate(position[i], position[best_j], best_t, snap)
+            attach = builder.locate(position[best_j], best_t, snap)
         rem = float(d[i, x]) - best_t if best_j is not None else float(d[i, x])
         if rem <= snap:
             position[x] = attach
         else:
-            leaf = builder.add_node()
-            builder.add_edge(attach, leaf, rem)
-            position[x] = leaf
+            position[x] = builder.add_node(attach, rem)
 
-    tree = MetricTree(len(builder.adj), builder.edges(), tol=tol)
+    tree = MetricTree(len(builder.parent), builder.edges(), tol=tol)
     points = {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
 
     verify_slack = tol.slack(float(d.max(initial=1.0))) * 16.0
@@ -449,9 +430,13 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
         val = params.pop(key, default)
         if val is None:
             raise BadParams(f"gallery {name!r} requires parameter {key!r}")
-        if int(val) != val or int(val) < 1:
+        try:
+            number = int(val)
+        except (TypeError, ValueError, OverflowError):  # also NaN and +-inf
+            number = None
+        if number is None or number != val or number < 1:
             raise BadParams(f"parameter {key!r} must be a positive integer")
-        return int(val)
+        return number
 
     if name == "simple":
         if params:

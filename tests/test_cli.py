@@ -285,6 +285,15 @@ class TestGallery:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("name, param", [
+        ("star", "n=nan"), ("star", "n=inf"), ("comb_compact", "n=1e400"),
+    ])
+    def test_non_finite_count_exits_one(self, capsys, name, param):
+        # these used to end in a traceback from int()
+        code, out, err = run(capsys, "gallery", name, param)
+        assert (code, out) == (1, "")
+        assert err == "error: parameter 'n' must be a positive integer\n"
+
     def test_report_to_file(self, tmp_path, capsys):
         tree_path = tmp_path / "s.tree"
         report_path = tmp_path / "report.json"

@@ -8,6 +8,7 @@ against direct distance arithmetic on sampled points.
 
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from metrictrees import (
     random_tree,
 )
 
-from conftest import star_tips
+from conftest import shaped_edges, shaped_tree, star_tips
 
 
 class TestValidation:
@@ -73,9 +74,13 @@ class TestValidation:
         with pytest.raises(BadParams):
             MetricTree(2, [(0, 5, 1.0)])
 
-    @pytest.mark.parametrize("edge", [(0, 1, "x"), (0, 1), (0, None, 1.0)])
+    @pytest.mark.parametrize("edge", [
+        (0, 1, "x"), (0, 1), (0, None, 1.0),
+        (0, 1.7, 1.0), (0, True, 1.0), ("0", 1, 1.0), (0, 1, "1.0"), (0, 1, True), (0, 1, np.True_),
+    ])
     def test_malformed_edge_is_bad_params(self, edge):
-        # these used to escape as ValueError, IndexError and TypeError
+        # the first three used to escape as ValueError, IndexError and
+        # TypeError; the others built the edge (0, 1) of length 1.0
         with pytest.raises(BadParams) as exc:
             MetricTree(2, [edge])
         assert str(exc.value).startswith(f"edge {edge!r} is not a (u, v, length) triple")
@@ -85,6 +90,10 @@ class TestValidation:
             MetricTree(3, [(1, 1, 1.0), (0, 1)])
         with pytest.raises(BadParams, match="not a"):
             MetricTree(3, [(0, 1, None), (1, 1, 1.0)])
+        with pytest.raises(CycleDetected):
+            MetricTree(3, [(1, 1, 1.0), (0, 1.5, 1.0)])
+        with pytest.raises(BadParams, match="1.5 is not an integer"):
+            MetricTree(3, [(0, 1.5, 1.0), (1, 1, 1.0)])
 
     def test_huge_node_count_fails_without_allocating(self):
         tracemalloc.start()
@@ -173,8 +182,11 @@ class TestCanonicalization:
                 simple_doc.tree.edge_point(0, 1, bad)
 
     def test_no_such_edge(self, simple_doc):
-        with pytest.raises(BadParams):
-            simple_doc.tree.edge_point(0, 2, 0.5)
+        # ids out of range or not integers are no edge either, never an
+        # IndexError or TypeError; -1 must not wrap around to the last node
+        for u, v in [(0, 2), (0, -1), (-1, 0), (1, -1), (0, 99), ("a", 1), (1, None)]:
+            with pytest.raises(BadParams, match=f"no edge between nodes {u} and {v}"):
+                simple_doc.tree.edge_point(u, v, 0.5)
 
 
 class TestBetweenness:
@@ -531,30 +543,6 @@ def test_leq_array_matches_scalar(rng):
         assert tol.leq_array(a, b).tolist() == [tol.leq(float(x), b) for x in a]
 
 
-def _shaped_edges(rng, shape, n):
-    """Edges of a random tree, path, caterpillar or star on n nodes under
-    shuffled ids, each edge in random orientation."""
-    spine = max(1, n // 2)
-    parent = [
-        i - 1 if shape == "path" or (shape == "caterpillar" and i < spine)
-        else 0 if shape == "star"
-        else int(rng.integers(0, spine if shape == "caterpillar" else i))
-        for i in range(1, n)
-    ]
-    perm = rng.permutation(n)
-    edges = []
-    for i, p in enumerate(parent, start=1):
-        u, v = int(perm[p]), int(perm[i])
-        if rng.random() < 0.5:
-            u, v = v, u
-        edges.append((u, v, float(rng.uniform(0.2, 2.5))))
-    return edges
-
-
-def _shaped_tree(rng, shape, n):
-    return MetricTree(n, _shaped_edges(rng, shape, n))
-
-
 def _edge_samples_reference(tree, per_edge):
     pts = [tree.node_point(i) for i in range(tree.n_nodes)]
     for u, v, length in tree.edges:
@@ -587,7 +575,7 @@ class TestDistancesKernel:
     @settings(max_examples=80, deadline=None)
     def test_equals_scalar_distance(self, seed, shape, n):
         rng = np.random.default_rng(seed)
-        tree = _shaped_tree(rng, shape, n)
+        tree = shaped_tree(rng, shape, n)
         sources = random_points(rng, tree, 6) + [tree.node_point(int(rng.integers(0, n)))]
         targets = random_points(rng, tree, 30) + list(edge_samples(tree, 2))
         for p in sources:
@@ -648,7 +636,7 @@ class TestWitnessScan:
 
     def _cases(self, rng):
         for _ in range(40):
-            tree = _shaped_tree(rng, str(rng.choice(["random", "path", "caterpillar"])), 12)
+            tree = shaped_tree(rng, str(rng.choice(["random", "path", "caterpillar"])), 12)
             x, y = random_points(rng, tree, 2)
             d = tree.distance(x, y)
             if d > 1e-9:
@@ -678,10 +666,117 @@ class TestWitnessScan:
         assert seen > 0
 
 
+def _reference_stations(seg):
+    """The stations ``Segment`` kept before: a ``TreePoint`` per path node,
+    each leg measured as the gap of two coordinates on their shared edge."""
+    tree = seg.tree
+
+    def shared_edge(s, t):
+        if s.edge is not None:
+            return s.edge
+        if t.edge is not None:
+            return t.edge
+        return next(e for w, e in tree.neighbors(s.node) if w == t.node)
+
+    def coord(p, e):
+        if p.edge is not None:
+            return p.offset
+        return 0.0 if p.node == tree.edge_nodes(e)[0] else tree.edge_length(e)
+
+    pts = [seg.a, *(tree.node_point(i) for i in seg.node_chain), seg.b]
+    cum = [0.0]
+    for s, t in zip(pts, pts[1:]):
+        leg = 0.0 if s == t else abs(coord(s, shared_edge(s, t)) - coord(t, shared_edge(s, t)))
+        cum.append(cum[-1] + leg)
+    return pts, cum, shared_edge, coord
+
+
+def _reference_point_at(seg, t):
+    """``Segment.point_at`` over the reference stations."""
+    tree = seg.tree
+    slack = tree.tol.slack(max(seg.total_length, abs(t)))
+    if not (math.isfinite(t) and -slack <= t <= seg.total_length + slack):
+        raise ParameterOutOfRange("out of range")
+    t = min(max(t, 0.0), seg.total_length)
+    if t <= 0.0:
+        return seg.a
+    if t >= seg.total_length:
+        return seg.b
+    pts, cum, shared_edge, coord = _reference_stations(seg)
+    i = min(bisect_right(cum, t) - 1, len(pts) - 2)
+    if t == cum[i]:
+        return pts[i]
+    if t == cum[i + 1]:
+        return pts[i + 1]
+    e = shared_edge(pts[i], pts[i + 1])
+    cs, ct = coord(pts[i], e), coord(pts[i + 1], e)
+    delta = t - cum[i]
+    return tree._edge_point_at(e, cs + delta if ct > cs else cs - delta)
+
+
+class TestStationParity:
+    """Segment stations of node ids against the ``TreePoint`` stations."""
+
+    def _pairs(self, rng, tree):
+        pts = random_points(rng, tree, 8) + [tree.node_point(int(rng.integers(tree.n_nodes)))]
+        pairs = [(x, y) for x in pts for y in pts]
+        for u, v, length in tree.edges[:4]:  # same edge, and an edge's own ends
+            a, b = sorted(map(float, rng.uniform(0, length, 2)))
+            pairs += [
+                (tree.edge_point(u, v, a), tree.edge_point(u, v, b)),
+                (tree.node_point(u), tree.edge_point(u, v, b)),
+                (tree.edge_point(u, v, a), tree.node_point(u)),
+                (tree.node_point(u), tree.node_point(v)),
+            ]
+        return pairs
+
+    def _check(self, rng, tree):
+        for x, y in self._pairs(rng, tree):
+            seg = tree.segment(x, y)
+            _pts, cum, _e, _c = _reference_stations(seg)
+            assert seg._stations[1] == tuple(cum)
+            total = seg.total_length
+            # every station, points just off them, leg midpoints, random
+            # lengths, and the stretch between cum[-1] and total_length
+            ts = [*cum, *np.nextafter(cum, np.inf), *np.nextafter(cum, -np.inf),
+                  *((np.array(cum[1:]) + cum[:-1]) / 2), *rng.uniform(0, total, 5),
+                  0.0, total, min(cum[-1], total), max(cum[-1], total)]
+            for t in ts:
+                t = float(t)
+                try:
+                    want = repr(_reference_point_at(seg, t).record())
+                except ParameterOutOfRange:
+                    with pytest.raises(ParameterOutOfRange):
+                        seg.point_at(t)
+                    continue
+                assert repr(seg.point_at(t).record()) == want
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        n=st.integers(1, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_point_at_equals_reference(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        self._check(rng, shaped_tree(rng, shape, n))
+
+    def test_ties_and_snapping(self, rng):
+        # a leg too short to move the sum (two equal stations), and an edge
+        # short enough that its interior points snap to its ends
+        ties = MetricTree(5, [(0, 1, 1e3), (1, 2, 1e-14), (3, 2, 1.0), (3, 4, 2.0)])
+        _stops, cum = ties.segment(ties.node_point(0), ties.node_point(4))._stations
+        assert cum[1] == cum[2]
+        snaps = MetricTree(5, [(0, 1, 1.0), (2, 1, 3e-9), (2, 3, 1.0), (3, 4, 4e-9)])
+        for tree in (ties, snaps):
+            self._check(rng, tree)
+
+
 def _reference_tables(n_nodes, edges):
     """The sequential constructor ``MetricTree`` replaced, kept as the
     reference: union-find validation edge by edge, then a DFS from node 0.
-    Returns the tables it stored, or raises what it raised."""
+    Returns its tables, with each node's parent edge and the DFS's pop
+    order, or raises what it raised."""
     edge_list = []
     seen = set()
     uf = list(range(n_nodes))
@@ -717,22 +812,22 @@ def _reference_tables(n_nodes, edges):
         )
 
     adj = [[] for _ in range(n_nodes)]
-    edge_between = {}
     for idx, (u, v, _length) in enumerate(edge_list):
         adj[u].append((v, idx))
         adj[v].append((u, idx))
-        edge_between[(u, v)] = idx
-        edge_between[(v, u)] = idx
     adj = tuple(tuple(nbrs) for nbrs in adj)
     parent, hops, root_dist = [-1] * n_nodes, [0] * n_nodes, [0.0] * n_nodes
+    parent_edge, order = [-1] * n_nodes, []
     stack, visited = [0], [False] * n_nodes
     visited[0] = True
     while stack:
         u = stack.pop()
+        order.append(u)
         for v, idx in adj[u]:
             if not visited[v]:
                 visited[v] = True
                 parent[v] = u
+                parent_edge[v] = idx
                 hops[v] = hops[u] + 1
                 root_dist[v] = root_dist[u] + edge_list[idx][2]
                 stack.append(v)
@@ -747,11 +842,11 @@ def _reference_tables(n_nodes, edges):
         "_edge_v": tuple(e[1] for e in edge_list),
         "_lengths": tuple(e[2] for e in edge_list),
         "_adj": adj,
-        "_edge_between": edge_between,
-        "_degree": tuple(len(nbrs) for nbrs in adj),
         "_parent": tuple(parent),
+        "_parent_edge": tuple(parent_edge),
         "_hops": tuple(hops),
         "_root_dist": tuple(root_dist),
+        "_preorder": tuple(order),
         "_up": tuple(tuple(row) for row in up),
     }
 
@@ -765,22 +860,38 @@ def _outcome(build):
 
 
 def _reference_outcome(n_nodes, edges):
-    """``_outcome`` of ``_reference_tables``, except that an edge value that
-    does not convert, a ``ValueError`` there, is now the ``BadParams`` that
-    names the edge."""
-    want = _outcome(lambda: _reference_tables(n_nodes, edges))
-    if isinstance(want, tuple) and want[0] is ValueError:
-        raw = next(e for e in edges if not _converts(e))
-        return BadParams, f"edge {raw!r} is not a (u, v, length) triple: {want[1]}"
-    return want
+    """``_outcome`` of ``_reference_tables``, except that an edge value the
+    reference misreads is now the ``BadParams`` that names the first such
+    edge, unless an earlier edge's fault wins: a value that does not convert
+    (a ``ValueError`` there), a bool, a string, or a non-integral endpoint
+    (which it truncated)."""
+    bad = next((k for k, raw in enumerate(edges) if _value_fault(raw)), None)
+    if bad is None:
+        return _outcome(lambda: _reference_tables(n_nodes, edges))
+    # the reference ends a clean prefix with Disconnected, or with no error
+    # when the prefix already spans the nodes
+    before = _outcome(lambda: _reference_tables(n_nodes, edges[:bad]))
+    if isinstance(before, tuple) and before[0] is not Disconnected:
+        return before
+    raw = edges[bad]
+    return BadParams, f"edge {raw!r} is not a (u, v, length) triple: {_value_fault(raw)}"
 
 
-def _converts(raw):
+def _value_fault(raw):
+    """Why the values of edge ``raw`` are not a (u, v, length) triple of
+    numbers, or None."""
     try:
-        int(raw[0]), int(raw[1]), float(raw[2])
-    except ValueError:
-        return False
-    return True
+        u, v = int(raw[0]), int(raw[1])
+        float(raw[2])
+    except ValueError as exc:
+        return str(exc)
+    for x in raw[:3]:
+        if isinstance(x, (bool, np.bool_, str)):
+            return f"{x!r} ({type(x).__name__}) is not a number"
+    for x, end in ((raw[0], u), (raw[1], v)):
+        if x != end:
+            return f"endpoint {x!r} is not an integer"
+    return None
 
 
 def _tables(tree):
@@ -790,7 +901,8 @@ def _tables(tree):
 _FAULTS = (
     "out_of_range", "negative_endpoint", "nan_length", "inf_length", "zero_length",
     "negative_length", "self_loop", "duplicate", "reversed_duplicate", "cycle_n_minus_1",
-    "one_too_many", "one_too_few", "unconvertible_length",
+    "one_too_many", "one_too_few", "unconvertible_length", "string_length", "bool_length",
+    "fractional_endpoint", "bool_endpoint", "string_endpoint",
 )
 
 
@@ -803,8 +915,14 @@ def _add_fault(edges, n, fault):
         edges[1] = (-1, v, y)
     elif fault.endswith("_length"):
         bad = {"nan": math.nan, "inf": math.inf, "zero": 0.0, "negative": -1.5,
-               "unconvertible": "x"}
+               "unconvertible": "x", "string": "1.5", "bool": True}
         edges[1] = (u, v, bad[fault[: -len("_length")]])
+    elif fault == "fractional_endpoint":  # the reference truncated it to v
+        edges[1] = (u, v + 0.25, y)
+    elif fault == "bool_endpoint":
+        edges[1] = (u, True, y)
+    elif fault == "string_endpoint":
+        edges[1] = (str(u), v, y)
     elif fault == "self_loop":
         edges[1] = (u, u, y)
     elif fault == "duplicate":
@@ -831,27 +949,30 @@ class TestConstructionParity:
     @settings(max_examples=120, deadline=None)
     def test_tables_equal_reference(self, seed, shape, n):
         rng = np.random.default_rng(seed)
-        edges = _shaped_edges(rng, shape, n)
+        edges = shaped_edges(rng, shape, n)
         edges = [edges[i] for i in rng.permutation(len(edges))]
         tree = MetricTree(n, edges)
         assert _tables(tree) == _reference_tables(n, edges)
         assert tree.n_nodes == n
 
     def test_generator_and_numpy_input(self, rng):
-        edges = _shaped_edges(rng, "random", 12)
+        edges = shaped_edges(rng, "random", 12)
         as_numpy = [(np.int64(u), np.int32(v), np.float64(x)) for u, v, x in edges]
         expected = _reference_tables(12, edges)
         assert _tables(MetricTree(12, iter(edges))) == expected
-        tables = _tables(MetricTree(12, as_numpy))
-        assert tables == expected
-        assert all(type(u) is int for u in tables["_edge_u"] + tables["_edge_v"])
-        assert all(type(x) is float for x in tables["_lengths"])
+        as_floats = [(float(u), np.float64(v), np.float32(2.0)) for u, v, _x in edges]
+        for raw in (as_numpy, as_floats):
+            tables = _tables(MetricTree(12, raw))
+            assert tables == _reference_tables(12, raw)
+            assert all(type(u) is int for u in tables["_edge_u"] + tables["_edge_v"])
+            assert all(type(x) is float for x in tables["_lengths"])
+        assert _tables(MetricTree(12, as_numpy)) == expected
 
     @pytest.mark.parametrize("fault", _FAULTS)
     @pytest.mark.parametrize("shape", ["random", "path", "star"])
     def test_each_fault_raises_like_reference(self, fault, shape, rng):
         n = 9
-        edges = _shaped_edges(rng, shape, n)
+        edges = shaped_edges(rng, shape, n)
         _add_fault(edges, n, fault)
         got = _outcome(lambda: MetricTree(n, edges))
         assert isinstance(got, tuple) and got == _reference_outcome(n, edges)
@@ -880,7 +1001,7 @@ class TestConstructionParity:
     def test_random_faults_raise_like_reference(self, seed, faults):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(7, 20))
-        edges = _shaped_edges(rng, str(rng.choice(["random", "path", "star"])), n)
+        edges = shaped_edges(rng, str(rng.choice(["random", "path", "star"])), n)
         edges = [edges[i] for i in rng.permutation(len(edges))]
         for fault in faults:
             _add_fault(edges, n, fault)

@@ -4,11 +4,14 @@ the gallery."""
 import math
 import re
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import shaped_tree
 
 from metrictrees import (
     BadParams,
@@ -145,6 +148,160 @@ class TestReconstruction:
         rebuilt, named = tree_from_distances(m)
         m2 = matrix_from_points(rebuilt, [named[l] for l in m.labels])
         assert np.abs(m2.values - m.values).max() < 1e-9
+
+
+class _ReferenceBuilder:
+    """The dict-of-dicts builder reconstruction used before, searched by BFS
+    once per label; kept as the reference for the parent-pointer one."""
+
+    def __init__(self):
+        self.adj = {0: {}}
+
+    def add_node(self):
+        node = len(self.adj)
+        self.adj[node] = {}
+        return node
+
+    def add_edge(self, u, v, length):
+        self.adj[u][v] = length
+        self.adj[v][u] = length
+
+    def path(self, u, v):
+        parent = {u: -1}
+        queue = deque([u])
+        while queue:
+            a = queue.popleft()
+            if a == v:
+                break
+            for b in self.adj[a]:
+                if b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        nodes = [v]
+        while nodes[-1] != u:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        cum = [0.0]
+        for a, b in zip(nodes, nodes[1:]):
+            cum.append(cum[-1] + self.adj[a][b])
+        return nodes, cum
+
+    def locate(self, u, v, t, snap):
+        nodes, cum = self.path(u, v)
+        for k, c in enumerate(cum):
+            if abs(c - t) <= snap:
+                return nodes[k]
+        for k in range(len(nodes) - 1):
+            if cum[k] < t < cum[k + 1]:
+                a, b = nodes[k], nodes[k + 1]
+                length = self.adj[a][b]
+                del self.adj[a][b]
+                del self.adj[b][a]
+                m = self.add_node()
+                self.add_edge(a, m, t - cum[k])
+                self.add_edge(m, b, length - (t - cum[k]))
+                return m
+        return v
+
+    def edges(self):
+        return [(u, v, x) for u, nbrs in self.adj.items() for v, x in nbrs.items() if u < v]
+
+
+def _reference_reconstruction(matrix):
+    """``tree_from_distances`` over ``_ReferenceBuilder``: (edges, label
+    records), or raises what it raises."""
+    ok, quad = check_four_point(matrix)
+    if not ok:
+        raise NotTreeMetric(f"four-point condition fails on {quad}")
+    d, n, tol = matrix.values, matrix.size, matrix.tol
+    snap = tol.slack(float(d.max(initial=1.0))) * 4.0
+    builder = _ReferenceBuilder()
+    position = [0] * n
+    for x in range(1, n):
+        dup = next((j for j in range(x) if d[j, x] <= snap), None)
+        if dup is not None:
+            position[x] = position[dup]
+            continue
+        best_t, best_j = 0.0, None
+        for j in range(1, x):
+            t = 0.5 * (d[0, x] + d[0, j] - d[j, x])
+            if best_j is None or t > best_t:
+                best_t, best_j = t, j
+        if best_j is None:
+            attach = position[0]
+        else:
+            best_t = min(max(best_t, 0.0), float(d[0, best_j]))
+            attach = builder.locate(position[0], position[best_j], best_t, snap)
+        rem = float(d[0, x]) - best_t if best_j is not None else float(d[0, x])
+        if rem <= snap:
+            position[x] = attach
+        else:
+            leaf = builder.add_node()
+            builder.add_edge(attach, leaf, rem)
+            position[x] = leaf
+    tree = MetricTree(len(builder.adj), builder.edges(), tol=tol)
+    points = {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
+    verify_slack = tol.slack(float(d.max(initial=1.0))) * 16.0
+    for a in range(n):
+        for b in range(a + 1, n):
+            got = tree.distance(points[matrix.labels[a]], points[matrix.labels[b]])
+            if abs(got - d[a, b]) > verify_slack:
+                raise NotTreeMetric(
+                    f"matrix is not additive: labels ({a}, {b}) re-measure to "
+                    f"{got!r}, expected {d[a, b]!r}"
+                )
+    return tree.edges, {k: p.record() for k, p in points.items()}
+
+
+def _reconstruction(matrix):
+    tree, points = tree_from_distances(matrix)
+    return tree.edges, {k: p.record() for k, p in points.items()}
+
+
+def _outcome(build):
+    """``build()``, or (error type, message) when it raises."""
+    try:
+        return build()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestReconstructionParity:
+    """The parent-pointer builder against the BFS one it replaced: the same
+    edges in the same order and the same label nodes, or the same error."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        n=st.integers(1, 25),
+        k=st.integers(1, 10),
+        perturb=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference(self, seed, shape, n, k, perturb):
+        rng = np.random.default_rng(seed)
+        tree = shaped_tree(rng, shape, n)
+        pts = random_points(rng, tree, k)
+        pts += [pts[int(i)] for i in rng.integers(0, k, int(rng.integers(0, 3)))]  # duplicates
+        pts = [pts[int(i)] for i in rng.permutation(len(pts))]
+        m = matrix_from_points(tree, pts)
+        if perturb and m.size > 1:
+            values = np.array(m.values)
+            i, j = rng.choice(m.size, 2, replace=False)
+            values[i, j] = values[j, i] = values[i, j] * float(rng.uniform(0.5, 1.5))
+            m = DistanceMatrix(m.labels, values)
+        want = _outcome(lambda: _reference_reconstruction(m))
+        assert _outcome(lambda: _reconstruction(m)) == want
+
+    def test_labels_inside_edges(self):
+        # labels inside earlier edges split them and re-hang their lower ends
+        tree = MetricTree(4, [(0, 1, 4.0), (1, 2, 3.0), (1, 3, 2.0)])
+        pts = [tree.node_point(2), tree.node_point(3), tree.node_point(0),
+               tree.edge_point(1, 2, 1.0), tree.edge_point(0, 1, 1.5), tree.edge_point(1, 3, 0.5)]
+        m = matrix_from_points(tree, pts)
+        edges, records = _reconstruction(m)
+        assert (edges, records) == _reference_reconstruction(m)
+        assert len(edges) == 6 and len({r["node"] for r in records.values()}) == 6
 
 
 class TestDocuments:
@@ -289,6 +446,11 @@ class TestGallery:
             gallery("star", n=3, spoke_len=-1.0)
         with pytest.raises(BadParams):
             gallery("simple", n=3)
+        # non-finite counts used to escape int() as ValueError/OverflowError
+        for name, n in [("star", math.nan), ("star", math.inf), ("comb_compact", float("1e400")),
+                        ("comb_noncompact", -math.inf), ("star", 2.5), ("star", "3")]:
+            with pytest.raises(BadParams, match="must be a positive integer"):
+                gallery(name, n=n)
 
     def test_four_point_accepts_gallery_matrices(self):
         for name, params in [
