@@ -8,21 +8,21 @@ midpoint, and median queries all have exact answers.
 Points live either on a node or in the interior of an edge (``TreePoint``),
 and every query accepts both.  A ``Segment`` is the geodesic between two
 points, parameterized by arc length: ``Segment.point_at`` is an isometry from
-``[0, total_length]`` onto the segment.
+``[0, total_length]`` onto the segment.  Every arc-length query walks the
+path from its start and stops once it passes the arc length asked for.
 
 ``MetricTree`` is immutable after validation.  All queries are read-only and
 safe to call from concurrent threads.  The numpy arrays behind
 ``MetricTree.distances`` (preorder intervals and root distances per tree,
-anchor arrays per ``PointArray``) are built on first use and assigned once;
-a build is deterministic, so two threads that race on it store equal arrays
-and neither ever sees a partial one.
+anchor arrays per ``PointArray``) and ``Segment.node_chain`` are built on
+first use and assigned once; a build is deterministic, so two threads that
+race on it store equal values and neither ever sees a partial one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -219,15 +219,17 @@ class _KernelArrays(NamedTuple):
 class Segment:
     """The unique geodesic between two points of a metric tree.
 
-    ``node_chain`` lists the nodes traversed strictly between the endpoints
-    (endpoints themselves are excluded when they are nodes).  ``point_at``
-    realizes the arc-length parameterization: for s, t in
-    ``[0, total_length]``, ``d(point_at(s), point_at(t)) == |s - t|``.
+    ``MetricTree.segment`` returns ``Segment(a, b, total_length)`` and walks
+    nothing.  ``node_chain`` lists the nodes strictly between the endpoints
+    (endpoints that are nodes excluded); it is read off the path on first
+    access and cached.  ``point_at`` realizes the arc-length
+    parameterization: for s, t in ``[0, total_length]``,
+    ``d(point_at(s), point_at(t)) == |s - t|``.  Each call walks from ``a``
+    anew, so ``sample(k)`` costs O(k * path length).
     """
 
     a: TreePoint
     b: TreePoint
-    node_chain: tuple[int, ...]
     total_length: float
 
     @property
@@ -235,55 +237,12 @@ class Segment:
         return self.a.tree
 
     @cached_property
-    def _stations(self) -> tuple[tuple, tuple[float, ...]]:
-        # The stops along the geodesic -- the path nodes from a to b, with an
-        # endpoint inside an edge kept as its point -- and the arc length
-        # from a at each; consecutive stops always lie on one common edge.
-        a, b = (p if p.node is None else p.node for p in (self.a, self.b))
-        stops = (a, *self.node_chain, b)
-        cum = [0.0]
-        for s, t in zip(stops, stops[1:]):
-            _e, cs, ct = self._leg(s, t) if s != t else (None, 0.0, 0.0)
-            cum.append(cum[-1] + abs(cs - ct))
-        return stops, tuple(cum)
-
-    def _leg(self, s, t) -> tuple[int, float, float]:
-        """(edge, coordinate of s, coordinate of t) for two consecutive stops."""
-        tree = self.tree
-        if isinstance(s, TreePoint):
-            e = s.edge
-        elif isinstance(t, TreePoint):
-            e = t.edge
-        else:
-            e = tree._edge_of(s, t)
-        u, length = tree._edge_u[e], tree._lengths[e]
-        cs = s.offset if isinstance(s, TreePoint) else 0.0 if s == u else length
-        ct = t.offset if isinstance(t, TreePoint) else 0.0 if t == u else length
-        return e, cs, ct
+    def node_chain(self) -> tuple[int, ...]:
+        return tuple(self.tree._stops(self.a, self.b))[1:-1]
 
     def point_at(self, t: float) -> TreePoint:
         """The point at arc length ``t`` from endpoint ``a``."""
-        tree = self.tree
-        slack = tree.tol.slack(max(self.total_length, abs(t)))
-        if not (math.isfinite(t) and -slack <= t <= self.total_length + slack):
-            raise ParameterOutOfRange(
-                f"arc length {t!r} outside [0, {self.total_length!r}]"
-            )
-        t = min(max(t, 0.0), self.total_length)
-        if t <= 0.0:
-            return self.a
-        if t >= self.total_length:
-            return self.b
-        stops, cum = self._stations
-        i = bisect_right(cum, t) - 1
-        i = min(i, len(stops) - 2)
-        if t == cum[i] or t == cum[i + 1]:
-            stop = stops[i] if t == cum[i] else stops[i + 1]
-            return stop if isinstance(stop, TreePoint) else tree.node_point(stop)
-        e, cs, ct = self._leg(stops[i], stops[i + 1])
-        delta = t - cum[i]
-        coord = cs + delta if ct > cs else cs - delta
-        return tree._edge_point_at(e, coord)
+        return self.tree._point_along(self.a, self.b, self.total_length, t)
 
     def contains(self, p: TreePoint) -> bool:
         """Membership test; agrees with betweenness of (a, p, b)."""
@@ -341,7 +300,7 @@ class MetricTree:
     count and its distance from the root, plus the DFS preorder and the
     binary-lifting ancestor rows.  The edge between two adjacent nodes is
     the parent edge of one of them, so ``edge_point`` and the legs of a
-    ``Segment`` read it there; ``distances`` builds its preorder intervals
+    geodesic walk read it there; ``distances`` builds its preorder intervals
     from the stored preorder.  Point-to-point distance costs O(log n);
     ``distances`` measures one point against many in O(n + len(qs)).
     """
@@ -444,9 +403,10 @@ class MetricTree:
     # ------------------------------------------------------------------ #
 
     def node_point(self, node: int) -> TreePoint:
-        if not (0 <= node < self.n_nodes):
-            raise BadParams(f"node {node} does not exist (tree has {self.n_nodes} nodes)")
-        return TreePoint(self, node, None, 0.0)
+        u = self._node_id(node)
+        if u is None:
+            raise BadParams(f"node {node!r} does not exist (tree has {self.n_nodes} nodes)")
+        return TreePoint(self, u, None, 0.0)
 
     def edge_point(self, u: int, v: int, offset: float) -> TreePoint:
         """Point at ``offset`` from ``u`` along the edge (u, v).
@@ -454,7 +414,8 @@ class MetricTree:
         Offsets within ``abs_eps`` of an endpoint canonicalize to that node;
         offsets beyond ``[0, length]`` raise ParameterOutOfRange.
         """
-        idx = self._edge_of(u, v)
+        iu, iv = self._node_id(u), self._node_id(v)
+        idx = None if iu is None or iv is None else self._edge_of(iu, iv)
         if idx is None:
             raise BadParams(f"no edge between nodes {u} and {v}")
         offset = float(offset)
@@ -463,7 +424,7 @@ class MetricTree:
             raise ParameterOutOfRange(
                 f"offset {offset!r} outside [0, {length!r}] on edge ({u}, {v})"
             )
-        if self._edge_u[idx] != u:
+        if self._edge_u[idx] != iu:
             offset = length - offset
         return self._edge_point_at(idx, offset)
 
@@ -492,17 +453,21 @@ class MetricTree:
         """(neighbor, edge index) pairs of a node."""
         return self._adj[node]
 
-    def _edge_of(self, u, v) -> int | None:
-        """Index of the edge joining nodes u and v; None when they are not
-        adjacent or either is not a node id."""
+    def _node_id(self, node) -> int | None:
+        """``node`` as a plain ``int`` when it names a node of this tree;
+        None for anything else, bools included."""
         try:
-            u, v = index(u), index(v)
+            u = -1 if isinstance(node, bool) else index(node)
         except TypeError:
             return None
-        n, parent = self.n_nodes, self._parent
-        if 0 <= v < n and 0 <= u == parent[v]:
+        return u if 0 <= u < self.n_nodes else None
+
+    def _edge_of(self, u: int, v: int) -> int | None:
+        """Index of the edge joining nodes u and v; None when they are not
+        adjacent."""
+        if self._parent[v] == u:
             return self._parent_edge[v]
-        if 0 <= u < n and 0 <= v == parent[u]:
+        if self._parent[u] == v:
             return self._parent_edge[u]
         return None
 
@@ -530,23 +495,6 @@ class MetricTree:
         w = self.lca(u, v)
         return self._root_dist[u] + self._root_dist[v] - 2.0 * self._root_dist[w]
 
-    def _node_path(self, u: int, v: int) -> list[int]:
-        """Node sequence from u to v inclusive."""
-        w = self.lca(u, v)
-        left = []
-        a = u
-        while a != w:
-            left.append(a)
-            a = self._parent[a]
-        left.append(w)
-        right = []
-        b = v
-        while b != w:
-            right.append(b)
-            b = self._parent[b]
-        right.reverse()
-        return left + right
-
     def same_structure(self, other: "MetricTree") -> bool:
         """Structural equality: same node count and same weighted edge set."""
         if self.n_nodes != other.n_nodes:
@@ -561,9 +509,10 @@ class MetricTree:
     # Point-level metric queries                                           #
     # ------------------------------------------------------------------ #
 
-    def _own(self, p: TreePoint) -> None:
-        if p.tree is not self:
-            raise ForeignPoint("point belongs to a different tree")
+    def _own(self, *points: TreePoint) -> None:
+        for p in points:
+            if p.tree is not self:
+                raise ForeignPoint("point belongs to a different tree")
 
     def _anchors(self, p: TreePoint) -> tuple[tuple[int, float], ...]:
         if p.node is not None:
@@ -576,25 +525,33 @@ class MetricTree:
 
     def distance(self, x: TreePoint, y: TreePoint) -> float:
         """Exact geodesic length between two points."""
-        self._own(x)
-        self._own(y)
+        self._own(x, y)
         return self._dist(x, y)
 
     def distances(self, p: TreePoint, qs: Sequence[TreePoint]) -> np.ndarray:
         """``distance(p, q)`` for every q in ``qs``, bit for bit, as an array.
 
-        Each anchor of p costs one O(n) numpy pass that measures it against
-        every node; each q then combines its anchors in ``_dist``'s order, so
-        no entry differs from the scalar query even in the last bit.
+        Each anchor of p costs one O(n) numpy pass over every node; each q
+        then combines its anchors in ``_dist``'s order (the lower edge's
+        offset first), so no entry differs from the scalar query even in the
+        last bit.  Sums run in place: a fresh array per step costs more.
         """
         self._own(p)
         qs = PointArray.of(self, qs)
         a1, c1, a2, c2 = qs._anchors()
+        q_first = None if p.edge is None else (qs.node < 0) & (qs.edge < p.edge)
         out = None
         for s, c in self._anchors(p):
             ds = self._node_distances(s)
-            d = np.minimum((c + ds[a1]) + c1, (c + ds[a2]) + c2)
-            out = d if out is None else np.minimum(out, d)
+            for a, cq in ((a1, c1), (a2, c2)):
+                d = ds[a]
+                swapped = None if q_first is None else cq + d
+                d += c
+                d += cq
+                if swapped is not None:
+                    swapped += c
+                    np.copyto(d, swapped, where=q_first)
+                out = d if out is None else np.minimum(out, d, out=out)
         if p.edge is not None:
             same = qs.edge == p.edge
             out[same] = np.abs(p.offset - qs.offset[same])
@@ -644,23 +601,18 @@ class MetricTree:
             return self.node_distance(x.node, y.node)
         if x.edge is not None and x.edge == y.edge:
             return abs(x.offset - y.offset)
-        return min(
-            cx + self.node_distance(ax, ay) + cy
-            for ax, cx in self._anchors(x)
-            for ay, cy in self._anchors(y)
-        )
+        if x.edge is not None and y.edge is not None and y.edge < x.edge:
+            x, y = y, x  # the lower edge's offset is summed first: d(x, y) == d(y, x)
+        return min(cx + self.node_distance(ax, ay) + cy
+                   for ax, cx in self._anchors(x) for ay, cy in self._anchors(y))
 
     def is_between(self, x: TreePoint, y: TreePoint, z: TreePoint) -> bool:
         """True when y lies on the geodesic from x to z.
 
         Equivalent to ``d(x, z) == d(x, y) + d(y, z)`` up to tolerance.
         """
-        self._own(x)
-        self._own(y)
-        self._own(z)
-        dxz = self._dist(x, z)
-        dxy = self._dist(x, y)
-        dyz = self._dist(y, z)
+        self._own(x, y, z)
+        dxz, dxy, dyz = self._dist(x, z), self._dist(x, y), self._dist(y, z)
         return abs(dxz - dxy - dyz) <= self.tol.slack(max(dxz, dxy + dyz))
 
     def _exit_node(self, p: TreePoint, q: TreePoint) -> int:
@@ -669,34 +621,87 @@ class MetricTree:
             return p.node
         e = p.edge
         u, v = self._edge_u[e], self._edge_v[e]
-        du = p.offset + self._dist(self.node_point(u), q)
-        dv = (self._lengths[e] - p.offset) + self._dist(self.node_point(v), q)
+        du = p.offset + self._dist(TreePoint(self, u, None, 0.0), q)
+        dv = (self._lengths[e] - p.offset) + self._dist(TreePoint(self, v, None, 0.0), q)
         return u if du <= dv else v
+
+    def _stops(self, x: TreePoint, y: TreePoint):
+        """The stops from x to y: x if inside an edge, the path's nodes, then
+        y if inside an edge; consecutive stops share an edge.  The climb to
+        the lowest common ancestor is yielded as read; only the descent from
+        there is collected first."""
+        if x == y or (x.edge is not None and x.edge == y.edge):
+            yield from (p if p.node is None else p.node for p in (x, y))
+            return
+        if x.node is None:
+            yield x
+        u, v = self._exit_node(x, y), self._exit_node(y, x)
+        w, parent = self.lca(u, v), self._parent
+        while u != w:
+            yield u
+            u = parent[u]
+        yield w
+        down = []
+        while v != w:
+            down.append(v)
+            v = parent[v]
+        yield from reversed(down)
+        if y.node is None:
+            yield y
+
+    def _leg(self, s, t) -> tuple[int, float, float]:
+        """(edge, coordinate of s, coordinate of t) for two consecutive stops."""
+        if isinstance(s, TreePoint):
+            e = s.edge
+        elif isinstance(t, TreePoint):
+            e = t.edge
+        else:
+            e = self._edge_of(s, t)
+        u, length = self._edge_u[e], self._lengths[e]
+        cs = s.offset if isinstance(s, TreePoint) else 0.0 if s == u else length
+        ct = t.offset if isinstance(t, TreePoint) else 0.0 if t == u else length
+        return e, cs, ct
+
+    def _point_along(self, x: TreePoint, y: TreePoint, total: float, t: float) -> TreePoint:
+        """The point at arc length ``t`` from x toward y, ``total`` apart.
+
+        Sums leg lengths from x in path order and stops on the first leg that
+        ends past t, or on the last leg (the sum may fall short of ``total``);
+        a t equal to a stop's sum returns that stop, the leg's start first.
+        """
+        slack = self.tol.slack(max(total, abs(t)))
+        if not (math.isfinite(t) and -slack <= t <= total + slack):
+            raise ParameterOutOfRange(f"arc length {t!r} outside [0, {total!r}]")
+        t = min(max(t, 0.0), total)
+        if t <= 0.0:
+            return x
+        if t >= total:
+            return y
+        stops = self._stops(x, y)
+        s, nxt, start = next(stops), next(stops), 0.0
+        while True:
+            e, cs, ct = self._leg(s, nxt)
+            end = start + abs(cs - ct)
+            if end > t or (after := next(stops, None)) is None:
+                break
+            s, nxt, start = nxt, after, end
+        if t == start or t == end:
+            stop = s if t == start else nxt
+            return stop if isinstance(stop, TreePoint) else TreePoint(self, stop, None, 0.0)
+        delta = t - start
+        return self._edge_point_at(e, cs + delta if ct > cs else cs - delta)
 
     def segment(self, x: TreePoint, y: TreePoint) -> Segment:
         """The unique geodesic from x to y."""
-        self._own(x)
-        self._own(y)
-        if x == y:
-            return Segment(x, y, (), 0.0)
-        if x.edge is not None and x.edge == y.edge:
-            return Segment(x, y, (), abs(x.offset - y.offset))
-        ex = self._exit_node(x, y)
-        ey = self._exit_node(y, x)
-        chain = self._node_path(ex, ey)
-        if x.node is not None:
-            chain = chain[1:]
-        if y.node is not None:
-            chain = chain[:-1]
-        return Segment(x, y, tuple(chain), self._dist(x, y))
+        return Segment(x, y, self.distance(x, y))
 
     def point_at(self, x: TreePoint, y: TreePoint, t: float) -> TreePoint:
         """Point at arc length ``t`` from x on the geodesic to y."""
-        return self.segment(x, y).point_at(t)
+        return self._point_along(x, y, self.distance(x, y), t)
 
     def midpoint(self, x: TreePoint, y: TreePoint) -> TreePoint:
-        s = self.segment(x, y)
-        return s.point_at(0.5 * s.total_length)
+        total = self.distance(x, y)
+        return self._point_along(x, y, total, 0.5 * total)
 
     def median(self, x: TreePoint, y: TreePoint, z: TreePoint) -> TreePoint:
         """The branch point w of the triple (x, y, z).
@@ -706,15 +711,9 @@ class MetricTree:
         ``(d(x,y) + d(x,z) - d(y,z)) / 2``.  Degenerate triples return the
         forced point (``median(x, y, x) == x``).
         """
-        self._own(x)
-        self._own(y)
-        self._own(z)
-        dxy = self._dist(x, y)
-        dxz = self._dist(x, z)
-        dyz = self._dist(y, z)
-        t = 0.5 * (dxy + dxz - dyz)
-        t = min(max(t, 0.0), dxy)
-        return self.segment(x, y).point_at(t)
+        dxy, dxz, dyz = self.distance(x, y), self.distance(x, z), self.distance(y, z)
+        t = min(max(0.5 * (dxy + dxz - dyz), 0.0), dxy)
+        return self._point_along(x, y, dxy, t)
 
 
 def _is_number_type(kind: type) -> bool:

@@ -6,6 +6,7 @@ transitivity, segment gluing, ball convexity, four-point) are checked
 against direct distance arithmetic on sampled points.
 """
 
+import json
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -184,9 +185,23 @@ class TestCanonicalization:
     def test_no_such_edge(self, simple_doc):
         # ids out of range or not integers are no edge either, never an
         # IndexError or TypeError; -1 must not wrap around to the last node
-        for u, v in [(0, 2), (0, -1), (-1, 0), (1, -1), (0, 99), ("a", 1), (1, None)]:
+        for u, v in [(0, 2), (0, -1), (-1, 0), (1, -1), (0, 99), ("a", 1), (1, None),
+                     (True, 0), (0, 1.5), (2.0, 1), (np.True_, 0)]:
             with pytest.raises(BadParams, match=f"no edge between nodes {u} and {v}"):
                 simple_doc.tree.edge_point(u, v, 0.5)
+
+
+    def test_node_ids(self, simple_doc):
+        t = simple_doc.tree
+        for bad in (1.5, 2.0, True, False, np.True_, "1", None, -1, 4):
+            with pytest.raises(BadParams, match="does not exist"):
+                t.node_point(bad)
+        p = t.node_point(np.int64(2))
+        assert type(p.node) is int and p == t.node_point(2)
+        assert json.dumps(p.record()) == '{"kind": "node", "node": 2}'
+        q = t.edge_point(np.int64(1), np.int64(0), 0.5)
+        assert q == t.edge_point(1, 0, 0.5)
+        assert json.dumps(q.record()) == '{"kind": "edge", "u": 0, "v": 1, "offset": 1.5}'
 
 
 class TestBetweenness:
@@ -266,8 +281,7 @@ class TestSegment:
         for _ in range(60):
             tree = random_tree(rng, max_nodes=10)
             x, y = random_points(rng, tree, 2)
-            s = tree.segment(x, y)
-            _pts, cum = s._stations
+            _pts, cum, _e, _c = _reference_stations(tree.segment(x, y))
             assert cum[-1] == pytest.approx(tree.distance(x, y), abs=1e-12)
 
     def test_gluing_at_interior_point(self, rng):
@@ -565,7 +579,8 @@ def _witness_reference(tree, x, y, r, eps, test_points):
 
 
 class TestDistancesKernel:
-    """``distances`` against the scalar ``distance`` it must equal bit for bit."""
+    """``distances`` against the scalar ``distance`` it must equal bit for bit,
+    in either order of the two points."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -588,6 +603,7 @@ class TestDistancesKernel:
             got = tree.distances(p, targets)
             assert got.dtype == np.float64
             assert np.array_equal(got, expected)
+            assert np.array_equal(got, [tree.distance(q, p) for q in targets])
             assert np.array_equal(tree.distances(p, PointArray.of(tree, targets)), expected)
 
     def test_empty_targets(self, simple_doc):
@@ -666,6 +682,32 @@ class TestWitnessScan:
         assert seen > 0
 
 
+def _reference_chain(tree, x, y):
+    """The nodes strictly between x and y as ``segment`` listed them before:
+    the path between the exit nodes of x and y, from their lowest common
+    ancestor, without the endpoints that are nodes."""
+    if x == y or (x.edge is not None and x.edge == y.edge):
+        return ()
+
+    def exit_node(p, q):
+        if p.node is not None:
+            return p.node
+        u, v = tree.edge_nodes(p.edge)
+        du = p.offset + tree.distance(tree.node_point(u), q)
+        dv = (tree.edge_length(p.edge) - p.offset) + tree.distance(tree.node_point(v), q)
+        return u if du <= dv else v
+
+    u, v = exit_node(x, y), exit_node(y, x)
+    w = tree.lca(u, v)
+    up, down = [u], [v]
+    while up[-1] != w:
+        up.append(tree._parent[up[-1]])
+    while down[-1] != w:
+        down.append(tree._parent[down[-1]])
+    path = up + down[-2::-1]
+    return tuple(path[x.node is not None : len(path) - (y.node is not None)])
+
+
 def _reference_stations(seg):
     """The stations ``Segment`` kept before: a ``TreePoint`` per path node,
     each leg measured as the gap of two coordinates on their shared edge."""
@@ -683,7 +725,7 @@ def _reference_stations(seg):
             return p.offset
         return 0.0 if p.node == tree.edge_nodes(e)[0] else tree.edge_length(e)
 
-    pts = [seg.a, *(tree.node_point(i) for i in seg.node_chain), seg.b]
+    pts = [seg.a, *map(tree.node_point, _reference_chain(tree, seg.a, seg.b)), seg.b]
     cum = [0.0]
     for s, t in zip(pts, pts[1:]):
         leg = 0.0 if s == t else abs(coord(s, shared_edge(s, t)) - coord(t, shared_edge(s, t)))
@@ -715,7 +757,8 @@ def _reference_point_at(seg, t):
 
 
 class TestStationParity:
-    """Segment stations of node ids against the ``TreePoint`` stations."""
+    """The walk behind every arc-length query against the chain and the
+    ``TreePoint`` stations that ``Segment`` built before."""
 
     def _pairs(self, rng, tree):
         pts = random_points(rng, tree, 8) + [tree.node_point(int(rng.integers(tree.n_nodes)))]
@@ -731,10 +774,11 @@ class TestStationParity:
         return pairs
 
     def _check(self, rng, tree):
+        zs = random_points(rng, tree, 2)
         for x, y in self._pairs(rng, tree):
             seg = tree.segment(x, y)
+            assert seg.node_chain == _reference_chain(tree, x, y)
             _pts, cum, _e, _c = _reference_stations(seg)
-            assert seg._stations[1] == tuple(cum)
             total = seg.total_length
             # every station, points just off them, leg midpoints, random
             # lengths, and the stretch between cum[-1] and total_length
@@ -748,8 +792,17 @@ class TestStationParity:
                 except ParameterOutOfRange:
                     with pytest.raises(ParameterOutOfRange):
                         seg.point_at(t)
+                    with pytest.raises(ParameterOutOfRange):
+                        tree.point_at(x, y, t)
                     continue
                 assert repr(seg.point_at(t).record()) == want
+                assert repr(tree.point_at(x, y, t).record()) == want
+            want = _reference_point_at(seg, 0.5 * total)
+            assert repr(tree.midpoint(x, y).record()) == repr(want.record())
+            for z in (x, y, *zs):
+                t = 0.5 * (total + tree.distance(x, z) - tree.distance(y, z))
+                want = _reference_point_at(seg, min(max(t, 0.0), total))
+                assert repr(tree.median(x, y, z).record()) == repr(want.record())
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -765,11 +818,53 @@ class TestStationParity:
         # a leg too short to move the sum (two equal stations), and an edge
         # short enough that its interior points snap to its ends
         ties = MetricTree(5, [(0, 1, 1e3), (1, 2, 1e-14), (3, 2, 1.0), (3, 4, 2.0)])
-        _stops, cum = ties.segment(ties.node_point(0), ties.node_point(4))._stations
+        _pts, cum, _e, _c = _reference_stations(ties.segment(ties.node_point(0), ties.node_point(4)))
         assert cum[1] == cum[2]
         snaps = MetricTree(5, [(0, 1, 1.0), (2, 1, 3e-9), (2, 3, 1.0), (3, 4, 4e-9)])
-        for tree in (ties, snaps):
+        # a tie at the last station but one: the walk must stay on the last
+        # leg and return its start, not step past it to the end
+        last = MetricTree(4, [(0, 1, 2.4491472056408035), (1, 2, 2.742628952969279), (2, 3, 1e-20)])
+        x, y, t = last.node_point(1), last.node_point(3), 2.742628952969279
+        assert _reference_point_at(last.segment(x, y), t) == last.node_point(2)
+        assert last.point_at(x, y, t) == last.node_point(2)
+        for tree in (ties, snaps, last):
             self._check(rng, tree)
+
+
+class TestLazyWalk:
+    """Point queries walk only as far as t; ``segment`` walks nothing."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        return MetricTree(self.N, [(i, i + 1, 1.0) for i in range(self.N - 1)])
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(MetricTree, name)
+        monkeypatch.setattr(
+            MetricTree, name, lambda self, *args: calls.append(args) or original(self, *args)
+        )
+        return calls
+
+    def test_point_at_walks_few_legs(self, path, monkeypatch):
+        legs = self._count(monkeypatch, "_leg")
+        end, mid = path.node_point(self.N - 1), path.node_point(self.N // 2)
+        for x, y in ((end, path.node_point(0)), (mid, end)):  # climbing, descending
+            legs.clear()
+            p = path.point_at(x, y, 2.5)
+            assert path.distance(x, p) == 2.5
+            assert len(legs) == 3
+
+    def test_segment_walks_nothing_until_chain_is_read(self, path, monkeypatch):
+        stops = self._count(monkeypatch, "_stops")
+        seg = path.segment(path.node_point(0), path.node_point(self.N - 1))
+        assert stops == []
+        assert seg.node_chain == tuple(range(1, self.N - 1))
+        assert len(stops) == 1
+        seg.node_chain
+        assert len(stops) == 1
 
 
 def _reference_tables(n_nodes, edges):
