@@ -19,6 +19,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parsing does not change a parser, so one serves every call
 def _build_parser() -> _Parser:
     # the common options are accepted before or after the subcommand; the
     # SUPPRESS defaults keep a subcommand-level occurrence from being

@@ -16,6 +16,21 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
     edge <u> <v> <length>
     point <name> node <id>
     point <name> edge <u> <v> <offset>
+
+Recognition
+-----------
+``check_four_point`` and ``tree_from_distances`` share one recognizer that
+certifies or scans.  It checks the triangle inequality one row at a time,
+reconstructs a tree once and re-measures every label pair on it.  When the
+largest deviation ``dev`` from the matrix satisfies
+``4*dev + (4*n_nodes + 4)*eps*scale < slack`` (``scale`` twice the largest
+entry, ``eps`` the float epsilon, ``slack`` the four-point slack), every
+quadruple passes the four-point test: an exact tree metric's two largest
+pairing sums are equal, the matrix's lie within ``4*dev`` of them, and the
+``eps`` term bounds the rounding of the tree distances and of the sums.
+Otherwise a scan over the quadruples, one (i, j) pair at a time, finds the
+first violation in lexicographic order.  Either way the verdict is the one the
+brute-force test gives.
 """
 
 from __future__ import annotations
@@ -28,10 +43,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
+    MetricTreeError,
     NotAMetric,
     NotTreeMetric,
     TreeParseError,
@@ -50,6 +66,14 @@ __all__ = [
     "format_matrix_csv",
     "matrix_from_points",
 ]
+
+
+# Entries above this are rejected so that sums of distances stay finite: the
+# symmetrizing sum, every pairing sum and the scale (twice the largest entry)
+# stay within half the largest float, which leaves room for a slack.  An
+# overflowed sum is inf, and inf - inf is NaN, which compares as no violation.
+_LARGEST_ENTRY = float(np.finfo(float).max) / 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -71,6 +95,12 @@ class DistanceMatrix:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidDistanceMatrix("matrix entries must be finite")
+        if np.any(values > _LARGEST_ENTRY):
+            i, j = map(int, np.argwhere(values > _LARGEST_ENTRY)[0])
+            raise InvalidDistanceMatrix(
+                f"entry at ({i}, {j}) exceeds {_LARGEST_ENTRY!r}, the largest "
+                "whose sums of distances stay finite"
+            )
         if np.any(values < 0):
             i, j = map(int, np.argwhere(values < 0)[0])
             raise InvalidDistanceMatrix(f"negative entry at ({i}, {j})")
@@ -96,16 +126,79 @@ class DistanceMatrix:
         return float(self.values[i, j])
 
     def metric_violation(self) -> tuple[int, int, int] | None:
-        """First triple (i, j, k) with d(i,k) > d(i,j) + d(j,k), or None."""
+        """First triple (i, j, k) in lexicographic order with
+        ``d(i,k) > d(i,j) + d(j,k)`` beyond the slack, or None.
+
+        One numpy comparison per row i over the k x k slab of (j, k), in the
+        float expression ``d[i,k] > (d[i,j] + d[j,k]) + slack``.
+        """
         d = self.values
-        n = self.size
         slack = self.tol.slack(float(d.max(initial=0.0)))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i, k] > d[i, j] + d[j, k] + slack:
-                        return (i, j, k)
+        for i, row in enumerate(d):
+            bound = row[:, None] + d
+            bound += slack
+            bad = row > bound
+            hit = int(np.argmax(bad))
+            if bad.flat[hit]:
+                return (i, *divmod(hit, len(row)))
         return None
+
+
+def _four_point_violation(d: np.ndarray, slack: float) -> tuple[int, int, int, int] | None:
+    """First quadruple i < j < k < l in lexicographic order whose two largest
+    pairing sums differ by more than ``slack``, or None.
+
+    One (i, j) pair at a time over the slab of its (k, l), so no step holds
+    more than O(k^2) floats.  The two largest sums come from max and min
+    alone, which pick what ``sorted`` picks bit for bit; ``sum - top - low``
+    would round differently.
+    """
+    n = len(d)
+    for i in range(n):
+        for j in range(i + 1, n - 2):
+            rest = slice(j + 1, None)
+            s1 = d[i, j] + d[rest, rest]  # [k, l] = d(i,j) + d(k,l)
+            s2 = d[i, rest, None] + d[j, None, rest]  # d(i,k) + d(j,l)
+            s3 = d[j, rest, None] + d[i, None, rest]  # d(j,k) + d(i,l)
+            high = np.maximum(s1, s2)
+            top = np.maximum(high, s3)
+            mid = np.maximum(np.minimum(s1, s2), np.minimum(high, s3))
+            bad = np.triu(top - mid > slack, 1)
+            hit = int(np.argmax(bad))
+            if bad.flat[hit]:
+                k, l = divmod(hit, n - j - 1)
+                return (i, j, j + 1 + k, j + 1 + l)
+    return None
+
+
+def _recognize(
+    matrix: DistanceMatrix,
+) -> tuple[
+    tuple[int, int, int, int] | None,
+    tuple[MetricTree, dict[str, TreePoint], np.ndarray] | MetricTreeError,
+]:
+    """Certify or scan: (first violating quadruple or None, reconstruction).
+
+    The reconstruction is the tree, the label points and the tree distances
+    between the labels, or the error that building it raised.  Raises
+    NotAMetric when the triangle inequality fails.
+    """
+    triple = matrix.metric_violation()
+    if triple is not None:
+        raise NotAMetric(f"triangle inequality fails on {triple}", triple=triple)
+    d = matrix.values
+    scale = 2.0 * float(d.max(initial=0.0))
+    slack = matrix.tol.slack(scale)
+    try:
+        tree, points = _reconstruct(matrix)
+    except MetricTreeError as exc:
+        return _four_point_violation(d, slack), exc
+    measured = _distance_rows(tree, list(points.values()))
+    dev = float(np.abs(measured - d).max(initial=0.0))
+    # strict, so that a zero slack never certifies
+    certified = 4.0 * dev + (4 * tree.n_nodes + 4) * _EPS * scale < slack
+    quad = None if certified else _four_point_violation(d, slack)
+    return quad, (tree, points, measured)
 
 
 def check_four_point(
@@ -117,23 +210,15 @@ def check_four_point(
     ``d(i,j)+d(k,l)``, ``d(i,k)+d(j,l)``, ``d(i,l)+d(j,k)`` must be equal
     (up to tolerance); equivalently each sum is bounded by the maximum of
     the other two.  Raises NotAMetric when the matrix is not even a metric.
+
+    A matrix is certified without a scan when the tree reconstructed from it
+    re-measures every entry within ``dev``, where
+    ``4*dev + (4*n_nodes + 4)*eps*scale < slack``; otherwise the quadruples
+    are scanned for the first violation in lexicographic order (see the
+    module docstring).  The verdict and quadruple are the brute-force ones.
     """
-    triple = matrix.metric_violation()
-    if triple is not None:
-        raise NotAMetric(f"triangle inequality fails on {triple}", triple=triple)
-    d = matrix.values
-    n = matrix.size
-    slack = matrix.tol.slack(2.0 * float(d.max(initial=0.0)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    sums = sorted(
-                        (d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k])
-                    )
-                    if sums[2] - sums[1] > slack:
-                        return False, (i, j, k, l)
-    return True, None
+    quad, _ = _recognize(matrix)
+    return quad is None, quad
 
 
 # --------------------------------------------------------------------- #
@@ -203,11 +288,32 @@ def tree_from_distances(
     inside an edge create an interior node, so labeled points may end up at
     leaves or interior nodes.
 
+    The tree is built once: the four-point condition is certified from its
+    re-measured distances or else scanned (see ``check_four_point``), and
+    the same distances verify every entry within 16 times the slack.
+
     Raises NotAMetric / NotTreeMetric when the input cannot be realized.
     """
-    ok, quad = check_four_point(matrix)
-    if not ok:
+    quad, built = _recognize(matrix)
+    if quad is not None:
         raise NotTreeMetric(f"four-point condition fails on {quad}", quadruple=quad)
+    if isinstance(built, MetricTreeError):
+        raise built
+    tree, points, measured = built
+    d = matrix.values
+    verify_slack = matrix.tol.slack(float(d.max(initial=1.0))) * 16.0
+    bad = np.argwhere(np.triu(np.abs(measured - d) > verify_slack, 1))
+    if len(bad):
+        a, b = map(int, bad[0])
+        raise NotTreeMetric(
+            f"matrix is not additive: labels ({a}, {b}) re-measure to "
+            f"{float(measured[a, b])!r}, expected {d[a, b]!r}"
+        )
+    return tree, points
+
+
+def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint]]:
+    """The tree ``tree_from_distances`` builds, unchecked, and the label points."""
     d = matrix.values
     n = matrix.size
     tol = matrix.tol
@@ -238,18 +344,18 @@ def tree_from_distances(
             position[x] = builder.add_node(attach, rem)
 
     tree = MetricTree(len(builder.parent), builder.edges(), tol=tol)
-    points = {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
+    return tree, {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
 
-    verify_slack = tol.slack(float(d.max(initial=1.0))) * 16.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            got = tree.distance(points[matrix.labels[a]], points[matrix.labels[b]])
-            if abs(got - d[a, b]) > verify_slack:
-                raise NotTreeMetric(
-                    f"matrix is not additive: labels ({a}, {b}) re-measure to "
-                    f"{got!r}, expected {d[a, b]!r}"
-                )
-    return tree, points
+
+def _distance_rows(tree: MetricTree, pts: list[TreePoint]) -> np.ndarray:
+    """``tree.distance`` between every two of ``pts``, bit for bit: one
+    ``distances`` row per point over one PointArray, with a zero diagonal."""
+    arr = PointArray.of(tree, pts)
+    values = np.zeros((len(pts), len(pts)))
+    for i, p in enumerate(pts):
+        values[i] = tree.distances(p, arr)
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 # --------------------------------------------------------------------- #
@@ -556,9 +662,5 @@ def matrix_from_points(
     else:
         pts = list(points)
         labels = tuple(f"p{i}" for i in range(len(pts)))
-    n = len(pts)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = tree.distance(pts[i], pts[j])
+    values = _distance_rows(tree, pts)
     return DistanceMatrix(labels, values, tol=tol if tol is not None else tree.tol)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from metrictrees import format_matrix_csv, gallery, matrix_from_points, parse_tree
+from metrictrees import cli
 from metrictrees.cli import main
 
 
@@ -64,6 +65,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(matrix))
         assert code == 2
         assert json.loads(out)["reason"] == "not a metric"
+
+    def test_near_overflow_exits_one(self, tmp_path, capsys):
+        matrix = tmp_path / "huge.tri"
+        matrix.write_text("a\nb 1e308\nc 1.4142135623730951e308 1e308\n")
+        code, out, err = run(capsys, "check", str(matrix))
+        assert code == 1
+        assert out == ""
+        assert "exceeds" in err
 
 
 class TestBuild:
@@ -304,3 +313,31 @@ class TestGallery:
         assert code == 0
         assert out == ""
         assert json.loads(report_path.read_text())["command"] == "measure"
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    """One cached parser gives the bytes and exit codes of a fresh one per
+    call, with common flags before and after the subcommand."""
+    matrix = tmp_path / "star.csv"
+    write_star_matrix(matrix)
+    tree = tmp_path / "star.tree"
+    main(["gallery", "star", "n=3", "--tree-out", str(tree)])
+    capsys.readouterr()
+    calls = [
+        ["check", str(matrix)],
+        ["check"],  # usage error: no matrix
+        ["--tol", "1e-6", "measure", str(tree), "--n", "2"],
+        ["measure", str(tree), "--n", "2", "--tol", "1e-3"],
+        ["check", str(matrix), "--format", "text"],
+    ]
+
+    def results(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.append(run(capsys, *argv))
+        return out
+
+    assert results(fresh=False) == results(fresh=True)
+    assert [code for code, _, _ in results(fresh=False)] == [0, 1, 0, 0, 0]

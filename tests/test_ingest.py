@@ -21,6 +21,7 @@ from metrictrees import (
     NotAMetric,
     NotTreeMetric,
     ParameterOutOfRange,
+    Tolerance,
     TreeDocument,
     TreeParseError,
     UnknownGallery,
@@ -35,6 +36,7 @@ from metrictrees import (
     serialize_tree,
     tree_from_distances,
 )
+from metrictrees import ingest
 
 
 def _matrix(labels, rows):
@@ -57,6 +59,26 @@ class TestDistanceMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidDistanceMatrix):
             _matrix("abc", [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_near_overflow_rejected(self):
+        # the unit square x 1e308 once passed the four-point check (inf - inf
+        # is NaN, never > slack) and rebuilt onto one node; two labels at
+        # 1.7e308 rebuilt as a tree without edges
+        s = math.sqrt(2.0) * 1e308
+        square = [[0, 1e308, s, 1e308], [1e308, 0, 1e308, s],
+                  [s, 1e308, 0, 1e308], [1e308, s, 1e308, 0]]
+        with pytest.raises(InvalidDistanceMatrix, match=r"entry at \(0, 1\) exceeds"):
+            _matrix("abcd", square)
+        with pytest.raises(InvalidDistanceMatrix, match=r"entry at \(0, 1\) exceeds"):
+            _matrix("ab", [[0, 1.7e308], [1.7e308, 0]])
+
+    def test_largest_entry_accepted(self):
+        big = float(np.finfo(float).max) / 4.0
+        m = _matrix("abc", [[0, big, big], [big, 0, big], [big, big, 0]])
+        assert m.entry(0, 1) == big
+        assert check_four_point(m) == (True, None)
+        tree, pts = tree_from_distances(m)
+        assert tree.distance(pts["a"], pts["b"]) == big
 
 
 class TestFourPoint:
@@ -207,12 +229,46 @@ class _ReferenceBuilder:
         return [(u, v, x) for u, nbrs in self.adj.items() for v, x in nbrs.items() if u < v]
 
 
+def _reference_metric_violation(matrix):
+    """The triple loop ``DistanceMatrix.metric_violation`` replaced."""
+    d = matrix.values
+    n = matrix.size
+    slack = matrix.tol.slack(float(d.max(initial=0.0)))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i, k] > d[i, j] + d[j, k] + slack:
+                    return (i, j, k)
+    return None
+
+
+def _reference_check_four_point(matrix):
+    """The quartic loop ``check_four_point`` replaced."""
+    triple = _reference_metric_violation(matrix)
+    if triple is not None:
+        raise NotAMetric(f"triangle inequality fails on {triple}", triple=triple)
+    d = matrix.values
+    n = matrix.size
+    slack = matrix.tol.slack(2.0 * float(d.max(initial=0.0)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    sums = sorted(
+                        (d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k])
+                    )
+                    if sums[2] - sums[1] > slack:
+                        return False, (i, j, k, l)
+    return True, None
+
+
 def _reference_reconstruction(matrix):
-    """``tree_from_distances`` over ``_ReferenceBuilder``: (edges, label
-    records), or raises what it raises."""
-    ok, quad = check_four_point(matrix)
+    """``tree_from_distances`` as it was: the brute four-point check, then
+    ``_ReferenceBuilder`` and k^2 scalar distances; (edges, label records),
+    or raises what it raises."""
+    ok, quad = _reference_check_four_point(matrix)
     if not ok:
-        raise NotTreeMetric(f"four-point condition fails on {quad}")
+        raise NotTreeMetric(f"four-point condition fails on {quad}", quadruple=quad)
     d, n, tol = matrix.values, matrix.size, matrix.tol
     snap = tol.slack(float(d.max(initial=1.0))) * 4.0
     builder = _ReferenceBuilder()
@@ -259,11 +315,11 @@ def _reconstruction(matrix):
 
 
 def _outcome(build):
-    """``build()``, or (error type, message) when it raises."""
+    """``build()``, or (error type, message, triple, quadruple) when it raises."""
     try:
         return build()
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
+    except Exception as exc:  # compared by type, message and payload
+        return type(exc), str(exc), getattr(exc, "triple", None), getattr(exc, "quadruple", None)
 
 
 class TestReconstructionParity:
@@ -302,6 +358,122 @@ class TestReconstructionParity:
         edges, records = _reconstruction(m)
         assert (edges, records) == _reference_reconstruction(m)
         assert len(edges) == 6 and len({r["node"] for r in records.values()}) == 6
+
+
+_TOLERANCES = [Tolerance(a, r) for a in (0.0, 1e-12, 1e-9) for r in (0.0, 1e-9, 1e-6)]
+
+
+def _noisy_matrix(rng, shape, k, tol, scale):
+    """Distances between k random points of a shaped tree, each pair moved
+    by symmetric noise of up to ``scale`` times the four-point slack."""
+    tree = shaped_tree(rng, shape, int(rng.integers(1, 16)))
+    base = matrix_from_points(tree, random_points(rng, tree, k))
+    values = np.array(base.values)
+    slack = tol.slack(2.0 * float(values.max(initial=0.0)))
+    noise = np.triu(rng.uniform(-1.0, 1.0, values.shape) * scale * slack, 1)
+    values = np.maximum(values + noise + noise.T, 0.0)
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(base.labels, values, tol=tol)
+
+
+def _assert_recognized_like_reference(m):
+    assert m.metric_violation() == _reference_metric_violation(m)
+    assert _outcome(lambda: check_four_point(m)) == _outcome(
+        lambda: _reference_check_four_point(m)
+    )
+    assert _outcome(lambda: _reconstruction(m)) == _outcome(
+        lambda: _reference_reconstruction(m)
+    )
+
+
+class TestRecognitionParity:
+    """Certify-or-scan against the triple and quartic loops it replaced:
+    the same triple, verdict, quadruple, error and reconstruction."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        k=st.integers(1, 14),
+        tol=st.sampled_from(_TOLERANCES),
+        scale=st.floats(0.01, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_noisy_tree_metrics(self, seed, shape, k, tol, scale):
+        rng = np.random.default_rng(seed)
+        _assert_recognized_like_reference(_noisy_matrix(rng, shape, k, tol, scale))
+
+    # An exact tree metric: reconstruction re-measures every entry (dev ==
+    # 0), yet rounding in the pairing sums makes the brute check reject
+    # (0, 1, 3, 4) by 8.9e-16.  Under a slack of 1e-16 a certificate
+    # without its rounding term would say yes; under a zero slack the
+    # strict inequality alone keeps it from certifying.
+    ROUNDING = [
+        [0.0, 6.512599136652899, 0.7189844699007708, 2.141731386500104, 2.4815776263036327],
+        [6.512599136652899, 0.0, 7.231583606553669, 4.3708677501527955, 4.710713989956323],
+        [0.7189844699007708, 7.231583606553669, 0.0, 2.8607158564008746, 3.2005620962044032],
+        [2.141731386500104, 4.3708677501527955, 2.8607158564008746, 0.0, 0.3398462398035287],
+        [2.4815776263036327, 4.710713989956323, 3.2005620962044032, 0.3398462398035287, 0.0],
+    ]
+    # Accepted by the brute check with a zero slack, but sum - top - low in
+    # place of the middle sum leaves 4.4e-16 and rejects (0, 1, 2, 3).
+    MIDDLE_SUM = [
+        [0.0, 0.21894198138194768, 1.5422496152220377, 1.0335254928524116],
+        [0.21894198138194768, 0.0, 1.32330763384009, 0.8145835114704638],
+        [1.5422496152220377, 1.32330763384009, 0.0, 0.5087241223696264],
+        [1.0335254928524116, 0.8145835114704638, 0.5087241223696264, 0.0],
+    ]
+
+    @pytest.mark.parametrize("abs_eps", [0.0, 1e-16])
+    def test_rounding_term_needed(self, abs_eps):
+        m = DistanceMatrix(tuple("abcde"), np.array(self.ROUNDING), tol=Tolerance(abs_eps, 0.0))
+        tree, points = ingest._reconstruct(m)
+        measured = matrix_from_points(tree, points).values
+        assert np.array_equal(measured, m.values)
+        assert check_four_point(m) == (False, (0, 1, 3, 4))
+        _assert_recognized_like_reference(m)
+
+    def test_middle_sum_from_max_and_min(self):
+        m = DistanceMatrix(tuple("abcd"), np.array(self.MIDDLE_SUM), tol=Tolerance(0.0, 0.0))
+        assert check_four_point(m) == (True, None)
+        _assert_recognized_like_reference(m)
+
+    def test_first_of_many_violations(self):
+        # a 5-cycle of unit edges: many quadruples and triples fail, and both
+        # scans must name the first in lexicographic order
+        cycle = [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]
+        m = _matrix("abcde", cycle)
+        _assert_recognized_like_reference(m)
+        assert check_four_point(m) == (False, (0, 1, 2, 3))
+        stretched = [[0, 1, 3, 1], [1, 0, 1, 1], [3, 1, 0, 1], [1, 1, 1, 0]]
+        _assert_recognized_like_reference(_matrix("abcd", stretched))
+        assert _matrix("abcd", stretched).metric_violation() == (0, 1, 2)
+
+    def test_certificate_boundary(self, monkeypatch):
+        # the certificate is strict: at 4*dev + (4*n_nodes + 4)*eps*scale ==
+        # slack the quadruples are scanned, one ulp of slack above it they
+        # are not; a zero slack always scans
+        scans = []
+        scan = ingest._four_point_violation
+
+        def spy(d, slack):
+            scans.append(slack)
+            return scan(d, slack)
+
+        monkeypatch.setattr(ingest, "_four_point_violation", spy)
+        star = [[0.0 if i == j else 2.0 for j in range(4)] for i in range(4)]  # 5 nodes, dev 0
+        bound = (4 * 5 + 4) * float(np.finfo(float).eps) * 4.0
+        for abs_eps, scanned in [(bound, True), (np.nextafter(bound, 1.0), False),
+                                 (0.0, True), (1e-9, False)]:
+            scans.clear()
+            m = DistanceMatrix(tuple("abcd"), np.array(star), tol=Tolerance(abs_eps, 0.0))
+            assert check_four_point(m) == (True, None)
+            assert tree_from_distances(m)[0].n_nodes == 5
+            assert bool(scans) == scanned, abs_eps
+        scans.clear()
+        check_four_point(_matrix("a", [[0.0]]))  # scale 0: 0 < slack holds
+        assert scans == []
+        check_four_point(DistanceMatrix(("a",), np.zeros((1, 1)), tol=Tolerance(0.0, 0.0)))
+        assert scans == [0.0]
 
 
 class TestDocuments:
