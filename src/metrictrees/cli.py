@@ -34,13 +34,12 @@ from .errors import (
 )
 from .ingest import (
     TreeDocument,
+    _realize,
     check_four_point,
     gallery,
-    matrix_from_points,
     parse_matrix,
     parse_tree,
     serialize_tree,
-    tree_from_distances,
 )
 from .noncompactness import measure_report
 from .structure import kappa_probe
@@ -174,7 +173,7 @@ def _cmd_build(args, tol) -> int:
     base = {"schema": reports.SCHEMA_VERSION, "command": "build", "input": args.matrix}
     matrix = parse_matrix(_read(args.matrix), tol=tol)
     try:
-        tree, points = tree_from_distances(matrix)
+        tree, points, measured = _realize(matrix)
     except NotAMetric as exc:
         _emit({**base, "built": False, "reason": "not a metric",
                "violating_triple": list(exc.triple or ())}, args)
@@ -186,8 +185,7 @@ def _cmd_build(args, tol) -> int:
     text = serialize_tree(TreeDocument(tree, points))  # before the file is created
     with open(args.tree_out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    rebuilt = matrix_from_points(tree, points)
-    deviation = float(abs(rebuilt.values - matrix.values).max(initial=0.0))
+    deviation = float(abs(measured - matrix.values).max(initial=0.0))
     _emit({**base, "built": True, "tree_file": args.tree_out,
            "n_nodes": tree.n_nodes,
            "points": reports.report_obj(points),

@@ -9,7 +9,8 @@ Points live either on a node or in the interior of an edge (``TreePoint``),
 and every query accepts both.  A ``Segment`` is the geodesic between two
 points, parameterized by arc length: ``Segment.point_at`` is an isometry from
 ``[0, total_length]`` onto the segment.  Every arc-length query walks the
-path from its start and stops once it passes the arc length asked for.
+path from its start and stops once it passes the arc length asked for; it
+steers by the rooted tables, never by comparing rounded sums of distances.
 
 ``MetricTree`` is immutable after validation.  All queries are read-only and
 safe to call from concurrent threads.  The numpy arrays behind
@@ -221,8 +222,8 @@ class Segment:
 
     ``MetricTree.segment`` returns ``Segment(a, b, total_length)`` and walks
     nothing.  ``node_chain`` lists the nodes strictly between the endpoints
-    (endpoints that are nodes excluded); it is read off the path on first
-    access and cached.  ``point_at`` realizes the arc-length
+    (endpoints that are nodes excluded); it is read off the path's legs on
+    first access and cached.  ``point_at`` realizes the arc-length
     parameterization: for s, t in ``[0, total_length]``,
     ``d(point_at(s), point_at(t)) == |s - t|``.  Each call walks from ``a``
     anew, so ``sample(k)`` costs O(k * path length).
@@ -238,7 +239,7 @@ class Segment:
 
     @cached_property
     def node_chain(self) -> tuple[int, ...]:
-        return tuple(self.tree._stops(self.a, self.b))[1:-1]
+        return tuple(stop for *_, stop in self.tree._legs(self.a, self.b))[:-1]
 
     def point_at(self, t: float) -> TreePoint:
         """The point at arc length ``t`` from endpoint ``a``."""
@@ -616,51 +617,50 @@ class MetricTree:
         return abs(dxz - dxy - dyz) <= self.tol.slack(max(dxz, dxy + dyz))
 
     def _exit_node(self, p: TreePoint, q: TreePoint) -> int:
-        """First node on the geodesic from p toward q (p itself if a node)."""
+        """First node on the geodesic from p toward a q off p's edge (p itself
+        if a node): the lower end of p's edge when q lies in the subtree below
+        it, the upper end otherwise."""
         if p.node is not None:
             return p.node
-        e = p.edge
-        u, v = self._edge_u[e], self._edge_v[e]
-        du = p.offset + self._dist(TreePoint(self, u, None, 0.0), q)
-        dv = (self._lengths[e] - p.offset) + self._dist(TreePoint(self, v, None, 0.0), q)
-        return u if du <= dv else v
+        u, v = self._edge_u[p.edge], self._edge_v[p.edge]
+        low = v if self._parent[v] == u else u
+        anchor = self._edge_u[q.edge] if q.node is None else q.node
+        return low if self.lca(low, anchor) == low else self._parent[low]
 
-    def _stops(self, x: TreePoint, y: TreePoint):
-        """The stops from x to y: x if inside an edge, the path's nodes, then
-        y if inside an edge; consecutive stops share an edge.  The climb to
-        the lowest common ancestor is yielded as read; only the descent from
+    def _legs(self, x: TreePoint, y: TreePoint):
+        """The legs of the geodesic from x to y in path order, each as
+        (edge, coordinate of its start, coordinate of its end, stop), where
+        coordinates are offsets from the edge's tail and the stop is the node
+        the leg ends at, or None for y inside an edge.  The climb to the
+        lowest common ancestor is yielded as read; only the descent from
         there is collected first."""
-        if x == y or (x.edge is not None and x.edge == y.edge):
-            yield from (p if p.node is None else p.node for p in (x, y))
+        if x == y:
             return
-        if x.node is None:
-            yield x
+        if x.edge is not None and x.edge == y.edge:
+            yield x.edge, x.offset, y.offset, None
+            return
+        tail, length, parent, up_edge = self._edge_u, self._lengths, self._parent, self._parent_edge
         u, v = self._exit_node(x, y), self._exit_node(y, x)
-        w, parent = self.lca(u, v), self._parent
+        if x.node is None:
+            e = x.edge
+            yield e, x.offset, 0.0 if tail[e] == u else length[e], u
+        w = self.lca(u, v)
         while u != w:
-            yield u
+            e = up_edge[u]
+            c = 0.0 if tail[e] == u else length[e]
             u = parent[u]
-        yield w
-        down = []
-        while v != w:
-            down.append(v)
-            v = parent[v]
-        yield from reversed(down)
+            yield e, c, length[e] - c, u
+        down, node = [], v
+        while node != w:
+            down.append(node)
+            node = parent[node]
+        for node in reversed(down):
+            e = up_edge[node]
+            c = 0.0 if tail[e] == node else length[e]
+            yield e, length[e] - c, c, node
         if y.node is None:
-            yield y
-
-    def _leg(self, s, t) -> tuple[int, float, float]:
-        """(edge, coordinate of s, coordinate of t) for two consecutive stops."""
-        if isinstance(s, TreePoint):
-            e = s.edge
-        elif isinstance(t, TreePoint):
-            e = t.edge
-        else:
-            e = self._edge_of(s, t)
-        u, length = self._edge_u[e], self._lengths[e]
-        cs = s.offset if isinstance(s, TreePoint) else 0.0 if s == u else length
-        ct = t.offset if isinstance(t, TreePoint) else 0.0 if t == u else length
-        return e, cs, ct
+            e = y.edge
+            yield e, 0.0 if tail[e] == v else length[e], y.offset, None
 
     def _point_along(self, x: TreePoint, y: TreePoint, total: float, t: float) -> TreePoint:
         """The point at arc length ``t`` from x toward y, ``total`` apart.
@@ -677,17 +677,18 @@ class MetricTree:
             return x
         if t >= total:
             return y
-        stops = self._stops(x, y)
-        s, nxt, start = next(stops), next(stops), 0.0
+        legs = self._legs(x, y)
+        start, before, leg = 0.0, None, next(legs)
         while True:
-            e, cs, ct = self._leg(s, nxt)
+            e, cs, ct, stop = leg
             end = start + abs(cs - ct)
-            if end > t or (after := next(stops, None)) is None:
+            if end > t or (after := next(legs, None)) is None:
                 break
-            s, nxt, start = nxt, after, end
-        if t == start or t == end:
-            stop = s if t == start else nxt
-            return stop if isinstance(stop, TreePoint) else TreePoint(self, stop, None, 0.0)
+            start, before, leg = end, stop, after
+        if t == start:  # never on the first leg, where start is 0.0 < t
+            return TreePoint(self, before, None, 0.0)
+        if t == end:
+            return y if stop is None else TreePoint(self, stop, None, 0.0)
         delta = t - start
         return self._edge_point_at(e, cs + delta if ct > cs else cs - delta)
 

@@ -294,6 +294,12 @@ def tree_from_distances(
 
     Raises NotAMetric / NotTreeMetric when the input cannot be realized.
     """
+    return _realize(matrix)[:2]
+
+
+def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], np.ndarray]:
+    """``tree_from_distances`` plus the tree distances between the labels,
+    as re-measured to verify the tree."""
     quad, built = _recognize(matrix)
     if quad is not None:
         raise NotTreeMetric(f"four-point condition fails on {quad}", quadruple=quad)
@@ -309,7 +315,7 @@ def tree_from_distances(
             f"matrix is not additive: labels ({a}, {b}) re-measure to "
             f"{float(measured[a, b])!r}, expected {d[a, b]!r}"
         )
-    return tree, points
+    return tree, points, measured
 
 
 def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint]]:
@@ -620,7 +626,7 @@ def parse_matrix(text: str, tol: Tolerance | None = None) -> DistanceMatrix:
         return DistanceMatrix(tuple(labels), values, tol=tol)
 
     labels = []
-    tri: list[list[float]] = []
+    tri: list[float] = []  # the strict lower triangle, row by row
     for i, line in enumerate(stripped):
         toks = line.split()
         labels.append(toks[0])
@@ -632,12 +638,11 @@ def parse_matrix(text: str, tol: Tolerance | None = None) -> DistanceMatrix:
             raise InvalidDistanceMatrix(
                 f"row {i} ({toks[0]!r}) has {len(vals)} values, expected {i}"
             )
-        tri.append(vals)
+        tri += vals
     n = len(labels)
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            values[i, j] = values[j, i] = tri[i][j]
+    rows, cols = np.tril_indices(n, -1)  # row-major, the order of ``tri``
+    values[rows, cols] = values[cols, rows] = tri
     return DistanceMatrix(tuple(labels), values, tol=tol)
 
 

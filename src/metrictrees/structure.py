@@ -70,32 +70,23 @@ def leaf_through(a: TreePoint, m: TreePoint) -> TreePoint:
     """A leaf f with m on the geodesic from a to f.
 
     Walks from m directly away from a, taking the smallest-id branch at
-    every fork, until a degree-one node is reached.  When m == a every leaf
-    qualifies and the first by node index is returned.
+    every fork, until a degree-one node is reached.  The way back to a is
+    the first leg of the geodesic from m to a, read off the rooted tables,
+    not found by comparing distances.  When m == a every leaf qualifies and
+    the first by node index is returned.
     """
     tree = a.tree
     tree._own(m)
     if m == a:
         return leaves(tree).points[0]
-    if m.node is not None:
-        current = m.node
-    else:
-        # leave the edge through the endpoint on the far side from a
-        u, v = tree.edge_nodes(m.edge)
-        current = v if tree.is_between(a, m, tree.node_point(v)) else u
-    # each step picks a neighbor strictly farther from a, so m stays between
-    # a and the walk by betweenness transitivity and the walk must end at a
-    # degree-one node
+    e, cs, ct, _ = next(tree._legs(m, a))
+    u, v = tree.edge_nodes(e)
+    came, current = (v, u) if ct > cs else (u, v)  # a lies beyond ``came``
     while True:
-        cur = tree.node_point(current)
-        nxt = None
-        for nbr, _e in tree.neighbors(current):
-            if tree.is_between(a, cur, tree.node_point(nbr)):
-                if nxt is None or nbr < nxt:
-                    nxt = nbr
+        nxt = min((nbr for nbr, _e in tree.neighbors(current) if nbr != came), default=None)
         if nxt is None:
-            return cur
-        current = nxt
+            return tree.node_point(current)
+        came, current = current, nxt
 
 
 def leaf_cover_check(

@@ -840,16 +840,20 @@ class TestLazyWalk:
     def path(self):
         return MetricTree(self.N, [(i, i + 1, 1.0) for i in range(self.N - 1)])
 
-    def _count(self, monkeypatch, name):
-        calls = []
-        original = getattr(MetricTree, name)
-        monkeypatch.setattr(
-            MetricTree, name, lambda self, *args: calls.append(args) or original(self, *args)
-        )
-        return calls
+    def _count_legs(self, monkeypatch):
+        legs = []
+        original = MetricTree._legs
+
+        def counted(self, x, y):
+            for leg in original(self, x, y):
+                legs.append(leg)
+                yield leg
+
+        monkeypatch.setattr(MetricTree, "_legs", counted)
+        return legs
 
     def test_point_at_walks_few_legs(self, path, monkeypatch):
-        legs = self._count(monkeypatch, "_leg")
+        legs = self._count_legs(monkeypatch)
         end, mid = path.node_point(self.N - 1), path.node_point(self.N // 2)
         for x, y in ((end, path.node_point(0)), (mid, end)):  # climbing, descending
             legs.clear()
@@ -858,13 +862,24 @@ class TestLazyWalk:
             assert len(legs) == 3
 
     def test_segment_walks_nothing_until_chain_is_read(self, path, monkeypatch):
-        stops = self._count(monkeypatch, "_stops")
+        legs = self._count_legs(monkeypatch)
         seg = path.segment(path.node_point(0), path.node_point(self.N - 1))
-        assert stops == []
+        assert legs == []
         assert seg.node_chain == tuple(range(1, self.N - 1))
-        assert len(stops) == 1
+        assert len(legs) == self.N - 1
         seg.node_chain
-        assert len(stops) == 1
+        assert len(legs) == self.N - 1
+
+
+class TestDirectionFromTables:
+    """Which way a geodesic leaves a point does not hinge on rounded sums."""
+
+    def test_exit_past_a_huge_edge(self):
+        # x's distance to node 2 through either end of its edge rounds to 1e17
+        tree = MetricTree(3, [(0, 1, 1.0), (1, 2, 1e17)])
+        x, y = tree.edge_point(0, 1, 0.5), tree.node_point(2)
+        assert tree.segment(x, y).node_chain == (1,)
+        assert tree.point_at(x, y, 0.25) == tree.edge_point(0, 1, 0.75)
 
 
 def _reference_tables(n_nodes, edges):

@@ -94,6 +94,14 @@ class TestLeafThrough:
         t, p = simple_doc.tree, simple_doc.points
         assert leaf_through(p["A"], p["C"]) == p["C"]
 
+    def test_edge_below_tolerance(self):
+        # node 1 is within tolerance of node 0, so betweenness cannot tell
+        # which neighbor of node 1 leads back toward node 0
+        t = MetricTree(3, [(0, 1, 1e-12), (1, 2, 1.0)])
+        a = t.node_point(0)
+        assert leaf_through(a, t.node_point(1)) == t.node_point(2)
+        assert leaf_cover_check(t, a, [t.node_point(i) for i in range(3)]) == (True, None)
+
     def test_random_witnesses(self, rng):
         for _ in range(60):
             tree = random_tree(rng, max_nodes=10)
