@@ -82,7 +82,6 @@ from .sampling import edge_samples, random_point, random_points, random_tree
 from .structure import (
     CounterexampleRecord,
     KappaReport,
-    LeafSet,
     LifschitzWitness,
     WitnessVerification,
     kappa_probe,

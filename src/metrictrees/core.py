@@ -104,10 +104,6 @@ class TreePoint:
         self.edge = edge
         self.offset = offset
 
-    @property
-    def is_node(self) -> bool:
-        return self.node is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePoint):
             return NotImplemented

@@ -29,16 +29,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .core import MetricTree, TreePoint
+from .core import MetricTree, Tolerance, TreePoint
 from .errors import (
     EmptySet,
     BadParams,
-    ForeignPoint,
+    MetricTreeError,
     NegativeDiameter,
     NegativeRadius,
     TooLargeForOracle,
 )
 from .sampling import edge_samples
+from .structure import leaves
 
 __all__ = [
     "PointSet",
@@ -73,9 +74,7 @@ class PointSet:
 
     def __init__(self, tree: MetricTree, points: Iterable[TreePoint]):
         pts = tuple(points)
-        for p in pts:
-            if p.tree is not tree:
-                raise ForeignPoint("point belongs to a different tree")
+        tree._own(*pts)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "points", pts)
 
@@ -129,6 +128,15 @@ class CoverProfile:
         return self.values[n - 1]
 
 
+def _nonnegative(value: float, tol: Tolerance, error: type[MetricTreeError], what: str) -> float:
+    """``value`` as a float clamped at 0, or ``error`` when it lies below
+    ``-tol.abs_eps`` or is NaN: a radius or bound within tolerance of 0
+    reads as 0 everywhere."""
+    if not value >= -tol.abs_eps:  # also rejects NaN
+        raise error(f"{what} must be nonnegative, got {value!r}")
+    return max(float(value), 0.0)
+
+
 # --------------------------------------------------------------------- #
 # Diameter and circumcenter                                               #
 # --------------------------------------------------------------------- #
@@ -179,9 +187,7 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     if not ps.points:
         raise EmptySet("cover of an empty point set")
     tree = ps.tree
-    if not radius >= -tree.tol.abs_eps:  # also rejects NaN
-        raise NegativeRadius(f"radius must be nonnegative, got {radius!r}")
-    radius = max(float(radius), 0.0)
+    radius = _nonnegative(radius, tree.tol, NegativeRadius, "radius")
 
     pts = ps.distinct
     root = tree.node_point(0)
@@ -214,9 +220,7 @@ def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:
     """
     if not ps.points:
         raise EmptySet("partition of an empty point set")
-    if not bound >= -ps.tree.tol.abs_eps:  # also rejects NaN
-        raise NegativeDiameter(f"diameter bound must be nonnegative, got {bound!r}")
-    bound = max(float(bound), 0.0)
+    bound = _nonnegative(bound, ps.tree.tol, NegativeDiameter, "diameter bound")
     return _partition(min_ball_cover(ps, 0.5 * bound), bound)
 
 
@@ -360,11 +364,10 @@ def oracle_min_cover(
     if mode not in ("ball", "diameter"):
         raise BadParams(f"mode must be 'ball' or 'diameter', got {mode!r}")
     tree = ps.tree
-    if not value >= -tree.tol.abs_eps:  # also rejects NaN
-        if mode == "ball":
-            raise NegativeRadius(f"radius must be nonnegative, got {value!r}")
-        raise NegativeDiameter(f"diameter bound must be nonnegative, got {value!r}")
-    value = max(float(value), 0.0)
+    if mode == "ball":
+        value = _nonnegative(value, tree.tol, NegativeRadius, "radius")
+    else:
+        value = _nonnegative(value, tree.tol, NegativeDiameter, "diameter bound")
     pts, dist = _oracle_guard(ps)
     threshold = 2.0 * value if mode == "ball" else value
     diam = _subset_diameters(dist)
@@ -436,14 +439,10 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     distance exactly rho along edges leaving it.
     """
     tree._own(center)
-    if not rho >= 0:  # also rejects NaN
-        raise NegativeRadius(f"radius must be nonnegative, got {rho!r}")
-    ext: list[TreePoint] = [center]
+    rho = _nonnegative(rho, tree.tol, NegativeRadius, "radius")
     # one side of each pair is a node, so d(center, node) == d(node, center) exactly
     node_dist = tree.distances(center, edge_samples(tree, per_edge=0)).tolist()
-    for i in range(tree.n_nodes):
-        if node_dist[i] <= rho and tree.degree(i) <= 1:
-            ext.append(tree.node_point(i))
+    ext = [center, *(f for f in leaves(tree) if node_dist[f.node] <= rho)]
     for e, (u, v, length) in enumerate(tree.edges):
         if center.edge == e:
             # distances inside the center's own edge are direct

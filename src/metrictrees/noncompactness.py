@@ -6,6 +6,12 @@ Hausdorff (ball) measures of noncompactness at finite scale.  On metric
 trees the set measure is exactly twice the ball measure, so the two notions
 of a k-contractive map coincide; ``measure_report`` and
 ``contraction_constants`` make those identities checkable on concrete data.
+
+Every report reads its profiles from ``measure_report``, which runs one
+beta search per point set and takes alpha and beta* from it (see
+``covering``).  The identities therefore hold by construction here; the
+exhaustive partition oracle in the acceptance suite is their independent
+check.
 """
 
 from __future__ import annotations
@@ -181,20 +187,20 @@ def embedding_invariance_check(
     # profiles see the same multiset
     index = {p: k for k, p in enumerate(pts)}
     host_ps = PointSet(host, [images[index[p]] for p in ps.distinct])
-    if n_max is None:
-        n_max = len(ps.distinct)
-    sb = beta_profile(ps, n_max).values
-    hb = beta_profile(host_ps, n_max).values
-    sa = tuple(2.0 * v for v in sb)
-    ha = tuple(2.0 * v for v in hb)
+    src = measure_report(ps, n_max)
+    # the host set may merge points closer than the tolerance, so it takes
+    # the source's n_max rather than its own default
+    dst = measure_report(host_ps, src.n_max)
+    sa, sb = src.alpha.values, src.beta.values
+    ha, hb = dst.alpha.values, dst.beta.values
     return EmbeddingReport(
-        n_max,
+        src.n_max,
         sa,
         sb,
         ha,
         hb,
-        tuple(tol.close(sa[k], ha[k]) for k in range(n_max)),
-        tuple(tol.close(sb[k], hb[k]) for k in range(n_max)),
+        tuple(map(tol.close, sa, ha)),
+        tuple(map(tol.close, sb, hb)),
     )
 
 
@@ -234,17 +240,13 @@ def contraction_constants(
     for k in idx:
         if not 0 <= k < len(pm.pairs):
             raise BadParams(f"subset index {k} out of range")
-    src = PointSet(pm.source, [pm.pairs[k][0] for k in idx])
-    img = PointSet(pm.target, [pm.pairs[k][1] for k in idx])
-    if n_max is None:
-        n_max = len(src.distinct)
+    src = measure_report(PointSet(pm.source, [pm.pairs[k][0] for k in idx]), n_max)
+    img = measure_report(PointSet(pm.target, [pm.pairs[k][1] for k in idx]), src.n_max)
     tol = pm.source.tol
-    b_src = beta_profile(src, n_max).values
-    b_img = beta_profile(img, n_max).values
-    a_src = tuple(2.0 * v for v in b_src)
-    a_img = tuple(2.0 * v for v in b_img)
+    a_src, b_src = src.alpha.values, src.beta.values
+    a_img, b_img = img.alpha.values, img.beta.values
     ns, set_ratios, ball_ratios, skipped = [], [], [], []
-    for k in range(n_max):
+    for k in range(src.n_max):
         if a_src[k] <= tol.abs_eps:
             skipped.append(k + 1)
             continue

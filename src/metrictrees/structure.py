@@ -22,12 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _is_number_type
 from .errors import BadParams, PreconditionViolation
 from .sampling import edge_samples, random_point
 
 __all__ = [
-    "LeafSet",
     "LifschitzWitness",
     "WitnessVerification",
     "CounterexampleRecord",
@@ -40,30 +39,19 @@ __all__ = [
     "kappa_probe",
 ]
 
+COUNTEREXAMPLE_SAMPLES = 64
+PROBE_SAMPLES_PER_EDGE = 4
 
-@dataclass(frozen=True)
-class LeafSet:
-    """The final points of a tree: nodes of degree one.
+
+def leaves(tree: MetricTree) -> tuple[TreePoint, ...]:
+    """The final points of a tree, in node order: its nodes of degree one.
 
     No interior point of an edge qualifies, since it lies strictly between
     the edge's endpoints.  A single-node tree's unique node is a leaf.
     """
-
-    points: tuple[TreePoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def leaves(tree: MetricTree) -> LeafSet:
     if tree.n_nodes == 1:
-        return LeafSet((tree.node_point(0),))
-    return LeafSet(
-        tuple(tree.node_point(i) for i in range(tree.n_nodes) if tree.degree(i) == 1)
-    )
+        return (tree.node_point(0),)
+    return tuple(tree.node_point(i) for i in range(tree.n_nodes) if tree.degree(i) == 1)
 
 
 def leaf_through(a: TreePoint, m: TreePoint) -> TreePoint:
@@ -78,7 +66,7 @@ def leaf_through(a: TreePoint, m: TreePoint) -> TreePoint:
     tree = a.tree
     tree._own(m)
     if m == a:
-        return leaves(tree).points[0]
+        return leaves(tree)[0]
     e, cs, ct, _ = next(tree._legs(m, a))
     u, v = tree.edge_nodes(e)
     came, current = (v, u) if ct > cs else (u, v)  # a lies beyond ``came``
@@ -154,8 +142,7 @@ def lifschitz_witness(
     z on [x, y] at distance eps*r from x; points outside the intersection
     are counted but not constrained.
     """
-    tree._own(x)
-    tree._own(y)
+    tree._own(x, y)
     if not r > 0:
         raise PreconditionViolation(f"r must be positive, got {r!r}")
     if tree.distance(x, y) <= r:
@@ -206,15 +193,19 @@ class CounterexampleRecord:
 
 
 def lifschitz_counterexample(
-    r: float,
-    a: float,
-    samples: int = 64,
-    tol: Tolerance | None = None,
+    r: float, a: float, tol: Tolerance | None = None
 ) -> CounterexampleRecord:
-    """Build and verify the construction showing b = 2 is not Lifschitz."""
-    if not (isinstance(r, (int, float)) and r > 0):
+    """Build and verify the construction showing b = 2 is not Lifschitz.
+
+    ``r`` and ``a`` may be any real numbers, numpy's included, but not
+    bools (BadParams), as for edge lengths.  Containment is checked on
+    ``COUNTEREXAMPLE_SAMPLES`` evenly spaced points of [u, v]; the small
+    ball is sought among the nodes, ``COUNTEREXAMPLE_SAMPLES`` points per
+    edge, and x, y, u, v.
+    """
+    if not (_is_number_type(type(r)) and r > 0):
         raise BadParams(f"r must be positive, got {r!r}")
-    if not (isinstance(a, (int, float)) and a > 1):
+    if not (_is_number_type(type(a)) and a > 1):
         raise BadParams(f"a must exceed 1, got {a!r}")
     r = float(r)
     a = float(a)
@@ -230,7 +221,7 @@ def lifschitz_counterexample(
     u = w if clamped else tree.edge_point(0, 1, u_coord)
 
     seg = tree.segment(u, v)
-    pts = seg.sample(max(samples, 2))
+    pts = seg.sample(COUNTEREXAMPLE_SAMPLES)
     tolv = tree.tol
     containment_ok = all(
         tolv.leq(tree.distance(p, x), a * r) and tolv.leq(tree.distance(p, y), 2.0 * r)
@@ -240,9 +231,7 @@ def lifschitz_counterexample(
     slack = tolv.slack(2.0 * r)
     diameter_exceeds = uv_diameter > 2.0 * r + slack
 
-    candidates = [tree.node_point(i) for i in range(tree.n_nodes)]
-    candidates += edge_samples(tree, per_edge=max(samples, 8))
-    candidates += [x, y, u, v]
+    candidates = [*edge_samples(tree, per_edge=COUNTEREXAMPLE_SAMPLES), x, y, u, v]
     no_small_ball = all(
         max(tree.distance(z, p) for p in (pts[0], pts[-1])) > r + slack
         for z in candidates
@@ -290,21 +279,21 @@ def kappa_probe(
     trials: int,
     rng: np.random.Generator | int | None = None,
     eps: float | None = None,
-    samples_per_edge: int = 4,
 ) -> KappaReport:
     """Randomized confirmation that the tree's Lifschitz characteristic is 2.
 
     Each trial draws x, y, r with d(x, y) > r and eps in (0, 1) (or the
-    fixed ``eps``), runs ``lifschitz_witness`` against a dense sample of the
-    tree, and independently verifies one ``lifschitz_counterexample``
-    template.  A tree with no pair at positive distance (a single node)
-    yields a vacuous pass.
+    fixed ``eps``), runs ``lifschitz_witness`` against the nodes and
+    ``PROBE_SAMPLES_PER_EDGE`` points per edge of the tree, and
+    independently verifies one ``lifschitz_counterexample`` template.  A
+    tree with no pair at positive distance (a single node) yields a vacuous
+    pass.  ``rng`` is anything ``np.random.default_rng`` takes: a seed of
+    any integer type, None, or a Generator, which is used as is.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials!r}")
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(rng)
-    dense = edge_samples(tree, per_edge=samples_per_edge)
+    rng = np.random.default_rng(rng)
+    dense = edge_samples(tree, per_edge=PROBE_SAMPLES_PER_EDGE)
     witness_trials = 0
     witness_failures = 0
     cex_trials = 0

@@ -1,6 +1,7 @@
 """The public names: every ``__all__`` entry resolves, removed names stay gone."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -10,11 +11,12 @@ MODULES = ("cli", "core", "covering", "errors", "ingest", "noncompactness", "rep
            "sampling", "structure")
 
 # pass-through wrappers and per-report builders that were folded into
-# ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``
+# ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``, and the
+# ``LeafSet`` tuple wrapper
 REMOVED = ("validate_tree", "segment_intersection", "point_obj", "profile_obj",
            "ball_cover_obj", "partition_obj", "measure_obj", "embedding_obj",
            "contraction_obj", "bound_check_obj", "witness_obj", "counterexample_obj",
-           "kappa_obj")
+           "kappa_obj", "LeafSet")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,7 +35,13 @@ def test_reports_exports_one_serializer():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
-    from metrictrees import core, reports
+    from metrictrees import core, reports, structure
 
-    for module in (metrictrees, core, reports):
+    for module in (metrictrees, core, reports, structure):
         assert not hasattr(module, name)
+
+
+def test_unused_knobs_are_gone():
+    assert not hasattr(metrictrees.TreePoint, "is_node")
+    assert "samples" not in inspect.signature(metrictrees.lifschitz_counterexample).parameters
+    assert "samples_per_edge" not in inspect.signature(metrictrees.kappa_probe).parameters

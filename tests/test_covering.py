@@ -8,6 +8,7 @@ enumeration for cover counts and profiles.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from metrictrees import (
@@ -32,7 +33,7 @@ from metrictrees import (
     random_tree,
 )
 
-from conftest import star_tips
+from conftest import shaped_tree, star_tips
 
 
 def all_pairs_diameter(ps):
@@ -345,6 +346,24 @@ class TestBallDiameter:
             with pytest.raises(NegativeRadius):
                 ball_diameter(simple_doc.tree, simple_doc.points["B"], bad)
 
+    def test_radius_within_tolerance_below_zero_reads_as_zero(self, rng):
+        for _ in range(20):
+            tree = random_tree(rng, max_nodes=9)
+            c = random_points(rng, tree, 1)[0]
+            assert ball_diameter(tree, c, -tree.tol.abs_eps / 2) == ball_diameter(tree, c, 0.0)
+
+    def test_same_float_as_reference(self):
+        """300 trees of four shapes; radius 0, a random radius, and one
+        larger than the tree."""
+        rng = np.random.default_rng(303)
+        for i in range(300):
+            tree = shaped_tree(rng, ("random", "path", "caterpillar", "star")[i % 4],
+                               int(rng.integers(1, 10)))
+            c = random_points(rng, tree, 1)[0]
+            total = sum(length for _u, _v, length in tree.edges)
+            for rho in (0.0, float(rng.uniform(0.0, total)), total + 1.0):
+                assert ball_diameter(tree, c, rho) == _reference_ball_diameter(tree, c, rho)
+
     def test_bounded_by_twice_radius(self, rng):
         for _ in range(40):
             tree = random_tree(rng, max_nodes=9)
@@ -381,3 +400,23 @@ class TestBallDiameter:
             for k, cover in enumerate(prof.witnesses):
                 for c in cover.centers:
                     assert ball_diameter(ps.tree, c, cover.radius) <= prof.values[k] + 1e-9
+
+
+def _reference_ball_diameter(tree, center, rho):
+    """``ball_diameter`` as it was with its own leaf test, for rho >= 0."""
+    ext = [center]
+    node_dist = tree.distances(center, edge_samples(tree, per_edge=0)).tolist()
+    for i in range(tree.n_nodes):
+        if node_dist[i] <= rho and tree.degree(i) <= 1:
+            ext.append(tree.node_point(i))
+    for e, (u, v, length) in enumerate(tree.edges):
+        if center.edge == e:
+            ext.append(tree._edge_point_at(e, max(center.offset - rho, 0.0)))
+            ext.append(tree._edge_point_at(e, min(center.offset + rho, length)))
+            continue
+        du, dv = node_dist[u], node_dist[v]
+        if du <= rho:
+            ext.append(tree._edge_point_at(e, min(rho - du, length)))
+        if dv <= rho:
+            ext.append(tree._edge_point_at(e, max(length - (rho - dv), 0.0)))
+    return diameter(PointSet(tree, ext))[0]

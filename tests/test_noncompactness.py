@@ -1,14 +1,22 @@
 """Tests for measure reports, embedding invariance, and contraction ratios."""
 
+import json
+
+import numpy as np
 import pytest
 
 from metrictrees import (
     BadParams,
+    BoundCheckReport,
+    ContractionReport,
+    EmbeddingReport,
     EmptySet,
+    ForeignPoint,
     MetricTree,
     NotIsometric,
     PointMap,
     PointSet,
+    beta_profile,
     contraction_bound_check,
     contraction_constants,
     embedding_invariance_check,
@@ -17,6 +25,7 @@ from metrictrees import (
     random_points,
     random_tree,
 )
+from metrictrees.reports import report_obj
 
 from conftest import star_tips
 
@@ -186,3 +195,145 @@ class TestContraction:
 
 def _distinct(points):
     return list(dict.fromkeys(points))
+
+
+# --------------------------------------------------------------------- #
+# The report bodies that ran their own beta searches and doubled them,    #
+# kept as the reference for the reports that read measure_report          #
+# --------------------------------------------------------------------- #
+
+
+def _reference_embedding_invariance_check(ps, host, images, n_max=None):
+    if len(images) != len(ps.points):
+        raise BadParams(
+            f"need one image per point: {len(ps.points)} points, {len(images)} images"
+        )
+    for q in images:
+        if q.tree is not host:
+            raise ForeignPoint("image point does not belong to the host tree")
+    if not ps.points:
+        raise EmptySet("embedding check of an empty point set")
+    tol = ps.tree.tol
+    pts = ps.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d_src = ps.tree.distance(pts[i], pts[j])
+            d_host = host.distance(images[i], images[j])
+            if not tol.close(d_src, d_host):
+                raise NotIsometric(
+                    f"distance ({i}, {j}) changes from {d_src!r} to {d_host!r}",
+                    pair=(i, j),
+                )
+    index = {p: k for k, p in enumerate(pts)}
+    host_ps = PointSet(host, [images[index[p]] for p in ps.distinct])
+    if n_max is None:
+        n_max = len(ps.distinct)
+    sb = beta_profile(ps, n_max).values
+    hb = beta_profile(host_ps, n_max).values
+    sa = tuple(2.0 * v for v in sb)
+    ha = tuple(2.0 * v for v in hb)
+    return EmbeddingReport(
+        n_max,
+        sa,
+        sb,
+        ha,
+        hb,
+        tuple(tol.close(sa[k], ha[k]) for k in range(n_max)),
+        tuple(tol.close(sb[k], hb[k]) for k in range(n_max)),
+    )
+
+
+def _reference_contraction_constants(pm, subset=None, n_max=None):
+    idx = list(range(len(pm.pairs))) if subset is None else list(subset)
+    if not idx:
+        raise EmptySet("contraction ratios of an empty sample")
+    for k in idx:
+        if not 0 <= k < len(pm.pairs):
+            raise BadParams(f"subset index {k} out of range")
+    src = PointSet(pm.source, [pm.pairs[k][0] for k in idx])
+    img = PointSet(pm.target, [pm.pairs[k][1] for k in idx])
+    if n_max is None:
+        n_max = len(src.distinct)
+    tol = pm.source.tol
+    b_src = beta_profile(src, n_max).values
+    b_img = beta_profile(img, n_max).values
+    a_src = tuple(2.0 * v for v in b_src)
+    a_img = tuple(2.0 * v for v in b_img)
+    ns, set_ratios, ball_ratios, skipped = [], [], [], []
+    for k in range(n_max):
+        if a_src[k] <= tol.abs_eps:
+            skipped.append(k + 1)
+            continue
+        ns.append(k + 1)
+        set_ratios.append(a_img[k] / a_src[k])
+        ball_ratios.append(b_img[k] / b_src[k])
+    return ContractionReport(
+        tuple(ns),
+        tuple(set_ratios),
+        tuple(ball_ratios),
+        tuple(skipped),
+        max(set_ratios, default=None),
+        max(ball_ratios, default=None),
+    )
+
+
+def _reference_contraction_bound_check(pm, subset=None, n_max=None):
+    rep = _reference_contraction_constants(pm, subset=subset, n_max=n_max)
+    tol = pm.source.tol
+    ball_le = tuple(
+        tol.leq(rep.ball_ratios[k], 2.0 * rep.set_ratios[k])
+        for k in range(len(rep.ns))
+    )
+    set_le = tuple(
+        tol.leq(rep.set_ratios[k], 2.0 * rep.ball_ratios[k])
+        for k in range(len(rep.ns))
+    )
+    return BoundCheckReport(rep.ns, ball_le, set_le)
+
+
+def _json(report):
+    return json.dumps(report_obj(report), sort_keys=True)
+
+
+class TestParityWithSeparateSearches:
+    """300 random instances each, with and without explicit n_max and
+    subsets, including hosts that merge two points closer than the
+    tolerance."""
+
+    def test_embedding(self):
+        rng = np.random.default_rng(101)
+        for _ in range(300):
+            tree = random_tree(rng, max_nodes=8)
+            n = tree.n_nodes
+            extra = [(int(rng.integers(0, n)), n, float(rng.uniform(0.5, 2.0)))]
+            host = MetricTree(n + 1, list(tree.edges) + extra, tol=tree.tol)
+            pts = random_points(rng, tree, int(rng.integers(1, 7)))
+            images = [_copy_point(host, p) for p in pts]
+            if tree.edges and rng.random() < 0.2:
+                # two source points closer than the tolerance, one host copy
+                u, v = tree.edge_nodes(0)
+                pts += [tree.edge_point(u, v, 0.1), tree.edge_point(u, v, 0.1 + 1e-12)]
+                images += 2 * [host.edge_point(u, v, 0.1)]
+            n_max = None if rng.random() < 0.5 else int(rng.integers(1, len(pts) + 2))
+            ps = PointSet(tree, pts)
+            assert _json(embedding_invariance_check(ps, host, images, n_max)) == _json(
+                _reference_embedding_invariance_check(ps, host, images, n_max)
+            )
+
+    def test_contraction_and_bound_check(self):
+        rng = np.random.default_rng(202)
+        for _ in range(300):
+            src = random_tree(rng, max_nodes=9)
+            dst = random_tree(rng, max_nodes=9)
+            srcs = _distinct(random_points(rng, src, int(rng.integers(1, 7))))
+            pm = PointMap(src, dst, list(zip(srcs, random_points(rng, dst, len(srcs)))))
+            subset = None
+            if rng.random() < 0.3:
+                subset = sorted(set(rng.integers(0, len(srcs), size=len(srcs)).tolist()))
+            n_max = None if rng.random() < 0.5 else int(rng.integers(1, len(srcs) + 2))
+            assert _json(contraction_constants(pm, subset, n_max)) == _json(
+                _reference_contraction_constants(pm, subset, n_max)
+            )
+            assert _json(contraction_bound_check(pm, subset, n_max)) == _json(
+                _reference_contraction_bound_check(pm, subset, n_max)
+            )

@@ -1,9 +1,13 @@
 """Tests for leaves, leaf decompositions, and Lifschitz constructions."""
 
+import json
+
+import numpy as np
 import pytest
 
 from metrictrees import (
     BadParams,
+    CounterexampleRecord,
     MetricTree,
     PointSet,
     PreconditionViolation,
@@ -20,6 +24,7 @@ from metrictrees import (
     random_points,
     random_tree,
 )
+from metrictrees.reports import report_obj
 
 
 
@@ -78,7 +83,7 @@ class TestLeafThrough:
         doc = star_doc(3)
         hub = doc.points["hub"]
         f = leaf_through(hub, hub)
-        assert f == leaves(doc.tree).points[0]
+        assert f == leaves(doc.tree)[0]
 
     def test_path(self):
         t = _path_tree(2)
@@ -217,6 +222,60 @@ class TestLifschitzCounterexample:
             lifschitz_counterexample(1.0, 1.0)
 
 
+    def test_numpy_numbers_accepted(self):
+        assert lifschitz_counterexample(np.float32(1.0), np.int64(2)).passed
+
+    def test_bools_rejected(self):
+        with pytest.raises(BadParams):
+            lifschitz_counterexample(True, 1.5)
+        with pytest.raises(BadParams):
+            lifschitz_counterexample(1.0, np.True_)
+
+    def test_same_record_as_reference(self):
+        """A 20 x 15 grid of r and a, clamped and unclamped."""
+        for r in np.geomspace(0.01, 100.0, 20).tolist():
+            for a in np.linspace(1.01, 4.5, 15).tolist():
+                rec = lifschitz_counterexample(r, a)
+                ref = _reference_lifschitz_counterexample(r, a)
+                assert rec.tree.edges == ref.tree.edges
+                assert json.dumps(report_obj(rec), sort_keys=True) == json.dumps(
+                    report_obj(ref), sort_keys=True
+                )
+
+
+def _reference_lifschitz_counterexample(r, a, samples=64):
+    """``lifschitz_counterexample`` as it was, with nodes listed twice
+    among the small-ball candidates, for valid r and a."""
+    tree = MetricTree(2, [(0, 1, 4.0 * r)])
+    w = tree.node_point(0)
+    v = tree.node_point(1)
+    y = tree.edge_point(0, 1, 2.0 * r)
+    t = 0.5 * (r + min(a, 2.0) * r)
+    x = tree.edge_point(0, 1, 2.0 * r + t)
+    u_coord = 2.0 * r + t - a * r
+    clamped = u_coord <= 0.0
+    u = w if clamped else tree.edge_point(0, 1, u_coord)
+    seg = tree.segment(u, v)
+    pts = seg.sample(max(samples, 2))
+    tolv = tree.tol
+    containment_ok = all(
+        tolv.leq(tree.distance(p, x), a * r) and tolv.leq(tree.distance(p, y), 2.0 * r)
+        for p in pts
+    )
+    uv_diameter = seg.total_length
+    slack = tolv.slack(2.0 * r)
+    diameter_exceeds = uv_diameter > 2.0 * r + slack
+    candidates = [tree.node_point(i) for i in range(tree.n_nodes)]
+    candidates += edge_samples(tree, per_edge=max(samples, 8))
+    candidates += [x, y, u, v]
+    no_small_ball = all(
+        max(tree.distance(z, p) for p in (pts[0], pts[-1])) > r + slack
+        for z in candidates
+    )
+    return CounterexampleRecord(tree, r, a, w, v, y, x, u, clamped, uv_diameter,
+                                containment_ok, diameter_exceeds, no_small_ball)
+
+
 class TestKappaProbe:
     def test_random_tree_consistent(self, rng):
         tree = random_tree(rng, max_nodes=10)
@@ -240,6 +299,12 @@ class TestKappaProbe:
         r1 = kappa_probe(doc.tree, trials=15, rng=42)
         r2 = kappa_probe(doc.tree, trials=15, rng=42)
         assert r1 == r2
+
+    def test_numpy_seed(self, rng):
+        tree = random_tree(rng, max_nodes=10)
+        assert report_obj(kappa_probe(tree, 3, rng=np.int64(5))) == report_obj(
+            kappa_probe(tree, 3, rng=5)
+        )
 
     def test_bad_trials(self, star_doc):
         with pytest.raises(BadParams):
