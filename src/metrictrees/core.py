@@ -13,11 +13,11 @@ path from its start and stops once it passes the arc length asked for; it
 steers by the rooted tables, never by comparing rounded sums of distances.
 
 ``MetricTree`` is immutable after validation.  All queries are read-only and
-safe to call from concurrent threads.  The numpy arrays behind
-``MetricTree.distances`` (preorder intervals and root distances per tree,
-anchor arrays per ``PointArray``) and ``Segment.node_chain`` are built on
-first use and assigned once; a build is deterministic, so two threads that
-race on it store equal values and neither ever sees a partial one.
+safe to call from concurrent threads.  The constructor builds every table a
+query reads.  Only the ``MetricTree.edges`` tuple, the anchor arrays of each
+``PointArray`` and ``Segment.node_chain`` are built on first use and assigned
+once; a build is deterministic, so two threads that race on it store equal
+values and neither ever sees a partial one.
 """
 
 from __future__ import annotations
@@ -188,28 +188,16 @@ class PointArray(Sequence[TreePoint]):
         # a node's second anchor repeats its first
         anchors = self._anchor_arrays
         if anchors is None:
-            k = self.tree._kernel()
+            tree = self.tree
             a1, a2 = self.node.copy(), self.node.copy()
             c2 = np.zeros(len(self))
             inside = np.flatnonzero(self.node < 0)
             e = self.edge[inside]
-            a1[inside] = k.edge_u[e]
-            a2[inside] = k.edge_v[e]
-            c2[inside] = k.lengths[e] - self.offset[inside]
+            a1[inside] = tree._ends[0::2][e]
+            a2[inside] = tree._ends[1::2][e]
+            c2[inside] = tree._edge_len[e] - self.offset[inside]
             anchors = self._anchor_arrays = (a1, self.offset, a2, c2)
         return anchors
-
-
-class _KernelArrays(NamedTuple):
-    """Per-tree arrays of the batched distance kernel."""
-
-    tin: np.ndarray  # preorder position of each node
-    end: np.ndarray  # by position: one past the last position of its subtree
-    root_dist: np.ndarray  # by node
-    pre_root_dist: np.ndarray  # by position
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    lengths: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,37 +274,32 @@ class MetricTree:
     (a bool, a string or a non-integral endpoint included) or names a node
     outside ``0..n_nodes-1`` raises ``BadParams``.
 
-    Validation is one linear pass: the input is a tree when it has exactly
-    ``n_nodes - 1`` edges, every endpoint is in range, every length is
-    finite and positive, and one DFS from node 0 reaches all nodes.  Only
-    when this check fails does a sequential union-find scan run, to name the
-    first bad edge in input order.
+    The tables are built once, by numpy, from the edges as three columns.
+    Edge ``e`` has the half-edges ``2e`` from its tail and ``2e + 1`` from
+    its head; ``_ends[h]`` is the node half-edge h leaves, and the row
+    ``_adj_half[_adj_start[x]:_adj_start[x + 1]]`` lists the half-edges
+    leaving node x in edge order.  An Euler tour over them, ranked by
+    pointer jumping, roots the tree at node 0 and validates it: the input
+    is a tree when it has ``n_nodes - 1`` edges, every endpoint is in
+    range, every length is finite and positive, every node has an edge and
+    the tour runs over every half-edge.  Only when this check fails does a
+    sequential union-find scan run, to name the first bad edge.
 
-    That DFS fills the rooted tables, root = node 0, which hold all the
-    tree's structure: per node its parent, the edge to its parent, its hop
-    count and its distance from the root, plus the DFS preorder and the
-    binary-lifting ancestor rows.  The edge between two adjacent nodes is
-    the parent edge of one of them, so ``edge_point`` and the legs of a
-    geodesic walk read it there; ``distances`` builds its preorder intervals
-    from the stored preorder.  Point-to-point distance costs O(log n);
-    ``distances`` measures one point against many in O(n + len(qs)).
+    The scalar queries read plain lists: per node its parent, parent edge,
+    hop count and root distance, and the binary-lifting ancestor rows.
+    ``distances`` reads numpy arrays: the preorder of a depth-first walk
+    taking children in descending edge order, each node's position in it
+    (``_tin``), per position the end of its subtree (``_end``), and the
+    root distances, summed parent first.  Point-to-point distance costs
+    O(log n); ``distances`` measures one point against many in
+    O(n + len(qs)).
     """
 
     __slots__ = (
-        "n_nodes",
-        "edges",
-        "tol",
-        "_edge_u",
-        "_edge_v",
-        "_lengths",
-        "_adj",
-        "_parent",
-        "_parent_edge",
-        "_hops",
-        "_root_dist",
-        "_preorder",
-        "_up",
-        "_kernel_arrays",
+        "n_nodes", "tol", "_edges", "_edge_u", "_edge_v", "_lengths",
+        "_parent", "_parent_edge", "_hops", "_root_dist", "_up",
+        "_ends", "_edge_len", "_adj_start", "_adj_half",
+        "_preorder", "_tin", "_end", "_root_dist_arr",
     )
 
     def __init__(
@@ -327,73 +310,60 @@ class MetricTree:
     ):
         if not isinstance(n_nodes, int) or n_nodes < 1:
             raise BadParams("n_nodes must be a positive integer")
-        self.tol = tol if tol is not None else Tolerance()
-        edges = list(edges)
-        try:
-            raw = [tuple(map(itemgetter(k), edges)) for k in range(3)]
-            us, vs = tuple(map(int, raw[0])), tuple(map(int, raw[1]))
-            lengths = tuple(map(float, raw[2]))
-        except (LookupError, TypeError, ValueError, OverflowError):
-            _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
-        ends = us + vs
-        if not (
-            len(edges) == n_nodes - 1
-            and all(map(_is_number_type, set(map(type, chain(*raw)))))
-            and (us, vs) == (raw[0], raw[1])
-            and 0 <= min(ends, default=0)
-            and max(ends, default=0) < n_nodes
-            and all(map(math.isfinite, lengths))
-            and min(lengths, default=1.0) > 0.0
-        ):
-            _raise_first_edge_fault(n_nodes, edges)
-
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-        for idx, (u, v) in enumerate(zip(us, vs)):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-
-        # Rooted tables, filled by one DFS from node 0 (``up0`` is the parent
-        # table with the root as its own parent).  With n - 1 edges, reaching
-        # every node proves a tree, and in a tree the pop order is a preorder.
-        up0 = [-1] * n_nodes
-        up0[0] = 0
-        parent_edge = [-1] * n_nodes
-        hops = [0] * n_nodes
-        root_dist = [0.0] * n_nodes
-        preorder = []
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            preorder.append(u)
-            h, d = hops[u] + 1, root_dist[u]
-            for v, idx in adj[u]:
-                if up0[v] < 0:
-                    up0[v] = u
-                    parent_edge[v] = idx
-                    hops[v] = h
-                    root_dist[v] = d + lengths[idx]
-                    stack.append(v)
-        if len(preorder) != n_nodes:
-            _raise_first_edge_fault(n_nodes, edges)
-
         self.n_nodes = n_nodes
-        self.edges = tuple(zip(us, vs, lengths))
-        self._edge_u = us
-        self._edge_v = vs
-        self._lengths = lengths
-        self._adj = tuple(map(tuple, adj))
-        self._parent = (-1, *up0[1:])
-        self._parent_edge = tuple(parent_edge)
-        self._hops = tuple(hops)
-        self._root_dist = tuple(root_dist)
-        self._preorder = tuple(preorder)
+        self.tol = tol if tol is not None else Tolerance()
+        self._edges: tuple[tuple[int, int, float], ...] | None = None
+        if type(edges) is not _Columns:  # transpose, then check the types
+            edges = list(edges)
+            try:
+                raw = [list(map(itemgetter(k), edges)) for k in range(3)]
+                typed = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
+                columns = _Columns(*typed)
+            except (LookupError, TypeError, ValueError, OverflowError):
+                _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
+            if not (
+                all(map(_is_number_type, set(map(type, chain(*raw)))))
+                and columns[:2] == (raw[0], raw[1])
+            ):
+                _raise_first_edge_fault(n_nodes, edges)
+            edges = columns
+        us, vs, lengths = edges
+        n, m = n_nodes, len(us)
+        try:
+            ends = np.array((us, vs), dtype=np.intp).T.ravel()
+        except OverflowError:  # an endpoint beyond any index
+            ends = None
+        lens = np.fromiter(lengths, np.float64, m)
+        if ends is None or m != n - 1 or m and not (
+            0 <= ends.min() and ends.max() < n and 0.0 < lens.min() and lens.max() < math.inf
+        ):
+            _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
+        # the rows: half-edges by node, then by edge (a stable sort of keys
+        # this narrow is a radix sort, up to 65536 nodes)
+        order = ends.astype(np.min_scalar_type(n)).argsort(kind="stable")
+        deg = np.bincount(ends, minlength=n)
+        start = np.zeros(n + 1, dtype=np.intp)
+        deg.cumsum(out=start[1:])
+        rooted = _tour(ends, order, start, deg, lens)
+        if rooted is None:
+            _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
+        (self._parent, self._parent_edge, self._hops, self._root_dist,
+         self._preorder, self._tin, self._end, self._root_dist_arr) = rooted
+        up = [self._parent.copy()]
+        up[0][0] = 0
+        for _ in range(1, max(1, max(self._hops).bit_length())):
+            up.append(itemgetter(*up[-1])(up[-1]))  # prev[prev], sharing its ints
+        self._up = tuple(up)
+        self._edge_u, self._edge_v, self._lengths = us, vs, lengths
+        self._ends, self._edge_len = ends, lens
+        self._adj_start, self._adj_half = start, order
 
-        up = [up0]
-        for _ in range(1, max(1, max(hops).bit_length())):
-            prev = up[-1]
-            up.append([prev[x] for x in prev])
-        self._up = tuple(map(tuple, up))
-        self._kernel_arrays: _KernelArrays | None = None
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The (u, v, length) triples in input order."""
+        if self._edges is None:
+            self._edges = tuple(zip(self._edge_u, self._edge_v, self._lengths))
+        return self._edges
 
     # ------------------------------------------------------------------ #
     # Construction of points                                              #
@@ -444,11 +414,13 @@ class MetricTree:
         return self._lengths[idx]
 
     def degree(self, node: int) -> int:
-        return len(self._adj[node])
+        return self._adj_start.item(node + 1) - self._adj_start.item(node)
 
     def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, edge index) pairs of a node."""
-        return self._adj[node]
+        """(neighbor, edge index) pairs of a node, in edge order."""
+        start = self._adj_start
+        half = self._adj_half[start[node] : start[node + 1]]
+        return tuple(zip(self._ends[half ^ 1].tolist(), (half >> 1).tolist()))
 
     def _node_id(self, node) -> int | None:
         """``node`` as a plain ``int`` when it names a node of this tree;
@@ -500,7 +472,7 @@ class MetricTree:
         return canon(self.edges) == canon(other.edges)
 
     def __repr__(self) -> str:
-        return f"MetricTree(n_nodes={self.n_nodes}, n_edges={len(self.edges)})"
+        return f"MetricTree(n_nodes={self.n_nodes}, n_edges={self.n_nodes - 1})"
 
     # ------------------------------------------------------------------ #
     # Point-level metric queries                                           #
@@ -561,37 +533,14 @@ class MetricTree:
         s's position; their nested intervals cut the preorder into runs that
         share one lowest common ancestor with s.
         """
-        k = self._kernel()
-        t = k.tin[s]
-        anc = np.flatnonzero(k.end[: t + 1] > t)  # root first
-        ends = k.end[anc]
+        tin, end, rd = self._tin, self._end, self._root_dist_arr
+        t = tin[s]
+        anc = np.flatnonzero(end[: t + 1] > t)  # root first
+        ends = end[anc]
         runs = np.concatenate((np.diff(anc), ends[-1:] - t, -np.diff(ends)[::-1]))
-        rd_anc = k.pre_root_dist[anc]
-        lca_rd = np.repeat(np.concatenate((rd_anc, rd_anc[-2::-1])), runs)[k.tin]
-        rd = k.root_dist
+        rd_anc = rd[self._preorder[anc]]
+        lca_rd = np.repeat(np.concatenate((rd_anc, rd_anc[-2::-1])), runs)[tin]
         return rd[s] + rd - 2.0 * lca_rd
-
-    def _kernel(self) -> _KernelArrays:
-        k = self._kernel_arrays
-        if k is None:
-            order, parent = self._preorder, self._parent
-            size = [1] * self.n_nodes
-            for u in reversed(order[1:]):
-                size[parent[u]] += size[u]
-            order_arr = np.array(order, dtype=np.intp)
-            tin = np.empty(self.n_nodes, dtype=np.intp)
-            tin[order_arr] = np.arange(self.n_nodes)
-            root_dist = np.array(self._root_dist)
-            k = self._kernel_arrays = _KernelArrays(
-                tin=tin,
-                end=np.arange(self.n_nodes) + np.array(size, dtype=np.intp)[order_arr],
-                root_dist=root_dist,
-                pre_root_dist=root_dist[order_arr],
-                edge_u=np.array(self._edge_u, dtype=np.intp),
-                edge_v=np.array(self._edge_v, dtype=np.intp),
-                lengths=np.array(self._lengths, dtype=np.float64),
-            )
-        return k
 
     def _dist(self, x: TreePoint, y: TreePoint) -> float:
         if x.node is not None and y.node is not None:
@@ -717,6 +666,87 @@ def _is_number_type(kind: type) -> bool:
     """Whether values of ``kind`` may be edge values: real numbers, numpy's
     included, but not bools, which would read as 0 and 1."""
     return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarray,
+          lens: np.ndarray) -> tuple | None:
+    """The rooted tables, root = node 0, from an Euler tour over the rows, or
+    None when the edges are not a tree.
+
+    Lists per node: parent, parent edge, hop count and root distance;
+    arrays: the preorder, each node's position in it, per position the end
+    of its subtree, and the root distances.  The tour leaves each
+    half-edge's head by the half-edge after its twin in that node's row,
+    cut before it leaves node 0 again; pointer jumping counts the steps to
+    the cut.  With n - 1 edges, a tour over every half-edge that touches
+    every node proves a tree.  Of an edge's two half-edges, the first on
+    the tour leads away from the root, and half the steps between them are
+    the nodes below it.
+    """
+    n, two_m = len(deg), len(order)
+    h = np.arange(two_m)
+    pos = np.empty(two_m, dtype=np.intp)
+    pos[order] = h
+    dist = np.ones(two_m, dtype=np.intp)  # steps to the cut
+    if two_m:
+        if deg.min() == 0:
+            return None
+        after = h + 1  # the next position in the same row, cyclically
+        after[start[1:] - 1] = start[:-1]
+        succ = order[after[pos[h ^ 1]]]
+        last = order[start[1] - 1] ^ 1
+        succ[last] = last
+        dist[last] = 0
+        for _ in range((two_m - 2).bit_length()):
+            dist += dist[succ]
+            succ = succ[succ]
+        if dist[order[0]] != two_m - 1:
+            return None
+    rank = two_m - 1 - dist
+    r0, r1 = rank[0::2], rank[1::2]
+    down = h[0::2] + (r1 < r0)  # per edge, the half-edge away from the root
+    enter, leave = np.minimum(r0, r1), np.maximum(r0, r1)
+    size = (leave - enter + 1) >> 1
+    child, at = ends[down ^ 1], pos[down]
+    parent, parent_edge, subtree, hops = np.zeros((4, n), dtype=np.intp)
+    tin = np.zeros(n, dtype=np.intp)  # kept by the tree, so not a row of that block
+    parent[0], parent_edge[0], subtree[0] = -1, -1, n
+    parent[child], parent_edge[child], subtree[child] = ends[down], h[: two_m // 2], size
+    # a child's preorder position is its parent's, plus one, plus the sizes
+    # of its siblings on higher edges, which a depth-first walk takes first
+    later = np.zeros(two_m, dtype=np.intp)
+    later[at] = size
+    later = later.cumsum()
+    skip = later[start[ends[down] + 1] - 1] - later[at] + 1
+    steps = np.zeros(two_m, dtype=np.intp)
+    steps[enter], steps[leave] = skip, -skip
+    tin[child] = steps.cumsum()[enter]
+    steps[enter], steps[leave] = 1, -1
+    hops[child] = steps.cumsum()[enter]
+    positions = np.arange(n)
+    preorder = np.empty(n, dtype=np.intp)
+    preorder[tin] = positions
+    # root distances by preorder position, each parent's before its children's
+    below_root = preorder[1:]
+    by_position = [0.0]
+    for above, length in zip(
+        tin[parent[below_root]].tolist(), lens[parent_edge[below_root]].tolist()
+    ):
+        by_position.append(by_position[above] + length)
+    root_dist = np.fromiter(by_position, np.float64, n)[tin]
+    return (
+        parent.tolist(), parent_edge.tolist(), hops.tolist(), root_dist.tolist(),
+        preorder, tin, positions + subtree[preorder], root_dist,
+    )
+
+
+class _Columns(NamedTuple):
+    """An edge list as columns of ``int`` endpoints and ``float`` lengths,
+    which ``MetricTree`` builds from without checking their types again."""
+
+    us: list[int]
+    vs: list[int]
+    lengths: list[float]
 
 
 def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:

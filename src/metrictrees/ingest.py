@@ -43,7 +43,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
@@ -269,9 +269,12 @@ class _Builder:
         # t beyond the path end (can only be float slop): clamp to v
         return v
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        return sorted(
-            (min(p, c), max(p, c), self.length[c]) for c, p in enumerate(self.parent) if c
+    def columns(self) -> _Columns:
+        """The edges as columns, by (lower, higher) endpoint."""
+        edges = sorted((min(p, c), max(p, c), c) for c, p in enumerate(self.parent) if c)
+        return _Columns(
+            [u for u, _, _ in edges], [v for _, v, _ in edges],
+            [float(self.length[c]) for _, _, c in edges],
         )
 
 
@@ -349,7 +352,7 @@ def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoin
         else:
             position[x] = builder.add_node(attach, rem)
 
-    tree = MetricTree(len(builder.parent), builder.edges(), tol=tol)
+    tree = MetricTree(len(builder.parent), builder.columns(), tol=tol)
     return tree, {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
 
 
@@ -412,59 +415,76 @@ def _raise_number_error(
             raise _error_at(line, lineno, k, f"expected {what}, got {words[k]!r}")
 
 
+_CHUNK = 256  # lines split at a time: thousands alive at once fragment the heap
+
+
+def _read_lines(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
+    """The edge columns, node ids and point lines of a tree document.  Each
+    column of a chunk's well-formed edge lines is converted by one ``map``;
+    then its other lines are read in order, and all of them when a column
+    does not convert, so that an error names the first bad line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    columns = _Columns([], [], [])
+    node_ids: list[int] = []
+    point_lines: list[tuple[int, str, tuple]] = []
+    for first in range(0, len(lines), _CHUNK):
+        chunk = lines[first : first + _CHUNK]
+        rows = [line.split() for line in chunk]
+        edge_rows = [words for words in rows if len(words) == 4 and words[0] == "edge"]
+        try:
+            for column, k, conv in zip(columns, (1, 2, 3), (int, int, float)):
+                column.extend(map(conv, map(itemgetter(k), edge_rows)))
+        except ValueError:
+            columns = None  # the scan below raises at the first bad number
+        for lineno, (line, words) in enumerate(zip(chunk, rows), start=first + 1):
+            if not words:
+                continue
+            kind = words[0]
+            if kind == "edge":
+                if len(words) != 4:
+                    raise _error_at(line, lineno, 0, "edge line takes: edge <u> <v> <length>")
+                if columns is None:
+                    _raise_number_error(line, lineno, words, 1, (int, int, float))
+            elif kind == "point":
+                if len(words) < 3:
+                    raise _error_at(
+                        line, lineno, 0,
+                        "point line takes: point <name> node <id> | edge <u> <v> <offset>",
+                    )
+                mode = words[2]
+                if mode == "node" and len(words) == 4:
+                    convs: tuple = (int,)
+                elif mode == "edge" and len(words) == 6:
+                    convs = (int, int, float)
+                else:
+                    raise _error_at(line, lineno, 0, "malformed point line")
+                try:
+                    where = tuple(conv(w) for conv, w in zip(convs, words[3:]))
+                except ValueError:
+                    _raise_number_error(line, lineno, words, 3, convs)
+                    raise
+                point_lines.append((lineno, words[1], where))
+            elif kind == "node":
+                if len(words) != 2:
+                    raise _error_at(line, lineno, 0, "node line takes one id")
+                try:
+                    node_ids.append(int(words[1]))
+                except ValueError:
+                    _raise_number_error(line, lineno, words, 1, (int,))
+                    raise
+            else:
+                raise _error_at(line, lineno, 0, f"unknown directive {kind!r}")
+    return columns, node_ids, point_lines
+
+
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     """Parse a tree document; raises TreeParseError with line/column."""
-    node_ids: list[int] = []
-    edges: list[tuple[int, int, float]] = []
-    point_lines: list[tuple[int, str, tuple]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        words = line.split()
-        if not words:
-            continue
-        kind = words[0]
-        if kind == "edge":
-            if len(words) != 4:
-                raise _error_at(line, lineno, 0, "edge line takes: edge <u> <v> <length>")
-            try:
-                edges.append((int(words[1]), int(words[2]), float(words[3])))
-            except ValueError:
-                _raise_number_error(line, lineno, words, 1, (int, int, float))
-                raise
-        elif kind == "point":
-            if len(words) < 3:
-                raise _error_at(
-                    line, lineno, 0,
-                    "point line takes: point <name> node <id> | edge <u> <v> <offset>",
-                )
-            mode = words[2]
-            if mode == "node" and len(words) == 4:
-                convs: tuple = (int,)
-            elif mode == "edge" and len(words) == 6:
-                convs = (int, int, float)
-            else:
-                raise _error_at(line, lineno, 0, "malformed point line")
-            try:
-                where = tuple(conv(w) for conv, w in zip(convs, words[3:]))
-            except ValueError:
-                _raise_number_error(line, lineno, words, 3, convs)
-                raise
-            point_lines.append((lineno, words[1], where))
-        elif kind == "node":
-            if len(words) != 2:
-                raise _error_at(line, lineno, 0, "node line takes one id")
-            try:
-                node_ids.append(int(words[1]))
-            except ValueError:
-                _raise_number_error(line, lineno, words, 1, (int,))
-                raise
-        else:
-            raise _error_at(line, lineno, 0, f"unknown directive {kind!r}")
-
+    columns, node_ids, point_lines = _read_lines(text)
     ids = set(node_ids)
-    ids.update(map(itemgetter(0), edges))
-    ids.update(map(itemgetter(1), edges))
+    ids.update(columns.us)
+    ids.update(columns.vs)
     if not ids:
         raise TreeParseError("document defines no nodes", 1, 1)
     n_nodes = len(ids)
@@ -477,7 +497,7 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    tree = MetricTree(n_nodes, edges, tol=tol)
+    tree = MetricTree(n_nodes, columns, tol=tol)
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:

@@ -29,9 +29,9 @@ def random_tree(
 
 def random_point(rng: np.random.Generator, tree: MetricTree) -> TreePoint:
     """Random location: a node with probability 1/4, else uniform on an edge."""
-    if not tree.edges or rng.random() < 0.25:
+    if tree.n_nodes == 1 or rng.random() < 0.25:
         return tree.node_point(int(rng.integers(0, tree.n_nodes)))
-    e = int(rng.integers(0, len(tree.edges)))
+    e = int(rng.integers(0, tree.n_nodes - 1))
     u, v = tree.edge_nodes(e)
     return tree.edge_point(u, v, float(rng.uniform(0.0, tree.edge_length(e))))
 
@@ -46,14 +46,14 @@ def edge_samples(tree: MetricTree, per_edge: int = 3) -> PointArray:
     The nodes in order, then for each edge its ``per_edge`` evenly spaced
     points from the tail, canonicalized as ``MetricTree.edge_point`` does.
     """
-    k = tree._kernel()
+    lengths = tree._edge_len
     j = np.arange(1, per_edge + 1)
-    coord = (k.lengths[:, None] * j / (per_edge + 1)).ravel()
-    edge = np.repeat(np.arange(len(k.lengths)), len(j))
-    length = k.lengths[edge]
+    coord = (lengths[:, None] * j / (per_edge + 1)).ravel()
+    edge = np.repeat(np.arange(len(lengths)), len(j))
+    length = lengths[edge]
     eps = tree.tol.abs_eps
-    node = np.where(coord >= length - eps, k.edge_v[edge], -1)
-    node = np.where(coord <= eps, k.edge_u[edge], node)
+    node = np.where(coord >= length - eps, tree._ends[1::2][edge], -1)
+    node = np.where(coord <= eps, tree._ends[0::2][edge], node)
     inside = node < 0
     return PointArray(
         tree,

@@ -17,6 +17,8 @@ given point.  The Lifschitz characteristic of a metric tree equals 2:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 COUNTEREXAMPLE_SAMPLES = 64
+# the counterexample's path is 4*r long, and its sample points are placed at
+# arc lengths 4*r * j / COUNTEREXAMPLE_SAMPLES: all finite up to this r
+_MAX_R = sys.float_info.max / (4 * COUNTEREXAMPLE_SAMPLES)
 PROBE_SAMPLES_PER_EDGE = 4
 
 
@@ -198,15 +203,17 @@ def lifschitz_counterexample(
     """Build and verify the construction showing b = 2 is not Lifschitz.
 
     ``r`` and ``a`` may be any real numbers, numpy's included, but not
-    bools (BadParams), as for edge lengths.  Containment is checked on
+    bools (BadParams), as for edge lengths; ``a`` must be finite and ``r``
+    at most ``_MAX_R``, so that every length the construction computes is
+    finite (BadParams).  Containment is checked on
     ``COUNTEREXAMPLE_SAMPLES`` evenly spaced points of [u, v]; the small
     ball is sought among the nodes, ``COUNTEREXAMPLE_SAMPLES`` points per
     edge, and x, y, u, v.
     """
-    if not (_is_number_type(type(r)) and r > 0):
-        raise BadParams(f"r must be positive, got {r!r}")
-    if not (_is_number_type(type(a)) and a > 1):
-        raise BadParams(f"a must exceed 1, got {a!r}")
+    if not (_is_number_type(type(r)) and 0 < _to_float(r) <= _MAX_R):
+        raise BadParams(f"r must be positive and at most {_MAX_R!r}, got {r!r}")
+    if not (_is_number_type(type(a)) and 1 < _to_float(a) < math.inf):
+        raise BadParams(f"a must exceed 1 and be finite, got {a!r}")
     r = float(r)
     a = float(a)
     tree = MetricTree(2, [(0, 1, 4.0 * r)], tol=tol)
@@ -251,6 +258,14 @@ def lifschitz_counterexample(
         diameter_exceeds,
         no_small_ball,
     )
+
+
+def _to_float(x) -> float:
+    """``float(x)``, or inf for a number beyond every float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ transitivity, segment gluing, ball convexity, four-point) are checked
 against direct distance arithmetic on sampled points.
 """
 
+import gc
 import json
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metrictrees import (
@@ -36,6 +37,8 @@ from metrictrees import (
     random_points,
     random_tree,
 )
+
+from metrictrees.core import _Columns
 
 from conftest import shaped_edges, shaped_tree, star_tips
 
@@ -506,14 +509,15 @@ class TestBallGeometry:
 
 class TestConcurrencySafety:
     def test_parallel_reads(self, simple_doc):
-        """Queries share no mutable state beyond the lazily built kernel
-        arrays, which the first calls race to build; hammer them from threads."""
+        """Queries share no mutable state beyond the lazily built edge tuple
+        and anchor arrays, which the first calls race to build; hammer them
+        from threads."""
         import concurrent.futures
         import sys
 
         t, p = simple_doc.tree, simple_doc.points
         sample = edge_samples(t, 5)  # builds the tree's arrays, not the sample's
-        fresh = gallery("simple")  # no arrays built yet
+        fresh = gallery("simple")  # no edge tuple built yet
         expected = [t.distance(p["D"], q) for q in sample]
 
         def work(_):
@@ -522,6 +526,7 @@ class TestConcurrencySafety:
             assert t.distances(p["D"], sample).tolist() == expected
             q = fresh.points
             assert fresh.tree.distances(q["A"], [q["C"], q["D"]]).tolist() == [3.0, 3.0]
+            assert fresh.tree.edges == t.edges
             return True
 
         interval = sys.getswitchinterval()
@@ -1005,7 +1010,20 @@ def _value_fault(raw):
 
 
 def _tables(tree):
-    return {key: getattr(tree, key) for key in _reference_tables(1, [])}
+    """The tables of ``tree`` in the reference's form: tuples, and the
+    adjacency as read through ``neighbors`` and ``degree``."""
+    tables = {}
+    for key in _reference_tables(1, []):
+        if key == "_adj":
+            adj = tuple(tree.neighbors(u) for u in range(tree.n_nodes))
+            assert all(len(nbrs) == tree.degree(u) for u, nbrs in enumerate(adj))
+            tables[key] = adj
+        elif key == "_up":
+            tables[key] = tuple(tuple(row) for row in tree._up)
+        else:
+            value = getattr(tree, key)
+            tables[key] = tuple(value.tolist() if isinstance(value, np.ndarray) else value)
+    return tables
 
 
 _FAULTS = (
@@ -1065,6 +1083,53 @@ class TestConstructionParity:
         assert _tables(tree) == _reference_tables(n, edges)
         assert tree.n_nodes == n
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar", "star"]),
+        n=st.integers(41, 1500),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_large_trees_like_reference(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        edges = shaped_edges(rng, shape, n)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        assert _tables(MetricTree(n, edges)) == _reference_tables(n, edges)
+        fault = str(rng.choice(_FAULTS))
+        _add_fault(edges, n, fault)
+        assert _outcome(lambda: MetricTree(n, edges)) == _reference_outcome(n, edges)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar", "star"]),
+        n=st.integers(1, 40),
+    )
+    @example(seed=0, shape="random", n=1)
+    @example(seed=0, shape="path", n=2)
+    @example(seed=1, shape="path", n=2)
+    @settings(max_examples=120, deadline=None)
+    def test_neighbors_and_degree_match_reference(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        edges = shaped_edges(rng, shape, n)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        tree = MetricTree(n, edges)
+        for u, nbrs in enumerate(_reference_tables(n, edges)["_adj"]):
+            got = tree.neighbors(u)
+            assert got == nbrs and tree.degree(u) == len(nbrs)
+            assert all(type(x) is int for pair in got for x in pair)
+            assert type(tree.degree(u)) is int
+
+    def test_columns_build_like_triples(self, rng):
+        """``parse_tree`` hands the constructor columns, which build the
+        same tables as the triples they transpose."""
+        for shape in ("random", "path", "caterpillar", "star"):
+            edges = shaped_edges(rng, shape, 30)
+            columns = _Columns(*(list(col) for col in zip(*edges)))
+            assert _tables(MetricTree(30, columns)) == _reference_tables(30, edges)
+        faulty = _Columns([0, 1], [1, 1], [1.0, 1.0])
+        assert _outcome(lambda: MetricTree(3, faulty)) == _reference_outcome(
+            3, [(0, 1, 1.0), (1, 1, 1.0)]
+        )
+
     def test_generator_and_numpy_input(self, rng):
         edges = shaped_edges(rng, "random", 12)
         as_numpy = [(np.int64(u), np.int32(v), np.float64(x)) for u, v, x in edges]
@@ -1117,3 +1182,23 @@ class TestConstructionParity:
             _add_fault(edges, n, fault)
         got = _outcome(lambda: _tables(MetricTree(n, edges)))
         assert got == _reference_outcome(n, edges)
+
+
+class TestBuildGarbage:
+    """A build leaves O(log n) objects for the cyclic garbage collector to
+    track (the lifting rows and a few lists), not one or more per node."""
+
+    @pytest.mark.parametrize("shape", ["random", "path"])
+    @pytest.mark.parametrize("n", [1000, 8000])
+    def test_tracked_objects_do_not_grow_with_n(self, shape, n, rng):
+        edges = shaped_edges(rng, shape, n)
+        MetricTree(n, edges)  # first-call caches, not the build's own
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            tree = MetricTree(n, edges)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert tree.n_nodes == n
+        assert grown <= 2 * n.bit_length() + 32

@@ -865,6 +865,19 @@ class TestParseParity:
             assert got[0] is TreeParseError
             assert got == _parse_outcome(_parse_tree_reference, text)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_long_documents_like_reference(self, seed):
+        # longer than one chunk of split lines, with up to two bad lines
+        # anywhere: the first in the document is the one named
+        rng = np.random.default_rng(seed)
+        lines = _doc_lines(rng, int(rng.integers(250, 800)))
+        for _ in range(int(rng.integers(0, 3))):
+            bad = str(rng.choice(list(_BAD_LINES.values())))
+            lines.insert(int(rng.integers(0, len(lines) + 1)), bad)
+        text = _render(rng, lines)
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -221,6 +221,22 @@ class TestLifschitzCounterexample:
         with pytest.raises(BadParams):
             lifschitz_counterexample(1.0, 1.0)
 
+    def test_non_finite_params_name_themselves(self):
+        # an infinite r once surfaced as the internal path edge's
+        # NonpositiveEdgeLength, and an infinite a passed with a = inf
+        with pytest.raises(BadParams, match="^r must be"):
+            lifschitz_counterexample(float("inf"), 1.5)
+        with pytest.raises(BadParams, match="^r must be"):
+            lifschitz_counterexample(1e308, 1.5)  # the path, 4*r, overflows
+        with pytest.raises(BadParams, match="^a must"):
+            lifschitz_counterexample(1.0, float("inf"))
+        with pytest.raises(BadParams, match="^a must"):
+            lifschitz_counterexample(1.0, 10**400)
+
+    def test_largest_r_verifies(self):
+        r = 1e305  # every length of the construction stays finite
+        assert lifschitz_counterexample(r, 1.5).passed
+        assert lifschitz_counterexample(r, 3.8).passed
 
     def test_numpy_numbers_accepted(self):
         assert lifschitz_counterexample(np.float32(1.0), np.int64(2)).passed
