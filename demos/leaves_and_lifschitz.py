@@ -39,15 +39,14 @@ print("dense sample covered by base-to-leaf segments:", ok)
 # --- Lifschitz characteristic ------------------------------------------
 # b < 2: choose a = 1 + eps and b = 2 - 2*eps.  The point z at distance
 # eps*r from x along [x, y] caps the intersection of B(x; a*r) and
-# B(y; b*r) inside B(z; r).
+# B(y; b*r) inside B(z; r).  The check is exact: on every edge the two balls
+# meet in one interval, and only its ends need testing against z.
 path = MetricTree(11, [(i, i + 1, 1.0) for i in range(10)])
 x, y = path.node_point(0), path.node_point(10)
-witness, verification = lifschitz_witness(
-    path, x, y, r=4.0, eps=0.25, test_points=edge_samples(path, 8)
-)
+witness, verification = lifschitz_witness(path, x, y, r=4.0, eps=0.25)
 print("\nwitness on a length-10 path (r=4, eps=0.25):")
 print("  a =", witness.a, " b =", witness.b, " z =", witness.z)
-print("  applicable test points:", verification.applicable,
+print("  edges the two balls meet on:", verification.applicable, "of", verification.checked,
       " failures:", len(verification.failures))
 
 # b = 2: on a path of length 4r, the segment [u, v] sits inside both

@@ -237,7 +237,7 @@ class Segment:
         """``k + 1`` evenly spaced points including both endpoints."""
         if k < 1:
             return [self.a, self.b]
-        return [self.point_at(self.total_length * j / k) for j in range(k + 1)]
+        return [self.point_at(self.total_length * (j / k)) for j in range(k + 1)]
 
     def intersect(self, other: "Segment") -> "Segment | None":
         """Exact intersection with another segment of the same tree.
@@ -403,6 +403,15 @@ class MetricTree:
             return TreePoint(self, self._edge_v[idx], None, 0.0)
         return TreePoint(self, None, idx, coord)
 
+    def _edge_points_at(self, edge: np.ndarray, coord: np.ndarray) -> PointArray:
+        """``_edge_point_at`` over arrays: the points at tail coordinates
+        ``coord`` on the edges ``edge``, canonical form included."""
+        eps = self.tol.abs_eps
+        node = np.where(coord >= self._edge_len[edge] - eps, self._ends[1::2][edge], -1)
+        node = np.where(coord <= eps, self._ends[0::2][edge], node)
+        inside = node < 0
+        return PointArray(self, node, np.where(inside, edge, -1), np.where(inside, coord, 0.0))
+
     # ------------------------------------------------------------------ #
     # Node-level structure                                                 #
     # ------------------------------------------------------------------ #
@@ -541,6 +550,23 @@ class MetricTree:
         rd_anc = rd[self._preorder[anc]]
         lca_rd = np.repeat(np.concatenate((rd_anc, rd_anc[-2::-1])), runs)[tin]
         return rd[s] + rd - 2.0 * lca_rd
+
+    def _ball_on_edges(self, center: TreePoint, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge arrays ``(lo, hi)``: the tail coordinates where B(center;
+        rho) meets each edge, with ``lo > hi`` where it misses.  Off the
+        center's edge, distance runs linearly through the nearer end, so the
+        ball holds a prefix, a suffix or the whole edge; on it, ``[offset -
+        rho, offset + rho]`` clipped.  Node distances match ``distances``."""
+        dist = np.minimum.reduce([self._node_distances(s) + c for s, c in self._anchors(center)])
+        length = self._edge_len
+        reach_tail = rho - dist[self._ends[0::2]]
+        reach_head = rho - dist[self._ends[1::2]]
+        lo = np.where(reach_tail >= 0.0, 0.0, length - np.clip(reach_head, 0.0, length))
+        hi = np.where(reach_head >= 0.0, length, np.minimum(reach_tail, length))
+        if center.edge is not None:
+            lo[center.edge] = max(center.offset - rho, 0.0)
+            hi[center.edge] = min(center.offset + rho, self._lengths[center.edge])
+        return lo, hi
 
     def _dist(self, x: TreePoint, y: TreePoint) -> float:
         if x.node is not None and y.node is not None:

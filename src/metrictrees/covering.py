@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .core import MetricTree, Tolerance, TreePoint
 from .errors import (
     EmptySet,
@@ -38,8 +40,6 @@ from .errors import (
     NegativeRadius,
     TooLargeForOracle,
 )
-from .sampling import edge_samples
-from .structure import leaves
 
 __all__ = [
     "PointSet",
@@ -435,23 +435,12 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     """Exact diameter of the closed ball B(center; rho) as a tree subset.
 
     The ball is a convex subtree; its diameter is realized between two of
-    its extremal points, which are tree leaves inside the ball or points at
-    distance exactly rho along edges leaving it.
+    its extremal points: the center and the ends of the interval in which
+    it meets each edge (a leaf inside the ball is such an end).
     """
     tree._own(center)
     rho = _nonnegative(rho, tree.tol, NegativeRadius, "radius")
-    # one side of each pair is a node, so d(center, node) == d(node, center) exactly
-    node_dist = tree.distances(center, edge_samples(tree, per_edge=0)).tolist()
-    ext = [center, *(f for f in leaves(tree) if node_dist[f.node] <= rho)]
-    for e, (u, v, length) in enumerate(tree.edges):
-        if center.edge == e:
-            # distances inside the center's own edge are direct
-            ext.append(tree._edge_point_at(e, max(center.offset - rho, 0.0)))
-            ext.append(tree._edge_point_at(e, min(center.offset + rho, length)))
-            continue
-        du, dv = node_dist[u], node_dist[v]
-        if du <= rho:
-            ext.append(tree._edge_point_at(e, min(rho - du, length)))
-        if dv <= rho:
-            ext.append(tree._edge_point_at(e, max(length - (rho - dv), 0.0)))
-    return diameter(PointSet(tree, ext))[0]
+    lo, hi = tree._ball_on_edges(center, rho)
+    met = np.flatnonzero(lo <= hi)
+    ends = tree._edge_points_at(np.repeat(met, 2), np.column_stack((lo[met], hi[met])).ravel())
+    return diameter(PointSet(tree, [center, *ends]))[0]

@@ -49,15 +49,10 @@ def edge_samples(tree: MetricTree, per_edge: int = 3) -> PointArray:
     lengths = tree._edge_len
     j = np.arange(1, per_edge + 1)
     coord = (lengths[:, None] * j / (per_edge + 1)).ravel()
-    edge = np.repeat(np.arange(len(lengths)), len(j))
-    length = lengths[edge]
-    eps = tree.tol.abs_eps
-    node = np.where(coord >= length - eps, tree._ends[1::2][edge], -1)
-    node = np.where(coord <= eps, tree._ends[0::2][edge], node)
-    inside = node < 0
+    inner = tree._edge_points_at(np.repeat(np.arange(len(lengths)), len(j)), coord)
     return PointArray(
         tree,
-        np.concatenate((np.arange(tree.n_nodes), node)),
-        np.concatenate((np.full(tree.n_nodes, -1), np.where(inside, edge, -1))),
-        np.concatenate((np.zeros(tree.n_nodes), np.where(inside, coord, 0.0))),
+        np.concatenate((np.arange(tree.n_nodes), inner.node)),
+        np.concatenate((np.full(tree.n_nodes, -1), inner.edge)),
+        np.concatenate((np.zeros(tree.n_nodes), inner.offset)),
     )

@@ -7,7 +7,7 @@ given point.  The Lifschitz characteristic of a metric tree equals 2:
 * for every b < 2 there is an a > 1 such that whenever d(x, y) > r, the
   intersection of the closed balls B(x; a*r) and B(y; b*r) fits inside a
   single closed ball of radius r (``lifschitz_witness`` constructs the
-  center and verifies the containment on supplied test points);
+  center and verifies the containment exactly, over the whole tree);
 * at b = 2 this fails: ``lifschitz_counterexample`` builds a path tree and
   a subsegment of diameter > 2r lying inside both balls, which therefore
   fits in no radius-r ball.
@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _is_number_type
+from .core import MetricTree, Tolerance, TreePoint, _is_number_type
 from .errors import BadParams, PreconditionViolation
-from .sampling import edge_samples, random_point
+from .sampling import random_point
 
 __all__ = [
     "LifschitzWitness",
@@ -41,11 +41,8 @@ __all__ = [
     "kappa_probe",
 ]
 
-COUNTEREXAMPLE_SAMPLES = 64
-# the counterexample's path is 4*r long, and its sample points are placed at
-# arc lengths 4*r * j / COUNTEREXAMPLE_SAMPLES: all finite up to this r
-_MAX_R = sys.float_info.max / (4 * COUNTEREXAMPLE_SAMPLES)
-PROBE_SAMPLES_PER_EDGE = 4
+# the counterexample's path is 4*r long: finite up to this r
+_MAX_R = sys.float_info.max / 4
 
 
 def leaves(tree: MetricTree) -> tuple[TreePoint, ...]:
@@ -123,6 +120,9 @@ class LifschitzWitness:
 
 @dataclass(frozen=True)
 class WitnessVerification:
+    """Of ``checked`` edges, the two balls' intersection meets ``applicable``;
+    ``failures`` are the ends of those meetings farther than r from z."""
+
     checked: int
     applicable: int
     failures: tuple[TreePoint, ...]
@@ -133,19 +133,15 @@ class WitnessVerification:
 
 
 def lifschitz_witness(
-    tree: MetricTree,
-    x: TreePoint,
-    y: TreePoint,
-    r: float,
-    eps: float,
-    test_points: Sequence[TreePoint],
+    tree: MetricTree, x: TreePoint, y: TreePoint, r: float, eps: float
 ) -> tuple[LifschitzWitness, WitnessVerification]:
-    """Construct and verify the sub-2 Lifschitz center.
+    """Construct the sub-2 Lifschitz center and verify it over the whole tree.
 
-    Requires d(x, y) > r and 0 < eps < 1.  Every test point w inside both
+    Requires d(x, y) > r and 0 < eps < 1.  Every point w inside both
     B(x; (1+eps)*r) and B(y; (2-2*eps)*r) must satisfy d(w, z) <= r for
-    z on [x, y] at distance eps*r from x; points outside the intersection
-    are counted but not constrained.
+    z on [x, y] at distance eps*r from x.  The balls are taken exactly, with
+    no slack; on each edge their intervals meet in one, whose ends are
+    checked against z up to the tolerance.
     """
     tree._own(x, y)
     if not r > 0:
@@ -157,14 +153,15 @@ def lifschitz_witness(
     a = 1.0 + eps
     b = 2.0 - 2.0 * eps
     z = tree.point_at(x, y, eps * r)
-    tol = tree.tol
-    pts = PointArray.of(tree, test_points)
-    inside = tol.leq_array(tree.distances(x, pts), a * r)
-    inside &= tol.leq_array(tree.distances(y, pts), b * r)
-    failed = inside & ~tol.leq_array(tree.distances(z, pts), r)
-    failures = tuple(pts[i] for i in np.flatnonzero(failed))
+    lo_x, hi_x = tree._ball_on_edges(x, a * r)
+    lo_y, hi_y = tree._ball_on_edges(y, b * r)
+    lo, hi = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
+    met = np.flatnonzero(lo <= hi)
+    ends = tree._edge_points_at(np.repeat(met, 2), np.column_stack((lo[met], hi[met])).ravel())
+    failed = ~tree.tol.leq_array(tree.distances(z, ends), r)
+    failures = tuple(dict.fromkeys(ends[i] for i in np.flatnonzero(failed)))
     witness = LifschitzWitness(x, y, float(r), float(eps), a, b, z)
-    return witness, WitnessVerification(len(pts), int(inside.sum()), failures)
+    return witness, WitnessVerification(len(lo), len(met), failures)
 
 
 @dataclass(frozen=True)
@@ -204,11 +201,13 @@ def lifschitz_counterexample(
 
     ``r`` and ``a`` may be any real numbers, numpy's included, but not
     bools (BadParams), as for edge lengths; ``a`` must be finite and ``r``
-    at most ``_MAX_R``, so that every length the construction computes is
-    finite (BadParams).  Containment is checked on
-    ``COUNTEREXAMPLE_SAMPLES`` evenly spaced points of [u, v]; the small
-    ball is sought among the nodes, ``COUNTEREXAMPLE_SAMPLES`` points per
-    edge, and x, y, u, v.
+    at most ``_MAX_R``, so that the path is finite (BadParams).  An r too
+    small for the tolerance to tell d(u, v) from 2r, that is one where
+    ``d(u, v) - 2r`` is at most twice the slack at 2r, raises BadParams too.
+    The checks are exact: balls are convex, so [u, v] lies in both when u
+    and v do, and no center does better than ``midpoint(u, v)``, since
+    max(d(z, u), d(z, v)) >= d(u, v)/2 for every z.  They read coordinates
+    on the path, not tree distances, which overflow sooner.
     """
     if not (_is_number_type(type(r)) and 0 < _to_float(r) <= _MAX_R):
         raise BadParams(f"r must be positive and at most {_MAX_R!r}, got {r!r}")
@@ -216,7 +215,8 @@ def lifschitz_counterexample(
         raise BadParams(f"a must exceed 1 and be finite, got {a!r}")
     r = float(r)
     a = float(a)
-    tree = MetricTree(2, [(0, 1, 4.0 * r)], tol=tol)
+    length = 4.0 * r
+    tree = MetricTree(2, [(0, 1, length)], tol=tol)
     w = tree.node_point(0)
     v = tree.node_point(1)
     y = tree.edge_point(0, 1, 2.0 * r)
@@ -227,22 +227,20 @@ def lifschitz_counterexample(
     clamped = u_coord <= 0.0
     u = w if clamped else tree.edge_point(0, 1, u_coord)
 
-    seg = tree.segment(u, v)
-    pts = seg.sample(COUNTEREXAMPLE_SAMPLES)
+    # on the path's one edge a distance is a difference of tail coordinates
+    cu, cv, cx, cy = (p.offset if p.node is None else (0.0, length)[p.node] for p in (u, v, x, y))
     tolv = tree.tol
     containment_ok = all(
-        tolv.leq(tree.distance(p, x), a * r) and tolv.leq(tree.distance(p, y), 2.0 * r)
-        for p in pts
+        tolv.leq(abs(c - cx), a * r) and tolv.leq(abs(c - cy), 2.0 * r) for c in (cu, cv)
     )
-    uv_diameter = seg.total_length
+    uv_diameter = cv - cu
     slack = tolv.slack(2.0 * r)
+    if not uv_diameter - 2.0 * r > 2.0 * slack:
+        raise BadParams(f"r = {r!r} with a = {a!r} is too small to resolve: d(u, v) - 2r "
+                        f"is not above twice the slack {slack!r}")
     diameter_exceeds = uv_diameter > 2.0 * r + slack
-
-    candidates = [*edge_samples(tree, per_edge=COUNTEREXAMPLE_SAMPLES), x, y, u, v]
-    no_small_ball = all(
-        max(tree.distance(z, p) for p in (pts[0], pts[-1])) > r + slack
-        for z in candidates
-    )
+    cm = cu + 0.5 * uv_diameter  # midpoint(u, v)
+    no_small_ball = max(cm - cu, cv - cm) > r + slack
     return CounterexampleRecord(
         tree,
         r,
@@ -298,20 +296,18 @@ def kappa_probe(
     """Randomized confirmation that the tree's Lifschitz characteristic is 2.
 
     Each trial draws x, y, r with d(x, y) > r and eps in (0, 1) (or the
-    fixed ``eps``), runs ``lifschitz_witness`` against the nodes and
-    ``PROBE_SAMPLES_PER_EDGE`` points per edge of the tree, and
-    independently verifies one ``lifschitz_counterexample`` template.  A
-    tree with no pair at positive distance (a single node) yields a vacuous
-    pass.  ``rng`` is anything ``np.random.default_rng`` takes: a seed of
-    any integer type, None, or a Generator, which is used as is.
+    fixed ``eps``), runs the exact ``lifschitz_witness`` over the whole
+    tree, and independently verifies one ``lifschitz_counterexample``
+    template.  A tree with no pair at positive distance (a single node)
+    yields a vacuous pass.  ``rng`` is anything ``np.random.default_rng``
+    takes: a seed of any integer type, None, or a Generator, which is used
+    as is.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials!r}")
     rng = np.random.default_rng(rng)
-    dense = edge_samples(tree, per_edge=PROBE_SAMPLES_PER_EDGE)
     witness_trials = 0
     witness_failures = 0
-    cex_trials = 0
     cex_failures = 0
     can_separate = tree.n_nodes > 1
     for _ in range(trials):
@@ -324,12 +320,10 @@ def kappa_probe(
                 d = tree.distance(x, y)
                 if d > tree.tol.abs_eps:
                     break
-            else:
-                d = 0.0
             if d > tree.tol.abs_eps:
                 r = float(rng.uniform(0.05, 0.95)) * d
                 e = float(eps) if eps is not None else float(rng.uniform(0.05, 0.95))
-                _w, verification = lifschitz_witness(tree, x, y, r, e, dense)
+                _w, verification = lifschitz_witness(tree, x, y, r, e)
                 witness_trials += 1
                 if not verification.passed:
                     witness_failures += 1
@@ -338,14 +332,13 @@ def kappa_probe(
             a=float(rng.uniform(1.05, 4.0)),
             tol=tree.tol,
         )
-        cex_trials += 1
         if not cex.passed:
             cex_failures += 1
     return KappaReport(
         trials,
         witness_trials,
         witness_failures,
-        cex_trials,
+        trials,
         cex_failures,
         vacuous=witness_trials == 0,
     )

@@ -213,7 +213,7 @@ def test_criterion_07_lifschitz_sandwich():
             continue
         r = float(rng.uniform(0.05, 0.95)) * d
         eps = float(rng.uniform(0.05, 0.95))
-        _w, verification = lifschitz_witness(tree, x, y, r, eps, edge_samples(tree, 4))
+        _w, verification = lifschitz_witness(tree, x, y, r, eps)
         if not verification.passed:
             failures += 1
         done += 1

@@ -11,12 +11,13 @@ MODULES = ("cli", "core", "covering", "errors", "ingest", "noncompactness", "rep
            "sampling", "structure")
 
 # pass-through wrappers and per-report builders that were folded into
-# ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``, and the
-# ``LeafSet`` tuple wrapper
+# ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``, the
+# ``LeafSet`` tuple wrapper, and the sample counts of the Lifschitz checks,
+# which are exact
 REMOVED = ("validate_tree", "segment_intersection", "point_obj", "profile_obj",
            "ball_cover_obj", "partition_obj", "measure_obj", "embedding_obj",
            "contraction_obj", "bound_check_obj", "witness_obj", "counterexample_obj",
-           "kappa_obj", "LeafSet")
+           "kappa_obj", "LeafSet", "COUNTEREXAMPLE_SAMPLES", "PROBE_SAMPLES_PER_EDGE")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,3 +46,4 @@ def test_unused_knobs_are_gone():
     assert not hasattr(metrictrees.TreePoint, "is_node")
     assert "samples" not in inspect.signature(metrictrees.lifschitz_counterexample).parameters
     assert "samples_per_edge" not in inspect.signature(metrictrees.kappa_probe).parameters
+    assert "test_points" not in inspect.signature(metrictrees.lifschitz_witness).parameters

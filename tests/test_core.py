@@ -304,6 +304,14 @@ class TestSegment:
             for q in whole.sample(8):
                 assert left.contains(q) or right.contains(q)
 
+    def test_sample_of_a_long_segment_stays_finite(self):
+        # arc lengths length * j / k overflowed to inf for lengths near the
+        # largest float
+        t = MetricTree(2, [(0, 1, 4e306)])
+        pts = t.segment(t.node_point(0), t.node_point(1)).sample(64)
+        assert len(pts) == 65
+        assert (pts[0], pts[-1]) == (t.node_point(0), t.node_point(1))
+
 
 class TestPointAt:
     def test_endpoints(self, simple_doc):
@@ -571,7 +579,8 @@ def _edge_samples_reference(tree, per_edge):
 
 
 def _witness_reference(tree, x, y, r, eps, test_points):
-    """The scalar loop ``lifschitz_witness`` replaced: (applicable, failures)."""
+    """The sampled check ``lifschitz_witness`` replaced, as a scalar loop
+    over test points: (applicable, failures)."""
     z = tree.point_at(x, y, eps * r)
     a, b, tol = 1.0 + eps, 2.0 - 2.0 * eps, tree.tol
     applicable, failures = 0, []
@@ -649,10 +658,11 @@ class TestEdgeSamples:
 
 
 class TestWitnessScan:
-    """``lifschitz_witness``'s array scans against the scalar loop.
+    """The exact ``lifschitz_witness`` against the sampled oracle it replaced.
 
-    Scalar ``distance`` is not bit-symmetric on two edge-interior points, so
-    the verdicts are compared, not the distances.
+    The exact check covers every point of the tree, so a case in which the
+    oracle finds a failing test point fails the exact check too; a failure
+    between the test points fails only the exact check.
     """
 
     def _cases(self, rng):
@@ -667,24 +677,70 @@ class TestWitnessScan:
     def test_verdicts_match_scalar_loop(self, rng):
         for tree, x, y, r, eps in self._cases(rng):
             pts = random_points(rng, tree, 20) + list(edge_samples(tree, 3))
-            _w, ver = lifschitz_witness(tree, x, y, r, eps, pts)
+            _w, ver = lifschitz_witness(tree, x, y, r, eps)
             applicable, failures = _witness_reference(tree, x, y, r, eps, pts)
-            assert (ver.checked, ver.applicable, list(ver.failures)) == (
-                len(pts), applicable, failures
-            )
+            assert failures == [] and ver.passed
+            assert ver.checked == tree.n_nodes - 1
+            assert ver.applicable >= (applicable > 0)
 
     def test_failures_match_scalar_loop(self, rng, monkeypatch):
         # a wrong center (the far end y) makes points fail, so that the
-        # failure list is compared on nonempty cases too
+        # implication is tested on failing cases too
         monkeypatch.setattr(MetricTree, "point_at", lambda self, x, y, t: y)
         seen = 0
         for tree, x, y, r, eps in self._cases(rng):
-            pts = edge_samples(tree, 3)
-            _w, ver = lifschitz_witness(tree, x, y, r, eps, pts)
-            applicable, failures = _witness_reference(tree, x, y, r, eps, pts)
-            assert (ver.applicable, list(ver.failures)) == (applicable, failures)
-            seen += len(failures)
+            _w, ver = lifschitz_witness(tree, x, y, r, eps)
+            _applicable, failures = _witness_reference(tree, x, y, r, eps, edge_samples(tree, 3))
+            if failures:
+                seen += 1
+                assert not ver.passed
+            assert all(tree.distance(p, y) > r for p in ver.failures)
         assert seen > 0
+
+    def test_failure_between_test_points(self, monkeypatch):
+        # B(x; 7.5) and B(y; 5) meet in the coordinates [5, 7.5]; seen from a
+        # wrong center at 1.5, only (6.5, 7.5] lies farther than r = 5, strictly
+        # between the test points at 6 and 8 that edge_samples(tree, 4) places
+        tree = MetricTree(2, [(0, 1, 10.0)])
+        x, y = tree.node_point(0), tree.node_point(1)
+        wrong = tree.edge_point(0, 1, 1.5)
+        monkeypatch.setattr(MetricTree, "point_at", lambda self, p, q, t: wrong)
+        _w, ver = lifschitz_witness(tree, x, y, 5.0, 0.5)
+        assert (ver.checked, ver.applicable) == (1, 1)
+        assert ver.failures == (tree.edge_point(0, 1, 7.5),)
+        assert _witness_reference(tree, x, y, 5.0, 0.5, edge_samples(tree, 4)) == (1, [])
+
+
+class TestBallOnEdges:
+    """``MetricTree._ball_on_edges`` against membership read off distances."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        n=st.integers(1, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_hold_the_dense_sample(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        tree = shaped_tree(rng, shape, n)
+        centers = [tree.node_point(int(rng.integers(0, n)))] + random_points(rng, tree, 3)
+        pts = edge_samples(tree, 40)
+        for c in centers:
+            for rho in (0.0, *rng.uniform(0.0, 4.0, 2)):
+                lo, hi = tree._ball_on_edges(c, float(rho))
+                assert lo.shape == hi.shape == (n - 1,)
+                slack = tree.tol.slack(rho)
+                for p, d in zip(pts, tree.distances(c, pts)):
+                    if abs(d - rho) <= slack:
+                        continue
+                    if p.node is None:
+                        on_edges = [(p.edge, p.offset)]
+                    else:
+                        on_edges = [(e, 0.0 if tree.edge_nodes(e)[0] == p.node
+                                     else tree.edge_length(e))
+                                    for _nbr, e in tree.neighbors(p.node)]
+                    for e, coord in on_edges:
+                        assert (lo[e] <= coord <= hi[e]) == (d <= rho)
 
 
 def _reference_chain(tree, x, y):

@@ -21,7 +21,6 @@ from metrictrees import (
     contraction_bound_check,
     contraction_constants,
     diameter,
-    edge_samples,
     embedding_invariance_check,
     kappa_probe,
     lifschitz_counterexample,
@@ -205,8 +204,7 @@ def _reports(seed):
     yield "counterexample", report_obj(rec), counterexample_obj(rec)
     if diam > 0:
         r = float(rng.uniform(0.2, 0.9)) * diam
-        w, ver = lifschitz_witness(tree, x, y, r, float(rng.uniform(0.05, 0.95)),
-                                   edge_samples(tree, 2))
+        w, ver = lifschitz_witness(tree, x, y, r, float(rng.uniform(0.05, 0.95)))
         yield "witness", {**report_obj(w), **report_obj(ver)}, witness_obj(w, ver)
 
     yield "points", report_obj(pts), [point_obj(p) for p in pts]
@@ -238,7 +236,7 @@ def test_failures_are_serialized():
     # a witness whose failure list is nonempty still matches
     tree = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
     x, y = tree.node_point(0), tree.node_point(2)
-    w, ver = lifschitz_witness(tree, x, y, 1.0, 0.5, edge_samples(tree, 3))
+    w, ver = lifschitz_witness(tree, x, y, 1.0, 0.5)
     bad = type(ver)(ver.checked, ver.applicable, (tree.node_point(1),))
     assert {**report_obj(w), **report_obj(bad)} == witness_obj(w, bad)
     assert report_obj(bad)["passed"] is False

@@ -144,19 +144,20 @@ class TestLifschitzWitness:
     def test_path_example(self):
         t = _path_tree(10)
         x, y = t.node_point(0), t.node_point(10)
-        w, verification = lifschitz_witness(t, x, y, 4.0, 0.25, edge_samples(t, 6))
+        w, verification = lifschitz_witness(t, x, y, 4.0, 0.25)
         assert verification.passed
         assert verification.applicable > 0
         assert w.a == 1.25 and w.b == 1.5
         assert t.distance(x, w.z) == pytest.approx(1.0)
 
     def test_vacuous_when_no_point_applies(self, star_doc):
+        # B(tip1; 1.9 * 0.9) reaches 0.71 up the spoke of tip2, and
+        # B(tip2; 0.2 * 0.9) only 0.18 down it: the balls do not meet
         doc = star_doc(3)
         t = doc.tree
         x, y = doc.points["tip1"], doc.points["tip2"]
-        far = [doc.points["tip3"]]
-        _w, verification = lifschitz_witness(t, x, y, 1.5, 0.9, far)
-        assert verification.applicable == 0
+        _w, verification = lifschitz_witness(t, x, y, 0.9, 0.9)
+        assert (verification.checked, verification.applicable) == (3, 0)
         assert verification.passed
 
     def test_preconditions(self, star_doc):
@@ -164,11 +165,11 @@ class TestLifschitzWitness:
         t = doc.tree
         x, y = doc.points["tip1"], doc.points["tip2"]
         with pytest.raises(PreconditionViolation):
-            lifschitz_witness(t, x, y, 2.5, 0.5, [])  # d(x, y) = 2 <= r
+            lifschitz_witness(t, x, y, 2.5, 0.5)  # d(x, y) = 2 <= r
         with pytest.raises(PreconditionViolation):
-            lifschitz_witness(t, x, y, 1.0, 1.5, [])
+            lifschitz_witness(t, x, y, 1.0, 1.5)
         with pytest.raises(PreconditionViolation):
-            lifschitz_witness(t, x, y, -1.0, 0.5, [])
+            lifschitz_witness(t, x, y, -1.0, 0.5)
 
     def test_random_trees(self, rng):
         done = 0
@@ -180,9 +181,7 @@ class TestLifschitzWitness:
                 continue
             r = float(rng.uniform(0.05, 0.95)) * d
             eps = float(rng.uniform(0.05, 0.95))
-            _w, verification = lifschitz_witness(
-                tree, x, y, r, eps, edge_samples(tree, 4)
-            )
+            _w, verification = lifschitz_witness(tree, x, y, r, eps)
             assert verification.passed
             done += 1
 
@@ -234,9 +233,17 @@ class TestLifschitzCounterexample:
             lifschitz_counterexample(1.0, 10**400)
 
     def test_largest_r_verifies(self):
-        r = 1e305  # every length of the construction stays finite
-        assert lifschitz_counterexample(r, 1.5).passed
-        assert lifschitz_counterexample(r, 3.8).passed
+        for r in (1e305, 4e307):  # the path, 4*r, stays finite
+            assert lifschitz_counterexample(r, 1.5).passed
+            assert lifschitz_counterexample(r, 3.8).passed
+
+    def test_r_below_the_tolerance_is_rejected(self):
+        # d(u, v) - 2r must exceed twice the slack at 2r, which is at least
+        # abs_eps = 1e-9; here it is 1.25e-9 and 5e-13
+        for r, a in ((5e-9, 1.5), (1.0, 1 + 1e-12)):
+            with pytest.raises(BadParams, match="^r = .* a = .* too small"):
+                lifschitz_counterexample(r, a)
+        assert lifschitz_counterexample(1e-8, 1.5).passed
 
     def test_numpy_numbers_accepted(self):
         assert lifschitz_counterexample(np.float32(1.0), np.int64(2)).passed
