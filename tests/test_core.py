@@ -1152,7 +1152,11 @@ class TestConstructionParity:
         assert _tables(MetricTree(n, edges)) == _reference_tables(n, edges)
         fault = str(rng.choice(_FAULTS))
         _add_fault(edges, n, fault)
-        assert _outcome(lambda: MetricTree(n, edges)) == _reference_outcome(n, edges)
+        got = _outcome(lambda: MetricTree(n, edges))
+        # replacing an edge on the cycle the new one closes leaves a tree
+        assert (_tables(got) if isinstance(got, MetricTree) else got) == _reference_outcome(
+            n, edges
+        )
 
     @given(
         seed=st.integers(0, 2**32 - 1),

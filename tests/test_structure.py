@@ -11,6 +11,7 @@ from metrictrees import (
     MetricTree,
     PointSet,
     PreconditionViolation,
+    Tolerance,
     circumcenter,
     diameter,
     edge_samples,
@@ -332,6 +333,16 @@ class TestKappaProbe:
     def test_bad_trials(self, star_doc):
         with pytest.raises(BadParams):
             kappa_probe(star_doc(3).tree, trials=0)
+
+    def test_coarse_tolerance(self):
+        """The counterexample template is a fixed path, not the tree: its
+        draws of r and a resolve at the default tolerance whatever the
+        tree's, so a coarse one does not reject them as too small."""
+        tree = MetricTree(3, [(0, 1, 1.0), (1, 2, 2.0)], tol=Tolerance(0.01, 0.01))
+        for seed in range(6):
+            rep = kappa_probe(tree, trials=60, rng=seed)
+            assert rep.consistent
+            assert rep.counterexample_trials == 60
 
 
 class TestEnclosingBallBound:
