@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -272,7 +273,8 @@ class MetricTree:
     ``NonpositiveEdgeLength`` (zero, negative, or non-finite) or
     ``Disconnected``; an edge that is not a (u, v, length) triple of numbers
     (a bool, a string or a non-integral endpoint included) or names a node
-    outside ``0..n_nodes-1`` raises ``BadParams``.
+    outside ``0..n_nodes-1`` raises ``BadParams``, as does a node so far from
+    node 0 that a sum of two distances could overflow.
 
     The tables are built once, by numpy, from the edges as three columns.
     Edge ``e`` has the half-edges ``2e`` from its tail and ``2e + 1`` from
@@ -286,18 +288,20 @@ class MetricTree:
     sequential union-find scan run, to name the first bad edge.
 
     The scalar queries read plain lists: per node its parent, parent edge,
-    hop count and root distance, and the binary-lifting ancestor rows.
-    ``distances`` reads numpy arrays: the preorder of a depth-first walk
-    taking children in descending edge order, each node's position in it
-    (``_tin``), per position the end of its subtree (``_end``), and the
-    root distances, summed parent first.  Point-to-point distance costs
-    O(log n); ``distances`` measures one point against many in
-    O(n + len(qs)).
+    root distance and preorder interval ``[_enter, _leave)``, and the
+    binary-lifting ancestor rows.  ``distances`` reads numpy arrays: the
+    preorder of a depth-first walk taking children in descending edge
+    order, each node's position in it (``_tin``), per position the end of
+    its subtree (``_end``), and the root distances, summed parent first.
+    w is v or an ancestor of v exactly when its interval holds v's
+    position: ``lca``, ``_exit_node`` and ``_node_distances`` all test
+    that.  Point-to-point distance costs O(log n); ``distances`` measures
+    one point against many in O(n + len(qs)).
     """
 
     __slots__ = (
         "n_nodes", "tol", "_edges", "_edge_u", "_edge_v", "_lengths",
-        "_parent", "_parent_edge", "_hops", "_root_dist", "_up",
+        "_parent", "_parent_edge", "_root_dist", "_enter", "_leave", "_up",
         "_ends", "_edge_len", "_adj_start", "_adj_half",
         "_preorder", "_tin", "_end", "_root_dist_arr",
     )
@@ -347,11 +351,14 @@ class MetricTree:
         rooted = _tour(ends, order, start, deg, lens)
         if rooted is None:
             _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
-        (self._parent, self._parent_edge, self._hops, self._root_dist,
-         self._preorder, self._tin, self._end, self._root_dist_arr) = rooted
+        (self._parent, self._parent_edge, self._root_dist, self._enter, self._leave,
+         self._preorder, self._tin, self._end, self._root_dist_arr, height) = rooted
+        far = int(self._root_dist_arr.argmax())
+        if self._root_dist[far] > sys.float_info.max / 4:
+            raise BadParams(f"node {far} lies {self._root_dist[far]!r} from node 0; sums overflow")
         up = [self._parent.copy()]
         up[0][0] = 0
-        for _ in range(1, max(1, max(self._hops).bit_length())):
+        for _ in range(1, max(1, height.bit_length())):
             up.append(itemgetter(*up[-1])(up[-1]))  # prev[prev], sharing its ints
         self._up = tuple(up)
         self._edge_u, self._edge_v, self._lengths = us, vs, lengths
@@ -450,23 +457,14 @@ class MetricTree:
         return None
 
     def lca(self, u: int, v: int) -> int:
-        hu, hv = self._hops[u], self._hops[v]
-        if hu < hv:
-            u, v = v, u
-            hu, hv = hv, hu
-        diff = hu - hv
-        k = 0
-        while diff:
-            if diff & 1:
-                u = self._up[k][u]
-            diff >>= 1
-            k += 1
-        if u == v:
+        enter, leave = self._enter, self._leave
+        t = enter[v]
+        if enter[u] <= t < leave[u]:
             return u
-        for k in range(len(self._up) - 1, -1, -1):
-            if self._up[k][u] != self._up[k][v]:
-                u = self._up[k][u]
-                v = self._up[k][v]
+        for row in reversed(self._up):
+            w = row[u]
+            if not enter[w] <= t < leave[w]:
+                u = w
         return self._parent[u]
 
     def node_distance(self, u: int, v: int) -> float:
@@ -601,8 +599,8 @@ class MetricTree:
             return p.node
         u, v = self._edge_u[p.edge], self._edge_v[p.edge]
         low = v if self._parent[v] == u else u
-        anchor = self._edge_u[q.edge] if q.node is None else q.node
-        return low if self.lca(low, anchor) == low else self._parent[low]
+        t = self._enter[self._edge_u[q.edge] if q.node is None else q.node]
+        return low if self._enter[low] <= t < self._leave[low] else self._parent[low]
 
     def _legs(self, x: TreePoint, y: TreePoint):
         """The legs of the geodesic from x to y in path order, each as
@@ -705,15 +703,15 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     """The rooted tables, root = node 0, from an Euler tour over the rows, or
     None when the edges are not a tree.
 
-    Lists per node: parent, parent edge, hop count and root distance;
-    arrays: the preorder, each node's position in it, per position the end
-    of its subtree, and the root distances.  The tour leaves each
-    half-edge's head by the half-edge after its twin in that node's row,
-    cut before it leaves node 0 again; pointer jumping counts the steps to
-    the cut.  With n - 1 edges, a tour over every half-edge that touches
-    every node proves a tree.  Of an edge's two half-edges, the first on
-    the tour leads away from the root, and half the steps between them are
-    the nodes below it.
+    Lists per node: parent, parent edge, root distance, preorder position
+    and subtree end; arrays: the preorder, each node's position in it, per
+    position the end of its subtree, the root distances; and the largest
+    hop count.  The tour leaves each half-edge's head by the half-edge
+    after its twin in that node's row, cut before it leaves node 0 again;
+    pointer jumping counts the steps to the cut.  With n - 1 edges, a tour
+    over every half-edge that touches every node proves a tree.  Of an
+    edge's two half-edges, the first on the tour leads away from the root,
+    and half the steps between them are the nodes below it.
     """
     n, two_m = len(deg), len(order)
     h = np.arange(two_m)
@@ -737,10 +735,10 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     rank = two_m - 1 - dist
     r0, r1 = rank[0::2], rank[1::2]
     down = h[0::2] + (r1 < r0)  # per edge, the half-edge away from the root
-    enter, leave = np.minimum(r0, r1), np.maximum(r0, r1)
-    size = (leave - enter + 1) >> 1
+    descend, ascend = np.minimum(r0, r1), np.maximum(r0, r1)
+    size = (ascend - descend + 1) >> 1
     child, at = ends[down ^ 1], pos[down]
-    parent, parent_edge, subtree, hops = np.zeros((4, n), dtype=np.intp)
+    parent, parent_edge, subtree = np.zeros((3, n), dtype=np.intp)
     tin = np.zeros(n, dtype=np.intp)  # kept by the tree, so not a row of that block
     parent[0], parent_edge[0], subtree[0] = -1, -1, n
     parent[child], parent_edge[child], subtree[child] = ends[down], h[: two_m // 2], size
@@ -751,10 +749,10 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     later = later.cumsum()
     skip = later[start[ends[down] + 1] - 1] - later[at] + 1
     steps = np.zeros(two_m, dtype=np.intp)
-    steps[enter], steps[leave] = skip, -skip
-    tin[child] = steps.cumsum()[enter]
-    steps[enter], steps[leave] = 1, -1
-    hops[child] = steps.cumsum()[enter]
+    steps[descend], steps[ascend] = skip, -skip
+    tin[child] = steps.cumsum()[descend]
+    steps[descend], steps[ascend] = 1, -1
+    height = int(steps.cumsum().max(initial=0))  # hop counts are its values at descend
     positions = np.arange(n)
     preorder = np.empty(n, dtype=np.intp)
     preorder[tin] = positions
@@ -766,9 +764,10 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     ):
         by_position.append(by_position[above] + length)
     root_dist = np.fromiter(by_position, np.float64, n)[tin]
+    leave = tin + subtree
     return (
-        parent.tolist(), parent_edge.tolist(), hops.tolist(), root_dist.tolist(),
-        preorder, tin, positions + subtree[preorder], root_dist,
+        parent.tolist(), parent_edge.tolist(), root_dist.tolist(), tin.tolist(), leave.tolist(),
+        preorder, tin, leave[preorder], root_dist, height,
     )
 
 

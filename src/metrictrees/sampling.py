@@ -13,15 +13,13 @@ def random_tree(
     rng: np.random.Generator,
     n_nodes: int | None = None,
     max_nodes: int = 12,
-    length_range: tuple[float, float] = (0.2, 2.5),
     tol: Tolerance | None = None,
 ) -> MetricTree:
-    """Uniform random attachment tree with lengths drawn from length_range."""
+    """Uniform random attachment tree with lengths uniform in [0.2, 2.5]."""
     if n_nodes is None:
         n_nodes = int(rng.integers(1, max_nodes + 1))
-    lo, hi = length_range
     edges = [
-        (int(rng.integers(0, i)), i, float(rng.uniform(lo, hi)))
+        (int(rng.integers(0, i)), i, float(rng.uniform(0.2, 2.5)))
         for i in range(1, n_nodes)
     ]
     return MetricTree(n_nodes, edges, tol=tol)

@@ -41,8 +41,8 @@ __all__ = [
     "kappa_probe",
 ]
 
-# the counterexample's path is 4*r long: finite up to this r
-_MAX_R = sys.float_info.max / 4
+# a tree takes the counterexample's path, 4*r long, up to this r
+_MAX_R = sys.float_info.max / 16
 
 
 def leaves(tree: MetricTree) -> tuple[TreePoint, ...]:
@@ -200,13 +200,13 @@ def lifschitz_counterexample(
 
     ``r`` and ``a`` may be any real numbers, numpy's included, but not
     bools (BadParams), as for edge lengths; ``a`` must be finite and ``r``
-    at most ``_MAX_R``, so that the path is finite (BadParams).  An r too
+    at most ``_MAX_R``, so that a tree takes the path (BadParams).  An r too
     small for the tolerance to tell d(u, v) from 2r, that is one where
     ``d(u, v) - 2r`` is at most twice the slack at 2r, raises BadParams too.
     The checks are exact: balls are convex, so [u, v] lies in both when u
     and v do, and no center does better than ``midpoint(u, v)``, since
     max(d(z, u), d(z, v)) >= d(u, v)/2 for every z.  They read coordinates
-    on the path, not tree distances, which overflow sooner.
+    on the path.
     """
     if not (_is_number_type(type(r)) and 0 < _to_float(r) <= _MAX_R):
         raise BadParams(f"r must be positive and at most {_MAX_R!r}, got {r!r}")

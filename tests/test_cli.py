@@ -2,11 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from metrictrees import format_matrix_csv, gallery, matrix_from_points, parse_tree
-from metrictrees import cli
+from metrictrees import cli, structure
 from metrictrees.cli import main
 
 
@@ -112,6 +113,17 @@ class TestBuild:
         assert code == 2
         assert json.loads(out)["built"] is False
 
+    def test_not_a_metric_exits_two_without_file(self, tmp_path, capsys):
+        matrix = tmp_path / "bad.csv"
+        matrix.write_text(",a,b,c\na,0,1,5\nb,1,0,1\nc,5,1,0\n")
+        out_tree = tmp_path / "bad.tree"
+        code, out, _ = run(capsys, "build", str(matrix), "--tree-out", str(out_tree))
+        assert code == 2
+        report = json.loads(out)
+        assert (report["built"], report["reason"]) == (False, "not a metric")
+        assert sorted(report["violating_triple"]) == [0, 1, 2]
+        assert not out_tree.exists()
+
     def test_unwritable_label_exits_one_without_file(self, tmp_path, capsys):
         # labels a document cannot hold: whitespace, '#'
         matrix = tmp_path / "labels.csv"
@@ -141,6 +153,15 @@ class TestMeasure:
         assert rep["passed"] is True
         assert [v["value"] for v in rep["alpha"]["values"]] == [2.0, 2.0, 2.0, 0.0]
         assert [v["value"] for v in rep["beta"]["values"]] == [1.0, 1.0, 1.0, 0.0]
+
+    def test_no_points_means_every_node(self, tmp_path, capsys):
+        path = tmp_path / "bare.tree"
+        path.write_text("edge 0 1 2.0\nedge 1 2 1.0\n")
+        code, out, _ = run(capsys, "measure", str(path))
+        assert code == 0
+        body = json.loads(out)
+        assert body["points"] == [{"kind": "node", "node": i} for i in range(3)]
+        assert [v["value"] for v in body["report"]["beta"]["values"]] == [1.5, 0.5, 0.0]
 
     def test_single_point_zero_profiles(self, star_tree_file, capsys):
         code, out, _ = run(capsys, "measure", str(star_tree_file), "hub", "--n", "2")
@@ -262,6 +283,16 @@ class TestKappa:
     def test_zero_trials_exits_one(self, tree_file, capsys):
         code, _, err = run(capsys, "kappa", str(tree_file), "--trials", "0")
         assert code == 1
+
+    def test_failures_exit_two_with_report(self, tree_file, capsys, monkeypatch):
+        failed = SimpleNamespace(passed=False)
+        monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
+        monkeypatch.setattr(structure, "lifschitz_counterexample", lambda **kwargs: failed)
+        code, out, _ = run(capsys, "kappa", str(tree_file), "--trials", "4")
+        assert code == 2
+        rep = json.loads(out)["report"]
+        assert rep["consistent"] is False
+        assert (rep["witness_failures"], rep["counterexample_failures"]) == (4, 4)
 
     def test_seeded_byte_identical(self, tree_file, capsys):
         args = ("kappa", str(tree_file), "--trials", "10", "--seed", "7")

@@ -7,10 +7,13 @@ against direct distance arithmetic on sampled points.
 """
 
 import gc
+import itertools
 import json
 import math
+import sys
 import tracemalloc
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -110,6 +113,22 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 200_000
+
+    def test_root_distance_that_overflows_sums(self):
+        # node 2 lies inf from node 0, and node_distance(2, 2) once read nan
+        with pytest.raises(BadParams, match="^node 2 lies inf from node 0"):
+            MetricTree(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        with pytest.raises(BadParams, match="^node 1 lies"):
+            MetricTree(2, [(0, 1, math.nextafter(sys.float_info.max / 4, math.inf))])
+        # at the bound every sum of two distances stays finite
+        half = sys.float_info.max / 8
+        tree = MetricTree(3, [(1, 0, half), (0, 2, half)])
+        ends = tree.node_point(1), tree.node_point(2)
+        mid = tree.edge_point(0, 2, 0.5 * half)
+        assert tree.node_distance(1, 2) == 2 * half
+        assert tree.node_distance(2, 2) == 0.0
+        assert tree.distance(ends[0], mid) == 1.5 * half
+        assert tree.is_between(ends[0], mid, ends[1])
 
 
 class TestDistance:
@@ -759,7 +778,7 @@ def _reference_chain(tree, x, y):
         return u if du <= dv else v
 
     u, v = exit_node(x, y), exit_node(y, x)
-    w = tree.lca(u, v)
+    w = _reference_lca(tree, u, v)
     up, down = [u], [v]
     while up[-1] != w:
         up.append(tree._parent[up[-1]])
@@ -943,11 +962,61 @@ class TestDirectionFromTables:
         assert tree.point_at(x, y, 0.25) == tree.edge_point(0, 1, 0.75)
 
 
+class TestLcaOracle:
+    """``lca`` and ``node_distance`` against the reference's parent and hop
+    lists, which share no code with the preorder intervals."""
+
+    SHAPES = ["random", "path", "caterpillar", "star"]
+
+    def _check(self, tree, pairs):
+        rd = _reference_tables(tree.n_nodes, tree.edges)["_root_dist"]
+        for u, v in pairs:
+            w = _reference_lca(tree, u, v)
+            assert tree.lca(u, v) == w
+            assert tree.node_distance(u, v) == rd[u] + rd[v] - 2.0 * rd[w]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_pair_on_small_trees(self, rng, shape):
+        for n in (1, 2, 3, 4, 7, 12, 25, 60):
+            tree = shaped_tree(rng, shape, n)
+            self._check(tree, itertools.product(range(n), repeat=2))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sampled_pairs_on_a_large_tree(self, rng, shape):
+        tree = shaped_tree(rng, shape, 2000)
+        self._check(tree, rng.integers(0, 2000, (2000, 2)).tolist())
+
+
 def _reference_tables(n_nodes, edges):
     """The sequential constructor ``MetricTree`` replaced, kept as the
     reference: union-find validation edge by edge, then a DFS from node 0.
-    Returns its tables, with each node's parent edge and the DFS's pop
-    order, or raises what it raised."""
+    Returns its tables, with each node's parent edge, the DFS's pop order
+    and each node's interval in it, or raises what it raised."""
+    return _reference_walk(n_nodes, edges)[0]
+
+
+@lru_cache(maxsize=4)
+def _reference_ancestry(tree):
+    """The reference's parent and hop lists for ``tree``."""
+    tables, hops = _reference_walk(tree.n_nodes, tree.edges)
+    return tables["_parent"], hops
+
+
+def _reference_lca(tree, u, v):
+    """Lowest common ancestor from the reference's lists: climb the deeper
+    node to the other's hop count, then both in step."""
+    parent, hops = _reference_ancestry(tree)
+    while hops[u] > hops[v]:
+        u = parent[u]
+    while hops[v] > hops[u]:
+        v = parent[v]
+    while u != v:
+        u, v = parent[u], parent[v]
+    return u
+
+
+def _reference_walk(n_nodes, edges):
+    """``_reference_tables`` and the hop count of each node."""
     edge_list = []
     seen = set()
     uf = list(range(n_nodes))
@@ -1007,6 +1076,11 @@ def _reference_tables(n_nodes, edges):
     for _ in range(1, levels):
         prev = up[-1]
         up.append([prev[prev[u]] for u in range(n_nodes)])
+    enter, size = [0] * n_nodes, [1] * n_nodes
+    for i, u in enumerate(order):
+        enter[u] = i
+    for u in reversed(order[1:]):  # children before parents
+        size[parent[u]] += size[u]
     return {
         "edges": tuple(edge_list),
         "_edge_u": tuple(e[0] for e in edge_list),
@@ -1015,11 +1089,12 @@ def _reference_tables(n_nodes, edges):
         "_adj": adj,
         "_parent": tuple(parent),
         "_parent_edge": tuple(parent_edge),
-        "_hops": tuple(hops),
         "_root_dist": tuple(root_dist),
+        "_enter": tuple(enter),
+        "_leave": tuple(e + k for e, k in zip(enter, size)),
         "_preorder": tuple(order),
         "_up": tuple(tuple(row) for row in up),
-    }
+    }, hops
 
 
 def _outcome(build):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from metrictrees import (
+    BadParams,
     EmptySet,
     NegativeDiameter,
     NegativeRadius,
@@ -324,6 +325,38 @@ class TestOracle:
                 for c in candidate_centers(ps)
             )
             assert by_diameter == by_centers
+
+
+class TestEntryPointGuards:
+    EMPTY_CALLS = {
+        "diameter": diameter,
+        "circumcenter": circumcenter,
+        "min_ball_cover": lambda ps: min_ball_cover(ps, 1.0),
+        "min_diameter_partition": lambda ps: min_diameter_partition(ps, 1.0),
+        "beta_profile": lambda ps: beta_profile(ps, 2),
+        "alpha_profile": lambda ps: alpha_profile(ps, 2),
+        "beta_star_profile": lambda ps: beta_star_profile(ps, 2),
+        "oracle_min_cover_ball": lambda ps: oracle_min_cover(ps, 1.0),
+        "oracle_min_cover_diameter": lambda ps: oracle_min_cover(ps, 1.0, mode="diameter"),
+        "oracle_profiles": lambda ps: oracle_profiles(ps, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
+    def test_empty_point_set(self, simple_doc, name):
+        with pytest.raises(EmptySet):
+            self.EMPTY_CALLS[name](PointSet(simple_doc.tree, []))
+
+    @pytest.mark.parametrize(
+        "profile", [beta_profile, alpha_profile, beta_star_profile, oracle_profiles]
+    )
+    def test_zero_parts(self, simple_doc, profile):
+        with pytest.raises(BadParams, match="n_max"):
+            profile(PointSet(simple_doc.tree, list(simple_doc.points.values())), 0)
+
+    def test_unknown_oracle_mode(self, simple_doc):
+        ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))
+        with pytest.raises(BadParams, match="mode"):
+            oracle_min_cover(ps, 1.0, mode="radius")
 
 
 class TestBallDiameter:

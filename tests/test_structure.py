@@ -1,10 +1,13 @@
 """Tests for leaves, leaf decompositions, and Lifschitz constructions."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from metrictrees import structure
 from metrictrees import (
     BadParams,
     CounterexampleRecord,
@@ -26,6 +29,7 @@ from metrictrees import (
     random_tree,
 )
 from metrictrees.reports import report_obj
+from metrictrees.structure import _MAX_R
 
 
 
@@ -228,15 +232,19 @@ class TestLifschitzCounterexample:
             lifschitz_counterexample(float("inf"), 1.5)
         with pytest.raises(BadParams, match="^r must be"):
             lifschitz_counterexample(1e308, 1.5)  # the path, 4*r, overflows
+        with pytest.raises(BadParams, match="^r must be"):
+            lifschitz_counterexample(4e307, 1.5)  # sums of distances on it would
         with pytest.raises(BadParams, match="^a must"):
             lifschitz_counterexample(1.0, float("inf"))
         with pytest.raises(BadParams, match="^a must"):
             lifschitz_counterexample(1.0, 10**400)
 
     def test_largest_r_verifies(self):
-        for r in (1e305, 4e307):  # the path, 4*r, stays finite
-            assert lifschitz_counterexample(r, 1.5).passed
-            assert lifschitz_counterexample(r, 3.8).passed
+        for r in (1e305, _MAX_R):  # the path, 4*r, and its distance sums stay finite
+            for a in (1.5, 3.8):
+                rec = lifschitz_counterexample(r, a)
+                assert rec.passed
+                assert math.isfinite(rec.tree.distance(rec.u, rec.v))
 
     def test_r_below_the_tolerance_is_rejected(self):
         # d(u, v) - 2r must exceed twice the slack at 2r, which is at least
@@ -333,6 +341,15 @@ class TestKappaProbe:
     def test_bad_trials(self, star_doc):
         with pytest.raises(BadParams):
             kappa_probe(star_doc(3).tree, trials=0)
+
+    def test_failures_are_counted(self, star_doc, monkeypatch):
+        failed = SimpleNamespace(passed=False)
+        monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
+        monkeypatch.setattr(structure, "lifschitz_counterexample", lambda **kwargs: failed)
+        rep = kappa_probe(star_doc(3).tree, trials=7, rng=0)
+        assert (rep.witness_trials, rep.witness_failures) == (7, 7)
+        assert (rep.counterexample_trials, rep.counterexample_failures) == (7, 7)
+        assert not rep.consistent
 
     def test_coarse_tolerance(self):
         """The counterexample template is a fixed path, not the tree: its
