@@ -533,6 +533,14 @@ class MetricTree:
             out[same] = np.abs(p.offset - qs.offset[same])
         return out
 
+    def _distance_matrix(self, points: Sequence[TreePoint]) -> np.ndarray:
+        """``distance`` between every two of ``points``, bit for bit: one
+        ``distances`` row per point over one PointArray, with a zero diagonal."""
+        arr = PointArray.of(self, points)
+        values = np.array([self.distances(p, arr) for p in points]).reshape(len(arr), len(arr))
+        np.fill_diagonal(values, 0.0)
+        return values
+
     def _node_distances(self, s: int) -> np.ndarray:
         """``node_distance(s, v)`` for every node v.
 
@@ -696,6 +704,16 @@ def _is_number_type(kind: type) -> bool:
     """Whether values of ``kind`` may be edge values: real numbers, numpy's
     included, but not bools, which would read as 0 and 1."""
     return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def _positive_count(value, what: str) -> int:
+    """``value`` as a plain ``int`` of at least 1; BadParams for anything else,
+    bools and integral floats included."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    count = index(value) if integral else 0
+    if count < 1:
+        raise BadParams(f"{what} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarray,

@@ -21,15 +21,26 @@ so one binary search, ``beta_profile``, yields all three: alpha and beta*
 double its values, alpha's witnesses are the blocks of its covers and
 beta*'s witnesses are its covers.  The acceptance suite checks alpha and
 beta* against an exhaustive partition oracle that shares none of this.
+
+The fixed-radius greedy reads only the distances between the points of A.
+It takes the deepest uncovered point p (depth: distance from node 0) and
+centers a ball at c, ``min(r, depth p)`` from p toward node 0.  An uncovered
+q is no deeper than p, so either q lies below c, within r of c and 2r of p,
+or the path from q to p runs through c and d(c, q) = d(p, q) - r.  Either
+way c covers q exactly when d(p, q) <= 2r (Kariv & Hakimi, SIAM J. Appl.
+Math. 1979): the greedy reads rows of distances and places centers last.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Literal
+from functools import cache, cached_property
+from typing import Callable, Iterable, Literal
 
-from .core import MetricTree, Tolerance, TreePoint
+import numpy as np
+
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _positive_count
 from .errors import (
     EmptySet,
     BadParams,
@@ -81,8 +92,12 @@ class PointSet:
         return tuple(dict.fromkeys(self.points))
 
     @cached_property
-    def _distinct_index(self) -> dict[TreePoint, int]:
-        return {p: i for i, p in enumerate(self.distinct)}
+    def _array(self) -> PointArray:
+        return PointArray.of(self.tree, self.distinct)
+
+    @cached_property
+    def _depth(self) -> list[float]:
+        return self.tree.distances(self.tree.node_point(0), self._array).tolist()
 
     def __len__(self) -> int:
         return len(self.points)
@@ -149,12 +164,11 @@ def diameter(ps: PointSet) -> tuple[float, tuple[TreePoint, TreePoint]]:
     pts = ps.distinct
     if not pts:
         raise EmptySet("diameter of an empty point set")
-    tree = ps.tree
-    if len(pts) == 1:
-        return 0.0, (pts[0], pts[0])
-    x = max(pts, key=lambda q: tree.distance(pts[0], q))
-    y = max(pts, key=lambda q: tree.distance(x, q))
-    return tree.distance(x, y), (x, y)
+    tree, arr = ps.tree, ps._array
+    x = int(tree.distances(pts[0], arr).argmax())  # the first farthest, as max picks
+    row = tree.distances(pts[x], arr)
+    y = int(row.argmax())
+    return float(row[y]), (pts[x], pts[y])
 
 
 def circumcenter(ps: PointSet) -> tuple[TreePoint, float]:
@@ -176,37 +190,46 @@ def circumcenter(ps: PointSet) -> tuple[TreePoint, float]:
 def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     """Cover with the minimum number of closed radius-``radius`` balls.
 
-    Greedy: root the tree, repeatedly take an uncovered point of maximum
-    depth and place a center on its root path at distance
+    Greedy: root the tree, repeatedly take an uncovered point p of maximum
+    depth and place a center c on its root path at distance
     ``min(radius, depth)`` back toward the root.  Any single ball covering
-    the deepest uncovered point covers no more of the remaining points than
-    this center does, so the greedy count is minimum.
+    p covers no more of the remaining points than this center does, so the
+    greedy count is minimum.  c covers an uncovered q exactly when
+    ``d(p, q) <= 2 * radius``, because q is no deeper than p (see the module
+    docstring), so the greedy reads p's ``distances`` row in place of c's
+    and places the centers last.
     """
     if not ps.points:
         raise EmptySet("cover of an empty point set")
     tree = ps.tree
     radius = _nonnegative(radius, tree.tol, NegativeRadius, "radius")
+    arr = ps._array
+    return _placed(ps, radius, *_greedy(ps, radius, lambda i: tree.distances(arr[i], arr)))
 
-    pts = ps.distinct
+
+def _greedy(ps: PointSet, radius: float, row: Callable) -> tuple[list[int], list[int]]:
+    """The seeds of the greedy cover (indices of distinct points, deepest
+    first) and, per distinct point, the number of the seed that claims it.
+    ``row(i)`` is the distances row of distinct point i."""
+    depth = ps._depth
+    leq = ps.tree.tol.leq_array
+    assigned = np.full(len(depth), -1)
+    seeds: list[int] = []
+    for i in sorted(range(len(depth)), key=lambda i: -depth[i]):
+        if assigned[i] < 0:
+            assigned[(assigned < 0) & leq(row(i) - radius, radius)] = len(seeds)
+            seeds.append(i)
+    return seeds, assigned.tolist()
+
+
+def _placed(ps: PointSet, radius: float, seeds: list[int], assigned: list[int]) -> BallCover:
+    """The greedy's cover: a center ``min(radius, depth)`` from each seed
+    toward node 0, and the seed numbers as the assignment of every point."""
+    tree, pts, depth = ps.tree, ps.distinct, ps._depth
     root = tree.node_point(0)
-    depth = [tree.distance(p, root) for p in pts]
-    order = sorted(range(len(pts)), key=lambda i: -depth[i])
-
-    centers: list[TreePoint] = []
-    assigned = [-1] * len(pts)
-    for i in order:
-        if assigned[i] >= 0:
-            continue
-        center = tree.point_at(pts[i], root, min(radius, depth[i]))
-        ci = len(centers)
-        centers.append(center)
-        for j in range(len(pts)):
-            if assigned[j] < 0 and tree.tol.leq(tree.distance(center, pts[j]), radius):
-                assigned[j] = ci
-
-    index = ps._distinct_index
-    assignment = tuple(assigned[index[p]] for p in ps.points)
-    return BallCover(tuple(centers), radius, assignment)
+    centers = tuple(tree.point_at(pts[i], root, min(radius, depth[i])) for i in seeds)
+    index = {p: i for i, p in enumerate(pts)}
+    return BallCover(centers, radius, tuple(assigned[index[p]] for p in ps.points))
 
 
 def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:
@@ -235,16 +258,6 @@ def _partition(cover: BallCover, bound: float) -> DiameterPartition:
 # --------------------------------------------------------------------- #
 
 
-def _pairwise_distances(ps: PointSet) -> list[float]:
-    tree = ps.tree
-    pts = ps.distinct
-    return [
-        tree.distance(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    ]
-
-
 def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     """Optimal radius for covering by n closed balls, n = 1..n_max.
 
@@ -252,34 +265,23 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     cluster is the cluster's circumball.  beta_1 is diameter/2; the profile
     is nonincreasing and hits 0 at n = number of distinct points.  Binary
     search over those candidates, since the greedy ball count is
-    nonincreasing in the radius; the witnesses are the covers it computed.
+    nonincreasing in the radius; the greedy reads the rows of one distance
+    matrix, and centers are placed only for the witness covers.
     """
-    if n_max < 1:
-        raise BadParams("n_max must be >= 1")
+    n_max = _positive_count(n_max, "n_max")
     if not ps.points:
         raise EmptySet("profile of an empty point set")
-    covers: dict[float, BallCover] = {}
-
-    def cover(r: float) -> BallCover:
-        if r not in covers:
-            covers[r] = min_ball_cover(ps, r)
-        return covers[r]
-
-    cands = sorted({0.0, *(0.5 * d for d in _pairwise_distances(ps))})
-    values = []
+    dist = ps.tree._distance_matrix(ps._array)
+    greedy = cache(lambda r: _greedy(ps, r, dist.__getitem__))
+    cands = sorted(set((0.5 * dist).ravel().tolist()))  # 0.0 from the diagonal
+    values: list[float] = []
     hi = len(cands) - 1
     for n in range(1, n_max + 1):
-        lo = 0
-        top = hi
-        while lo < top:
-            mid = (lo + top) // 2
-            if len(cover(cands[mid]).centers) <= n:
-                top = mid
-            else:
-                lo = mid + 1
-        values.append(cands[lo])
-        hi = lo  # profiles are nonincreasing in n
-    return CoverProfile("radius", tuple(values), tuple(cover(v) for v in values))
+        # the first candidate of at most n balls; profiles are nonincreasing in n
+        hi = bisect_left(cands, True, 0, hi, key=lambda r: len(greedy(r)[0]) <= n)
+        values.append(cands[hi])
+    witnesses = tuple(_placed(ps, r, *greedy(r)) for r in values)
+    return CoverProfile("radius", tuple(values), witnesses)
 
 
 def _doubled_profiles(beta: CoverProfile) -> tuple[CoverProfile, CoverProfile]:
@@ -326,9 +328,7 @@ def _oracle_guard(ps: PointSet) -> tuple[tuple[TreePoint, ...], list[list[float]
         raise TooLargeForOracle(
             f"oracle is exhaustive; limited to {ORACLE_LIMIT} distinct points, got {len(pts)}"
         )
-    tree = ps.tree
-    dist = [[tree.distance(p, q) for q in pts] for p in pts]
-    return pts, dist
+    return pts, ps.tree._distance_matrix(ps._array).tolist()
 
 
 def _subset_diameters(dist: list[list[float]]) -> list[float]:
@@ -393,8 +393,7 @@ def oracle_profiles(ps: PointSet, n_max: int) -> tuple[tuple[float, ...], tuple[
     partition optimum, and half of it is the ball optimum (circumball
     exactness).  Independent of the greedy machinery.
     """
-    if n_max < 1:
-        raise BadParams("n_max must be >= 1")
+    n_max = _positive_count(n_max, "n_max")
     pts, dist = _oracle_guard(ps)
     diam = _subset_diameters(dist)
     k = len(pts)

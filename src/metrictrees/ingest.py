@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns
+from .core import MetricTree, Tolerance, TreePoint, _Columns, _is_number_type
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
@@ -193,7 +194,7 @@ def _recognize(
         tree, points = _reconstruct(matrix)
     except MetricTreeError as exc:
         return _four_point_violation(d, slack), exc
-    measured = _distance_rows(tree, list(points.values()))
+    measured = tree._distance_matrix(list(points.values()))
     dev = float(np.abs(measured - d).max(initial=0.0))
     # strict, so that a zero slack never certifies
     certified = 4.0 * dev + (4 * tree.n_nodes + 4) * _EPS * scale < slack
@@ -354,17 +355,6 @@ def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoin
 
     tree = MetricTree(len(builder.parent), builder.columns(), tol=tol)
     return tree, {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
-
-
-def _distance_rows(tree: MetricTree, pts: list[TreePoint]) -> np.ndarray:
-    """``tree.distance`` between every two of ``pts``, bit for bit: one
-    ``distances`` row per point over one PointArray, with a zero diagonal."""
-    arr = PointArray.of(tree, pts)
-    values = np.zeros((len(pts), len(pts)))
-    for i, p in enumerate(pts):
-        values[i] = tree.distances(p, arr)
-    np.fill_diagonal(values, 0.0)
-    return values
 
 
 # --------------------------------------------------------------------- #
@@ -566,7 +556,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
             number = int(val)
         except (TypeError, ValueError, OverflowError):  # also NaN and +-inf
             number = None
-        if number is None or number != val or number < 1:
+        if number is None or isinstance(val, bool) or number != val or number < 1:
             raise BadParams(f"parameter {key!r} must be a positive integer")
         return number
 
@@ -579,11 +569,11 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
 
     if name == "star":
         n = want_pos_int("n")
-        spoke_len = float(params.pop("spoke_len", 1.0))
+        spoke_len = params.pop("spoke_len", 1.0)
         if params:
             raise BadParams(f"unexpected parameters {sorted(params)}")
-        if not spoke_len > 0:
-            raise BadParams("spoke_len must be positive")
+        if not (_is_number_type(type(spoke_len)) and 0 < spoke_len < math.inf):
+            raise BadParams(f"parameter 'spoke_len' must be positive and finite, got {spoke_len!r}")
         edges = [(0, i, spoke_len) for i in range(1, n + 1)]
         tree = MetricTree(n + 1, edges, tol=tol)
         points = {"hub": tree.node_point(0)}
@@ -687,5 +677,5 @@ def matrix_from_points(
     else:
         pts = list(points)
         labels = tuple(f"p{i}" for i in range(len(pts)))
-    values = _distance_rows(tree, pts)
+    values = tree._distance_matrix(pts)
     return DistanceMatrix(labels, values, tol=tol if tol is not None else tree.tol)

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import MetricTree, TreePoint
+import numpy as np
+
+from .core import MetricTree, TreePoint, _positive_count
 from .covering import (
     BallCover,
     CoverProfile,
@@ -117,17 +119,13 @@ def measure_report(ps: PointSet, n_max: int | None = None) -> MeasureReport:
     """
     if not ps.points:
         raise EmptySet("measure report of an empty point set")
-    if n_max is None:
-        n_max = len(ps.distinct)
+    n_max = len(ps.distinct) if n_max is None else _positive_count(n_max, "n_max")
     tol = ps.tree.tol
     b = beta_profile(ps, n_max)
     a, bs = _doubled_profiles(b)
     a2b = tuple(tol.close(a.values[k], 2.0 * b.values[k]) for k in range(n_max))
     bs2b = tuple(tol.close(bs.values[k], 2.0 * b.values[k]) for k in range(n_max))
-    ratios = tuple(
-        (a.values[k] / b.values[k]) if b.values[k] > tol.abs_eps else None
-        for k in range(n_max)
-    )
+    ratios = tuple(x / y if y > tol.abs_eps else None for x, y in zip(a.values, b.values))
     return MeasureReport(n_max, a, b, bs, a2b, bs2b, ratios)
 
 
@@ -173,19 +171,19 @@ def embedding_invariance_check(
     if not ps.points:
         raise EmptySet("embedding check of an empty point set")
     tol = ps.tree.tol
-    pts = ps.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d_src = ps.tree.distance(pts[i], pts[j])
-            d_host = host.distance(images[i], images[j])
-            if not tol.close(d_src, d_host):
-                raise NotIsometric(
-                    f"distance ({i}, {j}) changes from {d_src!r} to {d_host!r}",
-                    pair=(i, j),
-                )
+    d_src, d_host = ps.tree._distance_matrix(ps.points), host._distance_matrix(images)
+    # tol.close on every pair at once (distances are nonnegative)
+    slack = np.maximum(tol.abs_eps, tol.rel_eps * np.maximum(d_src, d_host))
+    moved = np.argwhere(np.triu(np.abs(d_src - d_host) > slack, 1))
+    if len(moved):  # the first pair in row-major order
+        i, j = map(int, moved[0])
+        raise NotIsometric(
+            f"distance ({i}, {j}) changes from {d_src[i, j].item()!r} to {d_host[i, j].item()!r}",
+            pair=(i, j),
+        )
     # align the host set with the source's distinct representatives so both
     # profiles see the same multiset
-    index = {p: k for k, p in enumerate(pts)}
+    index = {p: k for k, p in enumerate(ps.points)}
     host_ps = PointSet(host, [images[index[p]] for p in ps.distinct])
     src = measure_report(ps, n_max)
     # the host set may merge points closer than the tolerance, so it takes
@@ -289,12 +287,7 @@ def contraction_bound_check(
     """Check ball_ratio <= 2*set_ratio and set_ratio <= 2*ball_ratio per n."""
     rep = contraction_constants(pm, subset=subset, n_max=n_max)
     tol = pm.source.tol
-    ball_le = tuple(
-        tol.leq(rep.ball_ratios[k], 2.0 * rep.set_ratios[k])
-        for k in range(len(rep.ns))
-    )
-    set_le = tuple(
-        tol.leq(rep.set_ratios[k], 2.0 * rep.ball_ratios[k])
-        for k in range(len(rep.ns))
-    )
+    pairs = list(zip(rep.ball_ratios, rep.set_ratios))
+    ball_le = tuple(tol.leq(ball, 2.0 * set_) for ball, set_ in pairs)
+    set_le = tuple(tol.leq(set_, 2.0 * ball) for ball, set_ in pairs)
     return BoundCheckReport(rep.ns, ball_le, set_le)

@@ -334,6 +334,11 @@ class TestGallery:
         assert (code, out) == (1, "")
         assert err == "error: parameter 'n' must be a positive integer\n"
 
+    def test_infinite_spoke_len_exits_one(self, capsys):
+        code, out, err = run(capsys, "gallery", "star", "n=3", "spoke_len=inf")
+        assert (code, out) == (1, "")
+        assert err == "error: parameter 'spoke_len' must be positive and finite, got inf\n"
+
     def test_report_to_file(self, tmp_path, capsys):
         tree_path = tmp_path / "s.tree"
         report_path = tmp_path / "report.json"

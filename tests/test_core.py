@@ -638,10 +638,14 @@ class TestDistancesKernel:
             assert np.array_equal(got, expected)
             assert np.array_equal(got, [tree.distance(q, p) for q in targets])
             assert np.array_equal(tree.distances(p, PointArray.of(tree, targets)), expected)
+        pts = sources + targets[:12] + sources[:3]  # duplicates included
+        expected = [[tree.distance(p, q) for q in pts] for p in pts]
+        assert np.array_equal(tree._distance_matrix(pts), expected)
 
     def test_empty_targets(self, simple_doc):
         t = simple_doc.tree
         assert t.distances(simple_doc.points["A"], []).shape == (0,)
+        assert t._distance_matrix([]).shape == (0, 0)
 
     def test_foreign_point(self, simple_doc, star_doc):
         t, p = simple_doc.tree, simple_doc.points["A"]

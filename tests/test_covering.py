@@ -13,6 +13,9 @@ import pytest
 
 from metrictrees import (
     BadParams,
+    BallCover,
+    CoverProfile,
+    MetricTree,
     EmptySet,
     NegativeDiameter,
     NegativeRadius,
@@ -353,6 +356,17 @@ class TestEntryPointGuards:
         with pytest.raises(BadParams, match="n_max"):
             profile(PointSet(simple_doc.tree, list(simple_doc.points.values())), 0)
 
+    @pytest.mark.parametrize("profile", [beta_profile, oracle_profiles])
+    @pytest.mark.parametrize("n_max", [2.5, True, 2.0, "2"])
+    def test_non_integer_parts(self, simple_doc, profile, n_max):
+        # 2.5 used to raise a bare TypeError, and True counted as 1
+        with pytest.raises(BadParams, match="n_max must be an integer"):
+            profile(PointSet(simple_doc.tree, list(simple_doc.points.values())), n_max)
+
+    def test_numpy_integer_parts(self, simple_doc):
+        ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))
+        assert beta_profile(ps, np.int64(3)) == beta_profile(ps, 3)
+
     def test_unknown_oracle_mode(self, simple_doc):
         ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))
         with pytest.raises(BadParams, match="mode"):
@@ -453,3 +467,107 @@ def _reference_ball_diameter(tree, center, rho):
         if dv <= rho:
             ext.append(tree._edge_point_at(e, max(length - (rho - dv), 0.0)))
     return diameter(PointSet(tree, ext))[0]
+
+
+def _reference_min_ball_cover(ps, radius):
+    """``min_ball_cover`` as it was: each center placed at once, then one
+    scalar ``distance`` from it to every unassigned point."""
+    tree = ps.tree
+    radius = max(float(radius), 0.0)
+    pts = ps.distinct
+    root = tree.node_point(0)
+    depth = [tree.distance(p, root) for p in pts]
+    order = sorted(range(len(pts)), key=lambda i: -depth[i])
+    centers = []
+    assigned = [-1] * len(pts)
+    for i in order:
+        if assigned[i] >= 0:
+            continue
+        center = tree.point_at(pts[i], root, min(radius, depth[i]))
+        ci = len(centers)
+        centers.append(center)
+        for j in range(len(pts)):
+            if assigned[j] < 0 and tree.tol.leq(tree.distance(center, pts[j]), radius):
+                assigned[j] = ci
+    index = {p: i for i, p in enumerate(pts)}
+    return BallCover(tuple(centers), radius, tuple(assigned[index[p]] for p in ps.points))
+
+
+def _reference_beta_profile(ps, n_max):
+    """``beta_profile`` as it was: a binary search over half the scalar
+    pairwise distances, one reference cover per probed radius."""
+    covers = {}
+
+    def cover(r):
+        if r not in covers:
+            covers[r] = _reference_min_ball_cover(ps, r)
+        return covers[r]
+
+    pts = ps.distinct
+    halves = (0.5 * ps.tree.distance(p, q) for p, q in itertools.combinations(pts, 2))
+    cands = sorted({0.0, *halves})
+    values = []
+    hi = len(cands) - 1
+    for n in range(1, n_max + 1):
+        lo, top = 0, hi
+        while lo < top:
+            mid = (lo + top) // 2
+            if len(cover(cands[mid]).centers) <= n:
+                top = mid
+            else:
+                lo = mid + 1
+        values.append(cands[lo])
+        hi = lo
+    return CoverProfile("radius", tuple(values), tuple(cover(v) for v in values))
+
+
+def _records(cover):
+    return [c.record() for c in cover.centers], cover.radius, cover.assignment
+
+
+class TestScalarReference:
+    """The row-reading greedy against the scalar greedy it replaced: the
+    same center records, assignments, profile values and witnesses."""
+
+    @staticmethod
+    def instances(seed, count):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            tree = shaped_tree(rng, ("random", "path", "caterpillar")[i % 3],
+                               int(rng.integers(1, 14)))
+            pts = random_points(rng, tree, int(rng.integers(1, 9)))
+            pts += [pts[int(j)] for j in rng.integers(0, len(pts), int(rng.integers(0, 3)))]
+            pts += [tree.node_point(int(j)) for j in rng.integers(0, tree.n_nodes, 2)]
+            yield rng, PointSet(tree, [pts[int(j)] for j in rng.permutation(len(pts))])
+
+    def test_covers(self):
+        for rng, ps in self.instances(404, 240):
+            pts = ps.distinct
+            halves = [0.5 * ps.tree.distance(p, q) for p, q in itertools.combinations(pts, 2)]
+            d = diameter(ps)[0]
+            for r in [0.0, *halves, *rng.uniform(0.0, d + 0.5, 3).tolist()]:
+                got = min_ball_cover(ps, r)
+                assert _records(got) == _records(_reference_min_ball_cover(ps, r))
+                assert all(type(c.offset) is float for c in got.centers)
+                assert all(type(i) is int for i in got.assignment)
+
+    def test_profiles(self):
+        for _rng, ps in self.instances(505, 240):
+            n_max = len(ps.distinct) + 1
+            got, want = beta_profile(ps, n_max), _reference_beta_profile(ps, n_max)
+            assert got.values == want.values
+            assert [_records(c) for c in got.witnesses] == [_records(c) for c in want.witnesses]
+            assert got == want
+
+    def test_cover_reads_one_row_per_center(self, monkeypatch):
+        """One ``distances`` row from node 0 for the depths, then one per
+        center, from its seed."""
+        calls = []
+        original = MetricTree.distances
+        monkeypatch.setattr(
+            MetricTree, "distances", lambda self, p, qs: calls.append(p) or original(self, p, qs)
+        )
+        for rng, ps in self.instances(606, 60):
+            calls.clear()
+            cover = min_ball_cover(PointSet(ps.tree, ps.points), float(rng.uniform(0.0, 2.0)))
+            assert len(calls) == len(cover.centers) + 1

@@ -624,6 +624,17 @@ class TestGallery:
             with pytest.raises(BadParams, match="must be a positive integer"):
                 gallery(name, n=n)
 
+    def test_bool_count(self):
+        # True used to read as n = 1
+        with pytest.raises(BadParams, match="parameter 'n' must be a positive integer"):
+            gallery("star", n=True)
+
+    @pytest.mark.parametrize("spoke_len", [math.inf, math.nan, True, "1.0", 0.0])
+    def test_bad_spoke_len(self, spoke_len):
+        # inf used to raise NonpositiveEdgeLength naming edge (0, 1); True read as 1.0
+        with pytest.raises(BadParams, match="parameter 'spoke_len' must be positive and finite"):
+            gallery("star", n=3, spoke_len=spoke_len)
+
     def test_four_point_accepts_gallery_matrices(self):
         for name, params in [
             ("simple", {}),

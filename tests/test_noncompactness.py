@@ -58,6 +58,16 @@ class TestMeasureReport:
         with pytest.raises(EmptySet):
             measure_report(PointSet(simple_doc.tree, []))
 
+    @pytest.mark.parametrize("n_max", [2.5, True, 0])
+    def test_bad_n_max(self, simple_doc, n_max):
+        # 2.5 used to raise a bare TypeError, and True ran as n_max = 1
+        with pytest.raises(BadParams, match="n_max must be an integer"):
+            measure_report(PointSet(simple_doc.tree, [simple_doc.points["A"]]), n_max)
+
+    def test_numpy_n_max_is_plain_int(self, simple_doc):
+        rep = measure_report(PointSet(simple_doc.tree, [simple_doc.points["A"]]), np.int64(2))
+        assert type(rep.n_max) is int
+
 
 class TestEmbeddingInvariance:
     def test_identity(self, simple_doc):
@@ -319,6 +329,29 @@ class TestParityWithSeparateSearches:
             assert _json(embedding_invariance_check(ps, host, images, n_max)) == _json(
                 _reference_embedding_invariance_check(ps, host, images, n_max)
             )
+
+    def test_not_isometric_message(self):
+        """Random images: the same first pair and message, in Python float
+        reprs, as the scalar pair loop."""
+        rng = np.random.default_rng(303)
+        raised = 0
+        for _ in range(200):
+            tree = random_tree(rng, max_nodes=8)
+            host = random_tree(rng, max_nodes=8)
+            pts = random_points(rng, tree, int(rng.integers(1, 7)))
+            images = random_points(rng, host, len(pts))
+            outcomes = []
+            for check in (embedding_invariance_check, _reference_embedding_invariance_check):
+                try:
+                    check(PointSet(tree, pts), host, images)
+                    outcomes.append(None)
+                except NotIsometric as exc:
+                    outcomes.append((str(exc), exc.pair, tuple(map(type, exc.pair))))
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is not None:
+                raised += 1
+                assert "float64" not in outcomes[0][0]
+        assert raised > 150
 
     def test_contraction_and_bound_check(self):
         rng = np.random.default_rng(202)

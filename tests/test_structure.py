@@ -342,6 +342,12 @@ class TestKappaProbe:
         with pytest.raises(BadParams):
             kappa_probe(star_doc(3).tree, trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, 3.0])
+    def test_non_integer_trials(self, star_doc, trials):
+        # True used to run one trial and report "trials": true; 2.5 raised TypeError
+        with pytest.raises(BadParams, match="trials must be an integer"):
+            kappa_probe(star_doc(3).tree, trials=trials)
+
     def test_failures_are_counted(self, star_doc, monkeypatch):
         failed = SimpleNamespace(passed=False)
         monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
