@@ -14,10 +14,10 @@ steers by the rooted tables, never by comparing rounded sums of distances.
 
 ``MetricTree`` is immutable after validation.  All queries are read-only and
 safe to call from concurrent threads.  The constructor builds every table a
-query reads.  Only the ``MetricTree.edges`` tuple, the anchor arrays of each
-``PointArray`` and ``Segment.node_chain`` are built on first use and assigned
-once; a build is deterministic, so two threads that race on it store equal
-values and neither ever sees a partial one.
+query reads.  Only the ``MetricTree.edges`` tuple, the anchor arrays and span
+index of each ``PointArray`` and ``Segment.node_chain`` are built on first use
+and assigned once; a build is deterministic, so two threads that race on it
+store equal values and neither ever sees a partial one.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .errors import (
     ParameterOutOfRange,
     TooFewPoints,
 )
+
+_ROW_BLOCK = 64  # span rows per numpy pass of _distance_matrix
 
 __all__ = [
     "Tolerance",
@@ -139,9 +141,21 @@ class PointArray(Sequence[TreePoint]):
     otherwise the interior point of edge ``edge[i]`` at ``offset[i]`` from
     its tail, in canonical form.  Items are built on indexing and equal the
     ``TreePoint`` they describe; ``MetricTree.distances`` reads the arrays.
+
+    The distances between its own points come from its span index, built on
+    first use in O(n): the distinct anchor nodes of the points sorted by
+    preorder position ("slots"), and the root distance of the lowest common
+    ancestor of each two adjacent slots.  Over a preorder, the lowest common
+    ancestor of two nodes is the parent of the shallowest node strictly
+    after the first, up to and including the second (Bender and
+    Farach-Colton, "The LCA problem revisited", LATIN 2000), so one
+    ``minimum.reduceat`` over the parents' root distances gives every
+    adjacent pair, and the running minima of those outward from a slot give
+    its row.  That makes each row O(k) for k points and all of them
+    O(n + k^2).
     """
 
-    __slots__ = ("tree", "node", "edge", "offset", "_anchor_arrays")
+    __slots__ = ("tree", "node", "edge", "offset", "_anchor_arrays", "_span_index")
 
     def __init__(self, tree: "MetricTree", node: np.ndarray, edge: np.ndarray, offset: np.ndarray):
         self.tree = tree
@@ -151,6 +165,7 @@ class PointArray(Sequence[TreePoint]):
         for arr in (self.node, self.edge, self.offset):
             arr.flags.writeable = False
         self._anchor_arrays: tuple[np.ndarray, ...] | None = None
+        self._span_index: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def of(cls, tree: "MetricTree", points: Sequence[TreePoint]) -> "PointArray":
@@ -199,6 +214,53 @@ class PointArray(Sequence[TreePoint]):
             c2[inside] = tree._edge_len[e] - self.offset[inside]
             anchors = self._anchor_arrays = (a1, self.offset, a2, c2)
         return anchors
+
+    def _span(self) -> tuple[np.ndarray, ...]:
+        # per anchor (rows: first, second) and point, its slot and its cost;
+        # per slot its root distance; and bounds[j], the lca root distance of
+        # slots j - 1 and j (+inf before the first slot and after the last)
+        span = self._span_index
+        if span is None:
+            tree = self.tree
+            a1, c1, a2, c2 = self._anchors()
+            at, slot = np.unique(tree._tin[np.concatenate((a1, a2))], return_inverse=True)
+            bounds = np.full(len(at) + 1, np.inf)
+            if len(at) > 1:
+                bounds[1:-1] = np.minimum.reduceat(tree._parent_rd[: at[-1] + 1], at[:-1] + 1)
+            rd = tree._root_dist_arr[tree._preorder[at]]
+            span = self._span_index = (slot.reshape(2, -1), np.stack((c1, c2)), rd, bounds)
+        return span
+
+    def _span_rows(self, rows: slice) -> np.ndarray:
+        """``MetricTree.distance`` from each point of ``self[rows]`` to every
+        point, bit for bit, as one row each.
+
+        The lca root distance of two slots is the least bound between them,
+        an exact root distance; node distances sum as ``_node_distances``
+        does, and each pair of points combines its anchors as ``distances``
+        does, the lower edge's offset first."""
+        slots, costs, rd, bounds = self._span()
+        src = slots[:, rows, None]  # (anchor, row, 1)
+        at = np.arange(len(rd))
+        after = np.minimum.accumulate(np.where(at > src, bounds[:-1], np.inf), axis=-1)
+        before = np.minimum.accumulate(np.where(at < src, bounds[1:], np.inf)[..., ::-1], axis=-1)
+        lca_rd = np.where(at == src, rd, np.minimum(after, before[..., ::-1]))
+        nodes = rd[src] + rd - 2.0 * lca_rd
+        # every pair of anchors: (row anchor, row, column anchor, column)
+        pairs = nodes[:, :, slots]
+        edge = self.edge
+        own = edge[rows, None]
+        q_first = (edge < own)[:, None]
+        cp = costs[:, rows, None, None]
+        pairs += np.where(q_first, costs, cp)
+        pairs += np.where(q_first, cp, costs)
+        out = pairs.min(axis=(0, 2))
+        offset = self.offset
+        return np.where((edge == own) & (edge >= 0), np.abs(offset[rows, None] - offset), out)
+
+    def _span_row(self, i: int) -> np.ndarray:
+        """``MetricTree.distance`` from point i to every point, in O(k)."""
+        return self._span_rows(slice(i, i + 1))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,14 +358,16 @@ class MetricTree:
     w is v or an ancestor of v exactly when its interval holds v's
     position: ``lca``, ``_exit_node`` and ``_node_distances`` all test
     that.  Point-to-point distance costs O(log n); ``distances`` measures
-    one point against many in O(n + len(qs)).
+    one point against many in O(n + len(qs)); among the k points of one
+    ``PointArray``, its span index gives a row in O(k) and the matrix in
+    O(n + k^2), reading the parents' root distances by preorder position.
     """
 
     __slots__ = (
         "n_nodes", "tol", "_edges", "_edge_u", "_edge_v", "_lengths",
         "_parent", "_parent_edge", "_root_dist", "_enter", "_leave", "_up",
         "_ends", "_edge_len", "_adj_start", "_adj_half",
-        "_preorder", "_tin", "_end", "_root_dist_arr",
+        "_preorder", "_tin", "_end", "_root_dist_arr", "_parent_rd",
     )
 
     def __init__(
@@ -352,7 +416,8 @@ class MetricTree:
         if rooted is None:
             _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
         (self._parent, self._parent_edge, self._root_dist, self._enter, self._leave,
-         self._preorder, self._tin, self._end, self._root_dist_arr, height) = rooted
+         self._preorder, self._tin, self._end, self._root_dist_arr, self._parent_rd,
+         height) = rooted
         far = int(self._root_dist_arr.argmax())
         if self._root_dist[far] > sys.float_info.max / 4:
             raise BadParams(f"node {far} lies {self._root_dist[far]!r} from node 0; sums overflow")
@@ -511,6 +576,8 @@ class MetricTree:
         then combines its anchors in ``_dist``'s order (the lower edge's
         offset first), so no entry differs from the scalar query even in the
         last bit.  Sums run in place: a fresh array per step costs more.
+        This is the kernel for a p outside the set; between the points of
+        one set, ``PointArray._span_rows`` costs O(k) per row.
         """
         self._own(p)
         qs = PointArray.of(self, qs)
@@ -534,12 +601,16 @@ class MetricTree:
         return out
 
     def _distance_matrix(self, points: Sequence[TreePoint]) -> np.ndarray:
-        """``distance`` between every two of ``points``, bit for bit: one
-        ``distances`` row per point over one PointArray, with a zero diagonal."""
+        """``distance`` between every two of ``points``, bit for bit: the
+        span rows of their PointArray, O(n + k^2) for k points, read
+        ``_ROW_BLOCK`` rows at a time so that no temporary outgrows the
+        result."""
         arr = PointArray.of(self, points)
-        values = np.array([self.distances(p, arr) for p in points]).reshape(len(arr), len(arr))
-        np.fill_diagonal(values, 0.0)
-        return values
+        k = len(arr)
+        out = np.empty((k, k))
+        for i in range(0, k, _ROW_BLOCK):
+            out[i : i + _ROW_BLOCK] = arr._span_rows(slice(i, i + _ROW_BLOCK))
+        return out
 
     def _node_distances(self, s: int) -> np.ndarray:
         """``node_distance(s, v)`` for every node v.
@@ -723,8 +794,9 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
 
     Lists per node: parent, parent edge, root distance, preorder position
     and subtree end; arrays: the preorder, each node's position in it, per
-    position the end of its subtree, the root distances; and the largest
-    hop count.  The tour leaves each half-edge's head by the half-edge
+    position the end of its subtree, the root distances, per position the
+    root distance of its parent (+inf at the root); and the largest hop
+    count.  The tour leaves each half-edge's head by the half-edge
     after its twin in that node's row, cut before it leaves node 0 again;
     pointer jumping counts the steps to the cut.  With n - 1 edges, a tour
     over every half-edge that touches every node proves a tree.  Of an
@@ -776,16 +848,17 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     preorder[tin] = positions
     # root distances by preorder position, each parent's before its children's
     below_root = preorder[1:]
+    above = tin[parent[below_root]]
     by_position = [0.0]
-    for above, length in zip(
-        tin[parent[below_root]].tolist(), lens[parent_edge[below_root]].tolist()
-    ):
-        by_position.append(by_position[above] + length)
-    root_dist = np.fromiter(by_position, np.float64, n)[tin]
+    for at_parent, length in zip(above.tolist(), lens[parent_edge[below_root]].tolist()):
+        by_position.append(by_position[at_parent] + length)
+    by_position = np.fromiter(by_position, np.float64, n)
+    parent_rd = np.concatenate(([math.inf], by_position[above]))
+    root_dist = by_position[tin]
     leave = tin + subtree
     return (
         parent.tolist(), parent_edge.tolist(), root_dist.tolist(), tin.tolist(), leave.tolist(),
-        preorder, tin, leave[preorder], root_dist, height,
+        preorder, tin, leave[preorder], root_dist, parent_rd, height,
     )
 
 

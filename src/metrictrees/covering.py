@@ -29,10 +29,14 @@ q is no deeper than p, so either q lies below c, within r of c and 2r of p,
 or the path from q to p runs through c and d(c, q) = d(p, q) - r.  Either
 way c covers q exactly when d(p, q) <= 2r (Kariv & Hakimi, SIAM J. Appl.
 Math. 1979): the greedy reads rows of distances and places centers last.
+The rows are span rows of the set's ``PointArray``, O(k) each for k points
+after one O(n) pass for the depths; no cover or diameter builds the k x k
+matrix, which only the profile search and the oracle read.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -143,10 +147,11 @@ class CoverProfile:
 
 def _nonnegative(value: float, tol: Tolerance, error: type[MetricTreeError], what: str) -> float:
     """``value`` as a float clamped at 0, or ``error`` when it lies below
-    ``-tol.abs_eps`` or is NaN: a radius or bound within tolerance of 0
-    reads as 0 everywhere."""
-    if not value >= -tol.abs_eps:  # also rejects NaN
-        raise error(f"{what} must be nonnegative, got {value!r}")
+    ``-tol.abs_eps``, is infinite or is NaN: a radius or bound within
+    tolerance of 0 reads as 0 everywhere, and a cover's JSON report has no
+    token for an infinite one."""
+    if not -tol.abs_eps <= value < math.inf:  # also rejects NaN
+        raise error(f"{what} must be nonnegative and finite, got {value!r}")
     return max(float(value), 0.0)
 
 
@@ -160,13 +165,14 @@ def diameter(ps: PointSet) -> tuple[float, tuple[TreePoint, TreePoint]]:
 
     Uses the two-sweep farthest-point method, which is exact on trees: the
     farthest point from any start is always one end of a diametral pair.
+    Reads two span rows, so it never builds the k x k matrix.
     """
     pts = ps.distinct
     if not pts:
         raise EmptySet("diameter of an empty point set")
-    tree, arr = ps.tree, ps._array
-    x = int(tree.distances(pts[0], arr).argmax())  # the first farthest, as max picks
-    row = tree.distances(pts[x], arr)
+    arr = ps._array
+    x = int(arr._span_row(0).argmax())  # the first farthest, as max picks
+    row = arr._span_row(x)
     y = int(row.argmax())
     return float(row[y]), (pts[x], pts[y])
 
@@ -196,15 +202,13 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     p covers no more of the remaining points than this center does, so the
     greedy count is minimum.  c covers an uncovered q exactly when
     ``d(p, q) <= 2 * radius``, because q is no deeper than p (see the module
-    docstring), so the greedy reads p's ``distances`` row in place of c's
-    and places the centers last.
+    docstring), so the greedy reads p's span row in place of c's and places
+    the centers last: one O(n) depth row, then O(k) per center.
     """
     if not ps.points:
         raise EmptySet("cover of an empty point set")
-    tree = ps.tree
-    radius = _nonnegative(radius, tree.tol, NegativeRadius, "radius")
-    arr = ps._array
-    return _placed(ps, radius, *_greedy(ps, radius, lambda i: tree.distances(arr[i], arr)))
+    radius = _nonnegative(radius, ps.tree.tol, NegativeRadius, "radius")
+    return _placed(ps, radius, *_greedy(ps, radius, ps._array._span_row))
 
 
 def _greedy(ps: PointSet, radius: float, row: Callable) -> tuple[list[int], list[int]]:

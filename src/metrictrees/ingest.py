@@ -324,30 +324,32 @@ def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], 
 
 def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint]]:
     """The tree ``tree_from_distances`` builds, unchecked, and the label points."""
-    d = matrix.values
     n = matrix.size
     tol = matrix.tol
-    snap = tol.slack(float(d.max(initial=1.0))) * 4.0
+    snap = tol.slack(float(matrix.values.max(initial=1.0))) * 4.0
+    d = matrix.values.tolist()  # floats index faster than numpy scalars; d[x][j] == d[j][x]
 
     builder = _Builder()
     position = [0] * n  # node id per label; label 0 starts at node 0
     for x in range(1, n):
-        dup = next((j for j in range(x) if d[j, x] <= snap), None)
+        row = d[x]
+        dup = next((j for j in range(x) if row[j] <= snap), None)
         if dup is not None:
             position[x] = position[dup]
             continue
         i = 0  # the reference label; it sits at node 0, the builder's root
+        ref = d[i]
         best_t, best_j = 0.0, None
         for j in range(1, x):
-            t = 0.5 * (d[i, x] + d[i, j] - d[j, x])
+            t = 0.5 * (ref[x] + ref[j] - row[j])
             if best_j is None or t > best_t:
                 best_t, best_j = t, j
         if best_j is None:
             attach = position[i]
         else:
-            best_t = min(max(best_t, 0.0), float(d[i, best_j]))
+            best_t = min(max(best_t, 0.0), ref[best_j])
             attach = builder.locate(position[best_j], best_t, snap)
-        rem = float(d[i, x]) - best_t if best_j is not None else float(d[i, x])
+        rem = ref[x] - best_t if best_j is not None else ref[x]
         if rem <= snap:
             position[x] = attach
         else:

@@ -260,6 +260,14 @@ class TestCover:
             assert out == ""
             assert "diameter bound must be nonnegative" in err
 
+    def test_infinite_value_exits_one(self, star_tree_file, capsys):
+        """JSON has no token for an infinite radius or bound."""
+        for flag, what in (("--radius", "radius"), ("--diameter", "diameter bound")):
+            code, out, err = run(capsys, "cover", str(star_tree_file), flag, "inf")
+            assert code == 1
+            assert out == ""
+            assert f"{what} must be nonnegative and finite" in err
+
     def test_requires_a_mode(self, star_tree_file, capsys):
         code, _, err = run(capsys, "cover", str(star_tree_file))
         assert code == 1

@@ -611,13 +611,27 @@ def _witness_reference(tree, x, y, r, eps, test_points):
     return applicable, failures
 
 
+def _assert_span_bits(tree, pts):
+    """``_distance_matrix`` and every span row equal the scalar ``distance``
+    by bits: ``array_equal`` would take -0.0 for 0.0."""
+    k = len(pts)
+    expected = np.array([[tree.distance(p, q) for q in pts] for p in pts]).reshape(k, k)
+    got = tree._distance_matrix(pts)
+    assert got.dtype == np.float64 and got.shape == (k, k)
+    assert got.tobytes() == expected.tobytes()
+    arr = PointArray.of(tree, pts)
+    for i in range(k):
+        assert arr._span_row(i).tobytes() == expected[i].tobytes()
+
+
 class TestDistancesKernel:
-    """``distances`` against the scalar ``distance`` it must equal bit for bit,
-    in either order of the two points."""
+    """``distances``, span rows and ``_distance_matrix`` against the scalar
+    ``distance`` they must equal bit for bit, in either order of the two
+    points."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        shape=st.sampled_from(["random", "path", "caterpillar", "star"]),
         n=st.integers(1, 40),
     )
     @settings(max_examples=80, deadline=None)
@@ -638,9 +652,68 @@ class TestDistancesKernel:
             assert np.array_equal(got, expected)
             assert np.array_equal(got, [tree.distance(q, p) for q in targets])
             assert np.array_equal(tree.distances(p, PointArray.of(tree, targets)), expected)
-        pts = sources + targets[:12] + sources[:3]  # duplicates included
-        expected = [[tree.distance(p, q) for q in pts] for p in pts]
-        assert np.array_equal(tree._distance_matrix(pts), expected)
+        _assert_span_bits(tree, sources + targets[:12] + sources[:3])  # duplicates included
+
+    @pytest.mark.parametrize("shape", ["random", "path", "caterpillar", "star"])
+    def test_span_rows_on_large_trees(self, shape):
+        rng = np.random.default_rng(["random", "path", "caterpillar", "star"].index(shape))
+        for n in (200, 900, 2000):
+            tree = shaped_tree(rng, shape, n)
+            pts = random_points(rng, tree, 30)
+            pts += [tree.node_point(int(v)) for v in rng.integers(0, n, 6)]
+            _assert_span_bits(tree, [pts[int(j)] for j in rng.permutation(len(pts))])
+
+    def test_shared_anchors(self):
+        """Many points on one edge, its ends as node points, points on the
+        edges next to it, and duplicates: slots shared by many anchors."""
+        rng = np.random.default_rng(8)
+        for shape in ("random", "path", "caterpillar", "star"):
+            for n in (2, 3, 12, 300):
+                tree = shaped_tree(rng, shape, n)
+                e = int(rng.integers(0, n - 1))
+                u, v = tree.edge_nodes(e)
+                length = tree.edge_length(e)
+                pts = [tree.edge_point(u, v, float(x)) for x in rng.uniform(0, length, 8)]
+                pts += [tree.node_point(u), tree.node_point(v), tree.edge_point(v, u, 0.5 * length)]
+                for w in (u, v):
+                    pts += [tree.edge_point(w, x, 0.25 * tree.edge_length(f))
+                            for x, f in tree.neighbors(w)]
+                pts += [pts[int(j)] for j in rng.integers(0, len(pts), 6)]
+                _assert_span_bits(tree, [pts[int(j)] for j in rng.permutation(len(pts))])
+
+    def test_small_sets(self, simple_doc):
+        t, p = simple_doc.tree, simple_doc.points
+        for pts in ([], [p["A"]], [p["C"], p["C"]], [t.edge_point(1, 2, 0.5)]):
+            _assert_span_bits(t, pts)
+        lone = MetricTree(1, [])
+        _assert_span_bits(lone, [lone.node_point(0)] * 3)
+        assert lone._distance_matrix([]).shape == (0, 0)
+
+    def test_matrix_makes_no_row_pass(self, monkeypatch):
+        """``_distance_matrix`` reads the span index: no ``distances`` row and
+        no O(n) ``_node_distances`` pass."""
+        rng = np.random.default_rng(9)
+        tree = shaped_tree(rng, "random", 60)
+        pts = random_points(rng, tree, 20) + [tree.node_point(3)]
+
+        def refuse(*args):
+            raise AssertionError("row pass")
+
+        monkeypatch.setattr(MetricTree, "distances", refuse)
+        monkeypatch.setattr(MetricTree, "_node_distances", refuse)
+        tree._distance_matrix(PointArray.of(tree, pts))
+        tree._distance_matrix(pts)
+
+    def test_parent_root_distances(self):
+        """``_parent_rd`` holds, per preorder position, the root distance of
+        the parent of the node there, and +inf at the root."""
+        rng = np.random.default_rng(10)
+        for shape in ("random", "path", "star"):
+            for n in (1, 2, 40):
+                tree = shaped_tree(rng, shape, n)
+                expected = [math.inf] + [tree._root_dist[tree._parent[v]]
+                                         for v in tree._preorder[1:].tolist()]
+                assert tree._parent_rd.tolist() == expected
 
     def test_empty_targets(self, simple_doc):
         t = simple_doc.tree

@@ -158,6 +158,13 @@ class TestMinBallCover:
             with pytest.raises(NegativeRadius):
                 min_ball_cover(ps, bad)
 
+    def test_infinite_radius(self, simple_doc):
+        ps = PointSet(simple_doc.tree, [simple_doc.points["A"]])
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(NegativeRadius, match="must be nonnegative and finite"):
+                min_ball_cover(ps, bad)
+        assert min_ball_cover(ps, 1e300).radius == 1e300
+
     def test_assignment_is_valid(self, rng):
         for _ in range(40):
             ps = random_instance(rng)
@@ -222,6 +229,13 @@ class TestMinDiameterPartition:
         for bad in (-1.0, float("nan")):
             with pytest.raises(NegativeDiameter):
                 min_diameter_partition(ps, bad)
+
+    def test_infinite_bound(self, simple_doc):
+        ps = PointSet(simple_doc.tree, [simple_doc.points["A"]])
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(NegativeDiameter, match="must be nonnegative and finite"):
+                min_diameter_partition(ps, bad)
+        assert min_diameter_partition(ps, 1e300).diameter_bound == 1e300
 
 
 class TestProfiles:
@@ -302,7 +316,7 @@ class TestOracle:
 
     def test_negative_value(self, simple_doc):
         ps = PointSet(simple_doc.tree, [simple_doc.points["A"], simple_doc.points["C"]])
-        for bad in (-1.0, float("nan")):
+        for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(NegativeRadius):
                 oracle_min_cover(ps, bad, "ball")
             with pytest.raises(NegativeDiameter):
@@ -389,7 +403,7 @@ class TestBallDiameter:
         assert ball_diameter(t, c, 0.5) == pytest.approx(1.0)
 
     def test_rejects_negative_and_nan_radius(self, simple_doc):
-        for bad in (-0.5, float("nan")):
+        for bad in (-0.5, float("nan"), float("inf")):
             with pytest.raises(NegativeRadius):
                 ball_diameter(simple_doc.tree, simple_doc.points["B"], bad)
 
@@ -559,15 +573,28 @@ class TestScalarReference:
             assert [_records(c) for c in got.witnesses] == [_records(c) for c in want.witnesses]
             assert got == want
 
-    def test_cover_reads_one_row_per_center(self, monkeypatch):
-        """One ``distances`` row from node 0 for the depths, then one per
-        center, from its seed."""
+    def test_cover_makes_one_node_pass(self, monkeypatch):
+        """One O(n) ``_node_distances`` pass, from node 0 for the depths,
+        whatever the number of centers: the seeds' rows are span rows."""
         calls = []
-        original = MetricTree.distances
+        original = MetricTree._node_distances
         monkeypatch.setattr(
-            MetricTree, "distances", lambda self, p, qs: calls.append(p) or original(self, p, qs)
+            MetricTree, "_node_distances", lambda self, s: calls.append(s) or original(self, s)
         )
         for rng, ps in self.instances(606, 60):
             calls.clear()
-            cover = min_ball_cover(PointSet(ps.tree, ps.points), float(rng.uniform(0.0, 2.0)))
-            assert len(calls) == len(cover.centers) + 1
+            min_ball_cover(PointSet(ps.tree, ps.points), float(rng.uniform(0.0, 2.0)))
+            assert calls == [0]
+
+    def test_cover_and_diameter_build_no_matrix(self, monkeypatch):
+        """A cover and ``diameter`` read rows; neither builds the k x k matrix."""
+        def refuse(self, points):
+            raise AssertionError("_distance_matrix called")
+
+        monkeypatch.setattr(MetricTree, "_distance_matrix", refuse)
+        for rng, ps in self.instances(707, 30):
+            min_ball_cover(ps, float(rng.uniform(0.0, 2.0)))
+            min_diameter_partition(ps, float(rng.uniform(0.0, 4.0)))
+            diameter(ps)
+            circumcenter(ps)
+            ball_diameter(ps.tree, ps.points[0], float(rng.uniform(0.0, 2.0)))
