@@ -29,9 +29,10 @@ q is no deeper than p, so either q lies below c, within r of c and 2r of p,
 or the path from q to p runs through c and d(c, q) = d(p, q) - r.  Either
 way c covers q exactly when d(p, q) <= 2r (Kariv & Hakimi, SIAM J. Appl.
 Math. 1979): the greedy reads rows of distances and places centers last.
-The rows are span rows of the set's ``PointArray``, O(k) each for k points
-after one O(n) pass for the depths; no cover or diameter builds the k x k
-matrix, which only the profile search and the oracle read.
+The rows are span rows of the set's ``PointArray``, O(k) each for k points,
+and the depths come off the same span index, O(k) for all of them; no cover
+or diameter builds the k x k matrix, which only the profile search and the
+oracle read.
 """
 
 from __future__ import annotations
@@ -101,7 +102,13 @@ class PointSet:
 
     @cached_property
     def _depth(self) -> list[float]:
-        return self.tree.distances(self.tree.node_point(0), self._array).tolist()
+        return self._array._depths().tolist()
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """The distinct points' indices, deepest first (ties by index)."""
+        depth = self._depth
+        return sorted(range(len(depth)), key=lambda i: -depth[i])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -203,7 +210,7 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     greedy count is minimum.  c covers an uncovered q exactly when
     ``d(p, q) <= 2 * radius``, because q is no deeper than p (see the module
     docstring), so the greedy reads p's span row in place of c's and places
-    the centers last: one O(n) depth row, then O(k) per center.
+    the centers last: O(k) for the depths, then O(k) per center.
     """
     if not ps.points:
         raise EmptySet("cover of an empty point set")
@@ -215,11 +222,10 @@ def _greedy(ps: PointSet, radius: float, row: Callable) -> tuple[list[int], list
     """The seeds of the greedy cover (indices of distinct points, deepest
     first) and, per distinct point, the number of the seed that claims it.
     ``row(i)`` is the distances row of distinct point i."""
-    depth = ps._depth
     leq = ps.tree.tol.leq_array
-    assigned = np.full(len(depth), -1)
+    assigned = np.full(len(ps.distinct), -1)
     seeds: list[int] = []
-    for i in sorted(range(len(depth)), key=lambda i: -depth[i]):
+    for i in ps._order:
         if assigned[i] < 0:
             assigned[(assigned < 0) & leq(row(i) - radius, radius)] = len(seeds)
             seeds.append(i)
@@ -228,10 +234,11 @@ def _greedy(ps: PointSet, radius: float, row: Callable) -> tuple[list[int], list
 
 def _placed(ps: PointSet, radius: float, seeds: list[int], assigned: list[int]) -> BallCover:
     """The greedy's cover: a center ``min(radius, depth)`` from each seed
-    toward node 0, and the seed numbers as the assignment of every point."""
+    toward node 0, and the seed numbers as the assignment of every point.
+    A seed's depth is its distance to node 0, so no center re-measures it."""
     tree, pts, depth = ps.tree, ps.distinct, ps._depth
     root = tree.node_point(0)
-    centers = tuple(tree.point_at(pts[i], root, min(radius, depth[i])) for i in seeds)
+    centers = tuple(tree._point_along(pts[i], root, depth[i], min(radius, depth[i])) for i in seeds)
     index = {p: i for i, p in enumerate(pts)}
     return BallCover(centers, radius, tuple(assigned[index[p]] for p in ps.points))
 
@@ -437,9 +444,15 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
 
     The ball is a convex subtree; its diameter is realized between two of
     its extremal points: the center and the ends of the interval in which
-    it meets each edge (a leaf inside the ball is such an end).
+    it meets each edge (a leaf inside the ball is such an end).  Two sweeps
+    as in ``diameter``, over the ends as one ``PointArray``: the center is
+    not one of them, so the first sweep is its ``distances`` row; the
+    second is the span row of the end farthest from it.
     """
     tree._own(center)
     rho = _nonnegative(rho, tree.tol, NegativeRadius, "radius")
     _met, ends = tree._interval_ends(*tree._ball_on_edges(center, rho))
-    return diameter(PointSet(tree, [center, *ends]))[0]
+    if not ends:  # a single-node tree: the ball is its center
+        return 0.0
+    far = int(tree.distances(center, ends).argmax())
+    return float(ends._span_row(far).max())

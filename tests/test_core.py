@@ -612,8 +612,8 @@ def _witness_reference(tree, x, y, r, eps, test_points):
 
 
 def _assert_span_bits(tree, pts):
-    """``_distance_matrix`` and every span row equal the scalar ``distance``
-    by bits: ``array_equal`` would take -0.0 for 0.0."""
+    """``_distance_matrix``, every span row and the depths equal the scalar
+    ``distance`` by bits: ``array_equal`` would take -0.0 for 0.0."""
     k = len(pts)
     expected = np.array([[tree.distance(p, q) for q in pts] for p in pts]).reshape(k, k)
     got = tree._distance_matrix(pts)
@@ -622,12 +622,15 @@ def _assert_span_bits(tree, pts):
     arr = PointArray.of(tree, pts)
     for i in range(k):
         assert arr._span_row(i).tobytes() == expected[i].tobytes()
+    root = tree.node_point(0)
+    depths = np.array([tree.distance(p, root) for p in pts], dtype=np.float64)
+    assert arr._depths().tobytes() == depths.tobytes()
 
 
 class TestDistancesKernel:
-    """``distances``, span rows and ``_distance_matrix`` against the scalar
-    ``distance`` they must equal bit for bit, in either order of the two
-    points."""
+    """``distances``, span rows, depths and ``_distance_matrix`` against the
+    scalar ``distance`` they must equal bit for bit, in either order of the
+    two points."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from metrictrees import covering
 from metrictrees import (
     BadParams,
     BallCover,
@@ -29,6 +30,7 @@ from metrictrees import (
     diameter,
     edge_samples,
     gallery,
+    measure_report,
     min_ball_cover,
     min_diameter_partition,
     oracle_min_cover,
@@ -414,12 +416,13 @@ class TestBallDiameter:
             assert ball_diameter(tree, c, -tree.tol.abs_eps / 2) == ball_diameter(tree, c, 0.0)
 
     def test_same_float_as_reference(self):
-        """300 trees of four shapes; radius 0, a random radius, and one
-        larger than the tree."""
+        """300 trees of four shapes and 1-9 nodes, then 40 of 100-400 nodes;
+        radius 0, a random radius, and one larger than the tree, where every
+        edge is whole and its ends repeat at every shared node."""
         rng = np.random.default_rng(303)
-        for i in range(300):
+        for i in range(340):
             tree = shaped_tree(rng, ("random", "path", "caterpillar", "star")[i % 4],
-                               int(rng.integers(1, 10)))
+                               int(rng.integers(1, 10) if i < 300 else rng.integers(100, 401)))
             c = random_points(rng, tree, 1)[0]
             total = sum(length for _u, _v, length in tree.edges)
             for rho in (0.0, float(rng.uniform(0.0, total)), total + 1.0):
@@ -573,18 +576,26 @@ class TestScalarReference:
             assert [_records(c) for c in got.witnesses] == [_records(c) for c in want.witnesses]
             assert got == want
 
-    def test_cover_makes_one_node_pass(self, monkeypatch):
-        """One O(n) ``_node_distances`` pass, from node 0 for the depths,
-        whatever the number of centers: the seeds' rows are span rows."""
-        calls = []
-        original = MetricTree._node_distances
-        monkeypatch.setattr(
-            MetricTree, "_node_distances", lambda self, s: calls.append(s) or original(self, s)
-        )
+    def test_cover_makes_no_node_pass(self, monkeypatch):
+        """No O(n) pass: a cover, a partition and a measure report on a
+        fresh set read its depths off the span index and its rows as span
+        rows, and a second cover on the same set sorts nothing."""
+        def refuse(*args):
+            raise AssertionError("O(n) pass")
+
+        monkeypatch.setattr(MetricTree, "_node_distances", refuse)
+        monkeypatch.setattr(MetricTree, "distances", refuse)
         for rng, ps in self.instances(606, 60):
-            calls.clear()
-            min_ball_cover(PointSet(ps.tree, ps.points), float(rng.uniform(0.0, 2.0)))
-            assert calls == [0]
+            r = float(rng.uniform(0.0, 2.0))
+            min_ball_cover(PointSet(ps.tree, ps.points), r)
+            min_diameter_partition(PointSet(ps.tree, ps.points), 2.0 * r)
+            measure_report(PointSet(ps.tree, ps.points), 3)
+            fresh = PointSet(ps.tree, ps.points)
+            min_ball_cover(fresh, r)
+            with monkeypatch.context() as m:
+                m.setattr(covering, "sorted", refuse, raising=False)
+                assert _records(min_ball_cover(fresh, 0.5 * r)) == _records(
+                    _reference_min_ball_cover(fresh, 0.5 * r))
 
     def test_cover_and_diameter_build_no_matrix(self, monkeypatch):
         """A cover and ``diameter`` read rows; neither builds the k x k matrix."""
