@@ -350,7 +350,8 @@ class MetricTree:
     outside ``0..n_nodes-1`` raises ``BadParams``, as does a node so far from
     node 0 that a sum of two distances could overflow.
 
-    The tables are built once, by numpy, from the edges as three columns.
+    The tables are built once, by numpy, from the edges as two arrays
+    (``_Columns``: the endpoints interleaved, and the lengths).
     Edge ``e`` has the half-edges ``2e`` from its tail and ``2e + 1`` from
     its head; ``_ends[h]`` is the node half-edge h leaves, and the row
     ``_adj_half[_adj_start[x]:_adj_start[x + 1]]`` lists the half-edges
@@ -395,28 +396,13 @@ class MetricTree:
         self.n_nodes = n_nodes
         self.tol = tol if tol is not None else Tolerance()
         self._edges: tuple[tuple[int, int, float], ...] | None = None
-        if type(edges) is not _Columns:  # transpose, then check the types
-            edges = list(edges)
-            try:
-                raw = [list(map(itemgetter(k), edges)) for k in range(3)]
-                typed = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
-                columns = _Columns(*typed)
-            except (LookupError, TypeError, ValueError, OverflowError):
-                _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
-            if not (
-                all(map(_is_number_type, set(map(type, chain(*raw)))))
-                and columns[:2] == (raw[0], raw[1])
-            ):
-                _raise_first_edge_fault(n_nodes, edges)
-            edges = columns
-        us, vs, lengths = edges
-        n, m = n_nodes, len(us)
-        try:
-            ends = np.array((us, vs), dtype=np.intp).T.ravel()
-        except OverflowError:  # an endpoint beyond any index
-            ends = None
-        lens = np.fromiter(lengths, np.float64, m)
-        if ends is None or m != n - 1 or m and not (
+        if type(edges) is not _Columns:
+            edges = _typed_columns(n_nodes, edges)
+        ends, lens = edges
+        n, m = n_nodes, len(lens)
+        flat = ends.tolist()  # the scalar queries index lists
+        us, vs, lengths = flat[0::2], flat[1::2], lens.tolist()
+        if m != n - 1 or m and not (
             0 <= ends.min() and ends.max() < n and 0.0 < lens.min() and lens.max() < math.inf
         ):
             _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
@@ -591,14 +577,15 @@ class MetricTree:
         offset first), so no entry differs from the scalar query even in the
         last bit.  Sums run in place: a fresh array per step costs more.
 
-        This is the kernel for a p outside a set; between the points of one
-        set, ``PointArray._span_rows`` costs O(k) per row.  A span row of p
-        plus the set is no substitute: against the 600-16000 interval ends
-        of a ball on an 8000-node tree, index build included, it measured
-        4-20 times slower than this row.  Nor do the two share one anchor
-        combine: a 24-point span row through this loop over anchors
-        measured 5-7 % slower, and this row through the span rows' stacked
-        2 x 2 layout 1.3-8 times slower.
+        This is the kernel for a p outside a set, and for one row of a set
+        of thousands of points; between the points of a smaller set,
+        ``PointArray._span_rows`` costs O(k) per row.  A span row is no
+        substitute here: against the 600-16000 interval ends of a ball on an
+        8000-node tree, index build included, it measured 4-20 times slower
+        than this row, and a span row of one of those ends 20 times slower.
+        Nor do the two share one anchor combine: a 24-point span row through
+        this loop over anchors measured 5-7 % slower, and this row through
+        the span rows' stacked 2 x 2 layout 1.3-8 times slower.
         """
         self._own(p)
         qs = PointArray.of(self, qs)
@@ -884,12 +871,33 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
 
 
 class _Columns(NamedTuple):
-    """An edge list as columns of ``int`` endpoints and ``float`` lengths,
-    which ``MetricTree`` builds from without checking their types again."""
+    """An edge list as arrays, which ``MetricTree`` builds from without
+    checking their types again: edge e runs from ``ends[2e]`` to
+    ``ends[2e + 1]`` (``intp``) and has length ``lengths[e]`` (``float64``)."""
 
-    us: list[int]
-    vs: list[int]
-    lengths: list[float]
+    ends: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, us: list[int], vs: list[int], lengths: list[float]) -> "_Columns":
+        """Columns from lists of endpoints and lengths; OverflowError for an
+        endpoint beyond any index."""
+        ends = np.fromiter(chain.from_iterable(zip(us, vs)), np.intp, 2 * len(us))
+        return cls(ends, np.array(lengths, dtype=np.float64))
+
+
+def _typed_columns(n_nodes: int, edges: Iterable) -> _Columns:
+    """The columns of (u, v, length) triples of numbers, ints not changed by
+    ``int``; otherwise the error of the first edge at fault."""
+    edges = list(edges)
+    try:
+        raw = [list(map(itemgetter(k), edges)) for k in range(3)]
+        us, vs, lengths = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
+        if all(map(_is_number_type, set(map(type, chain(*raw))))) and [us, vs] == raw[:2]:
+            return _Columns.of(us, vs, lengths)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
 
 
 def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:

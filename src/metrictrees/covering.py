@@ -445,9 +445,14 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     The ball is a convex subtree; its diameter is realized between two of
     its extremal points: the center and the ends of the interval in which
     it meets each edge (a leaf inside the ball is such an end).  Two sweeps
-    as in ``diameter``, over the ends as one ``PointArray``: the center is
-    not one of them, so the first sweep is its ``distances`` row; the
-    second is the span row of the end farthest from it.
+    as in ``diameter``, over the ends as one ``PointArray``, each a
+    ``distances`` row: first from the center, which is not one of the ends,
+    then from the end farthest from it.  A node is an end of every edge of
+    the ball at it, so a ball over a whole 8000-node tree has about 16,000
+    ends; there a span row of the far end took 2.0 ms even with each node
+    kept once (and the dedup itself 0.4-1.9 ms), and its ``distances`` row
+    0.09 ms.  Both kernels give ``distance`` bit for bit, so the float is
+    the same.
     """
     tree._own(center)
     rho = _nonnegative(rho, tree.tol, NegativeRadius, "radius")
@@ -455,4 +460,4 @@ def ball_diameter(tree: MetricTree, center: TreePoint, rho: float) -> float:
     if not ends:  # a single-node tree: the ball is its center
         return 0.0
     far = int(tree.distances(center, ends).argmax())
-    return float(ends._span_row(far).max())
+    return float(tree.distances(ends[far], ends).max())

@@ -17,6 +17,13 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
     point <name> node <id>
     point <name> edge <u> <v> <offset>
 
+``parse_tree`` reads the lines that start with ``edge`` in bulk, by one
+``np.loadtxt`` pass, and builds the tree on one node more than there are
+edges, which proves the node ids are exactly 0..m when it succeeds.  A line
+reader reads the other lines, and reads the whole document again whenever
+the bulk pass rejects it; so the line reader names every error, at its line
+and column.
+
 Recognition
 -----------
 ``check_four_point`` and ``tree_from_distances`` share one recognizer that
@@ -39,8 +46,11 @@ import csv
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, not_
+from typing import Sequence
 
 import numpy as np
 
@@ -273,9 +283,9 @@ class _Builder:
     def columns(self) -> _Columns:
         """The edges as columns, by (lower, higher) endpoint."""
         edges = sorted((min(p, c), max(p, c), c) for c, p in enumerate(self.parent) if c)
-        return _Columns(
+        return _Columns.of(
             [u for u, _, _ in edges], [v for _, v, _ in edges],
-            [float(self.length[c]) for _, _, c in edges],
+            [self.length[c] for _, _, c in edges],
         )
 
 
@@ -410,15 +420,15 @@ def _raise_number_error(
 _CHUNK = 256  # lines split at a time: thousands alive at once fragment the heap
 
 
-def _read_lines(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
-    """The edge columns, node ids and point lines of a tree document.  Each
-    column of a chunk's well-formed edge lines is converted by one ``map``;
-    then its other lines are read in order, and all of them when a column
-    does not convert, so that an error names the first bad line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    columns = _Columns([], [], [])
+def _read_lines(
+    lines: list[str], numbers: Sequence[int]
+) -> tuple[tuple[list[int], list[int], list[float]], list[int], list[tuple[int, str, tuple]]]:
+    """The edge columns, node ids and point lines in ``lines`` of a tree
+    document, comments removed, numbered by ``numbers``.  Each column of a
+    chunk's well-formed edge lines is converted by one ``map``; then its other
+    lines are read in order, and all of them when a column does not convert,
+    so that an error names the first bad line."""
+    columns: tuple[list, list, list] | None = ([], [], [])
     node_ids: list[int] = []
     point_lines: list[tuple[int, str, tuple]] = []
     for first in range(0, len(lines), _CHUNK):
@@ -430,7 +440,7 @@ def _read_lines(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tu
                 column.extend(map(conv, map(itemgetter(k), edge_rows)))
         except ValueError:
             columns = None  # the scan below raises at the first bad number
-        for lineno, (line, words) in enumerate(zip(chunk, rows), start=first + 1):
+        for lineno, line, words in zip(numbers[first : first + _CHUNK], chunk, rows):
             if not words:
                 continue
             kind = words[0]
@@ -471,12 +481,84 @@ def _read_lines(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tu
     return columns, node_ids, point_lines
 
 
-def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
-    """Parse a tree document; raises TreeParseError with line/column."""
-    columns, node_ids, point_lines = _read_lines(text)
+# an edge line as the bulk pass reads it; the keyword field is one character
+# wider than "edge", so that a longer word such as "edgex" does not equal it
+_EDGE_ROW = np.dtype([("kind", "U5"), ("ends", np.intp, (2,)), ("length", np.float64)])
+
+
+def _loadtxt_is_strict() -> bool:
+    """Whether ``np.loadtxt`` rejects a fraction in an integer column.  numpy
+    1.23-1.26 reads ``1.5`` there as 1, with only a DeprecationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            np.loadtxt(["1.5"], dtype=np.intp)
+        except ValueError:
+            return True
+    return False
+
+
+_BULK = _loadtxt_is_strict()  # else every document goes to the line reader
+
+
+def _build_bulk(
+    text: str, tol: Tolerance | None
+) -> tuple[MetricTree, list[tuple[int, str, tuple]]] | None:
+    """The tree and point lines of a document whose m edges sit on lines of
+    their own that start with ``edge``, read by one ``np.loadtxt`` pass, and
+    whose node lines name ids in 0..m; None for any other document.
+
+    On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
+    and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
+    it to the same values, so the edges it accepts are the ones the line
+    reader would read.  The line reader reads the other lines, and the first
+    bad line among them is the first of the document.  The tree is built on
+    n = m + 1 nodes: a build that succeeds proves the ids are exactly 0..m,
+    since every endpoint is in range and every node has an edge.  A build
+    that fails returns None too.
+    """
+    if not _BULK:
+        return None
+    lines = text.splitlines()
+    is_edge = list(map(str.startswith, lines, repeat("edge")))
+    edge_lines = list(compress(lines, is_edge))
+    if not edge_lines:  # loadtxt warns on no lines
+        return None
+    # numpy 2.4's integer parser reads some non-ASCII letters as digits
+    # (U+01FE as 462), so it gets ASCII lines only
+    if not (text.isascii() or "".join(edge_lines).isascii()):
+        return None
+    try:
+        rows = np.loadtxt(edge_lines, dtype=_EDGE_ROW, comments="#", ndmin=1)
+    except ValueError:
+        return None
+    if not (rows["kind"] == "edge").all():
+        return None
+    numbers = list(compress(range(1, len(lines) + 1), map(not_, is_edge)))
+    other = [lines[k - 1].split("#", 1)[0] for k in numbers]
+    (us, _, _), node_ids, point_lines = _read_lines(other, numbers)
+    m = len(rows)
+    if us or not all(0 <= k <= m for k in node_ids):
+        return None
+    try:
+        tree = MetricTree(m + 1, _Columns(rows["ends"].ravel(), rows["length"].copy()), tol=tol)
+    except MetricTreeError:
+        return None  # the line reader's path names the error
+    return tree, point_lines
+
+
+def _build_from_lines(
+    text: str, tol: Tolerance | None
+) -> tuple[MetricTree, list[tuple[int, str, tuple]]]:
+    """The tree and point lines of a document read by the line reader alone.
+    The node ids are checked before anything is sized by one."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    (us, vs, lengths), node_ids, point_lines = _read_lines(lines, range(1, len(lines) + 1))
     ids = set(node_ids)
-    ids.update(columns.us)
-    ids.update(columns.vs)
+    ids.update(us)
+    ids.update(vs)
     if not ids:
         raise TreeParseError("document defines no nodes", 1, 1)
     n_nodes = len(ids)
@@ -489,7 +571,19 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    tree = MetricTree(n_nodes, columns, tol=tol)
+    return MetricTree(n_nodes, _Columns.of(us, vs, lengths), tol=tol), point_lines
+
+
+def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
+    """Parse a tree document; raises TreeParseError with line/column.
+
+    A document of edge lines, points and node lines is read in bulk
+    (``_build_bulk``), its node ids proven by the build.  Every other
+    document, and every one that the bulk pass or its build rejects, is read
+    again by the line reader alone, which checks the ids itself; so every
+    error is the one the line reader names, at its line and column.
+    """
+    tree, point_lines = _build_bulk(text, tol) or _build_from_lines(text, tol)
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:

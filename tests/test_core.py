@@ -1338,9 +1338,9 @@ class TestConstructionParity:
         same tables as the triples they transpose."""
         for shape in ("random", "path", "caterpillar", "star"):
             edges = shaped_edges(rng, shape, 30)
-            columns = _Columns(*(list(col) for col in zip(*edges)))
+            columns = _Columns.of(*(list(col) for col in zip(*edges)))
             assert _tables(MetricTree(30, columns)) == _reference_tables(30, edges)
-        faulty = _Columns([0, 1], [1, 1], [1.0, 1.0])
+        faulty = _Columns.of([0, 1], [1, 1], [1.0, 1.0])
         assert _outcome(lambda: MetricTree(3, faulty)) == _reference_outcome(
             3, [(0, 1, 1.0), (1, 1, 1.0)]
         )

@@ -4,6 +4,7 @@ the gallery."""
 import math
 import re
 import time
+import warnings
 from collections import deque
 
 import numpy as np
@@ -767,9 +768,17 @@ _SEPS = (" ", "\t", "\x1f", "\xa0", " \t", "\xa0\x1f\t")
 _PADS = ("", "", " ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\t\x0c ")
 
 
-def _doc_lines(rng, n):
+# ASCII digits to Arabic-Indic ones, which int and float read too
+_NON_ASCII_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                  "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _doc_lines(rng, n, python_only=None):
     """Token lists of a valid document on n nodes: edges in random order and
-    orientation, some node lines, points of both forms."""
+    orientation, some node lines, points of both forms.  With
+    ``python_only`` (by default in half the documents) some numbers take
+    forms that ``int`` and ``float`` read but ``np.loadtxt`` does not:
+    underscores and non-ASCII digits."""
     perm = rng.permutation(n)
     edges = []
     for i in range(1, n):
@@ -778,11 +787,16 @@ def _doc_lines(rng, n):
             u, v = v, u
         edges.append((u, v, float(rng.uniform(0.2, 2.5))))
     edges = [edges[i] for i in rng.permutation(len(edges))]
+    if python_only is None:
+        python_only = rng.random() < 0.5
 
     def num(x):
-        return str(rng.choice([repr(x), f"{x:.6e}"])) if isinstance(x, float) else (
+        text = str(rng.choice([repr(x), f"{x:.6e}"])) if isinstance(x, float) else (
             str(rng.choice([str(x), f"+{x}", f"0{x}"]))
         )
+        if python_only and rng.random() < 0.2:
+            text = str(rng.choice([f"0_{text.lstrip('+')}", text.translate(_NON_ASCII_DIGITS)]))
+        return text
 
     lines = [["edge", num(u), num(v), num(x)] for u, v, x in edges]
     lines += [["node", num(int(k))] for k in rng.choice(n, int(rng.integers(n == 1, 3)))]
@@ -833,6 +847,7 @@ _BAD_LINES = {
     "long_edge": "edge 0 1 1.0 7",
     "bad_int_u": "edge x 1 1.0",
     "bad_int_v": "edge 0 1.5 1.0",
+    "float_id": "edge 0 1.0 2.0",
     "bad_float": "edge 0 1 abc",
     "two_bad_numbers": "edge 0 y zz",
     "short_point": "point p",
@@ -923,3 +938,138 @@ class TestParseParity:
             str(rng.choice(_PADS)).join(tokens) + str(rng.choice(_PADS)) for tokens in lines
         )
         assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+
+
+def _bench_text(rng, n):
+    """A document as the benchmark writes one: ids permuted, edges in random
+    order and orientation, then 24 points, repr floats, one "\\n" per line."""
+    perm = rng.permutation(n)
+    parent = [int(rng.integers(0, i)) for i in range(1, n)]
+    length = rng.uniform(0.2, 2.5, n - 1).tolist()
+    lines = []
+    for c in rng.permutation(n - 1).tolist():
+        u, v = int(perm[parent[c]]), int(perm[c + 1])
+        lines.append(f"edge {u} {v} {length[c]!r}" if rng.random() < 0.5 else
+                     f"edge {v} {u} {length[c]!r}")
+    for k in range(24):
+        c = int(rng.integers(0, n - 1))
+        if rng.random() < 0.25:
+            lines.append(f"point p{k} node {perm[c + 1]}")
+        else:
+            up = float(rng.uniform(0.0, 1.0)) * length[c]
+            lines.append(f"point p{k} edge {perm[c + 1]} {perm[parent[c]]} {up!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _bulk_text(rng, lines, seps=_SEPS):
+    """Document text whose token lists (or raw strings) start their lines:
+    separators from ``seps``, comments, blank lines, node lines between
+    them, and "\\n" or "\\r\\n" line endings."""
+    out = []
+    for tokens in lines:
+        if rng.random() < 0.2:
+            out.append(str(rng.choice(["", "# edge 0 1 x", "   ", "#", "\tnode 0 # x"])))
+        if isinstance(tokens, str):
+            text = tokens
+        else:
+            text = tokens[0] + "".join(str(rng.choice(seps)) + tok for tok in tokens[1:])
+        if rng.random() < 0.3:
+            text += str(rng.choice(seps)) + "# trailing edge 1 2 #x"
+        out.append(text)
+    ending = str(rng.choice(["\n", "\r\n"]))
+    return ending.join(out) + str(rng.choice(["", ending]))
+
+
+@pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
+class TestBulkPass:
+    """Valid documents of the shapes the CLI reads never reach the line
+    reader's path: it is made to fail."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_reader_path(self, monkeypatch):
+        def fail(text, tol):
+            raise AssertionError("the document left the bulk pass")
+
+        monkeypatch.setattr(ingest, "_build_from_lines", fail)
+
+    def test_bench_documents(self, rng):
+        for n in (2, 3, 50, 700):
+            text = _bench_text(rng, n)
+            got = _parse_outcome(parse_tree, text)
+            assert got[0] == n
+            assert got == _parse_outcome(_parse_tree_reference, text)
+
+    def test_comments_nodes_crlf_and_interleaved_points(self, rng):
+        ascii_seps = [sep for sep in _SEPS if sep.isascii()]
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            lines = _doc_lines(rng, n, python_only=False)
+            lines.append("point \u00e9t\u00e9 node 0")
+            text = _bulk_text(rng, lines, ascii_seps)
+            got = _parse_outcome(parse_tree, text)
+            assert got[0] == n
+            assert got == _parse_outcome(_parse_tree_reference, text)
+
+
+class TestBulkParity:
+    """Documents the bulk pass reads, or starts to, against the reference."""
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_LINES))
+    def test_malformed_line_raises_like_reference(self, kind, rng):
+        for _ in range(5):
+            lines = _doc_lines(rng, int(rng.integers(1, 8)))
+            lines.insert(int(rng.integers(0, len(lines) + 1)), _BAD_LINES[kind])
+            text = _bulk_text(rng, lines)
+            got = _parse_outcome(parse_tree, text)
+            assert got[0] is TreeParseError
+            assert got == _parse_outcome(_parse_tree_reference, text)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_documents_parse_like_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        text = _bulk_text(rng, _doc_lines(rng, n))
+        got = _parse_outcome(parse_tree, text)
+        assert got == _parse_outcome(_parse_tree_reference, text)
+        assert got[0] == n
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "edge 0 9223372036854775808 1.0\n",  # beyond int64
+            "edge 0 1 1.0\nedge 1 1000000000 1.0\n",
+            "edge 0 1 1.0\nnode 2\n",  # a node without an edge
+            "edge 0 1 1.0\nnode -1\n",
+            "edge 0 2 1.0\nedge 2 0 1.0\n",  # a build on m + 1 nodes fails
+            "edge 0 1 1.0\nedge 1 2 -1.0\n",
+            "edge 0 1 1.0\n edge 1 2 1.0\n",  # an edge line the line reader finds
+            "edge 0 1 1.0\nedge\t1 2 1.0\npoint a node 3\n",
+            "edge 0 1 1.0\npoint a edge 0 1 2.0\npoint b nod 0\n",
+            "edgex 0 1 1.0\n",
+            "edge 0 1 1_0.5\n",
+            "edge 0 \u0661 1.0\n",
+            "edge 0 1 1.0\xa0\n",
+        ],
+    )
+    def test_documents_like_reference(self, text):
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+
+    def test_non_ascii_letter_is_no_digit(self):
+        # numpy 2.4 reads U+01FE in an integer column as the digit 462 (its
+        # code point less that of "0"): a valid id on this 470-node path
+        lines = [f"edge {i} {i + 1} 1.0" for i in range(469)]
+        lines[461] = "edge 461 \u01fe 1.0"
+        text = "\n".join(lines) + "\n"
+        got = _parse_outcome(parse_tree, text)
+        assert got[0] is TreeParseError
+        assert got == _parse_outcome(_parse_tree_reference, text)
+
+    @pytest.mark.parametrize("text", ["edge 0 1.5 1.0\n", "edge 0 1.0 2.0\n"])
+    def test_fractional_id_raises_with_warnings_ignored(self, text):
+        # numpy 1.23-1.26 reads "1.5" in an integer column as 1 and only
+        # warns; read as (0, 1), each document would be a valid tree
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _parse_outcome(parse_tree, text)
+        assert got[0] is TreeParseError
+        assert got == _parse_outcome(_parse_tree_reference, text)
