@@ -88,6 +88,9 @@ class Tolerance:
         return a <= b + np.maximum(self.abs_eps, self.rel_eps * scale)
 
 
+_DEFAULT_TOL = Tolerance()  # frozen, so every tree built without one shares it
+
+
 class TreePoint:
     """A location in a metric tree: a node, or a position inside an edge.
 
@@ -362,20 +365,27 @@ class MetricTree:
     the tour runs over every half-edge.  Only when this check fails does a
     sequential union-find scan run, to name the first bad edge.
 
-    The scalar queries read plain lists: per node its parent, parent edge,
-    root distance and preorder interval ``[_enter, _leave)``, and the
-    binary-lifting ancestor rows.  The array kernels read numpy arrays:
-    the preorder of a depth-first walk taking children in descending edge
-    order, each node's position in it (``_tin``), per position the end of
-    its subtree (``_end``), and the root distances, summed parent first.
-    w is v or an ancestor of v exactly when its interval holds v's
-    position: ``lca``, ``_exit_node`` and ``_node_distances`` all test
-    that.  Three kernels measure distance, each with one job, and agree bit
-    for bit: ``distance`` a pair, in O(log n); the span index of a
-    ``PointArray`` the points of one set among themselves, a row in O(k),
-    the matrix in O(n + k^2) and the depths in O(k), reading the parents'
-    root distances by preorder position; and ``distances`` a point outside
-    a set against all of it, in O(n + len(qs)).
+    The scalar queries read read-only memoryviews of the numpy tables,
+    whose items index as plain ``int``s and ``float``s: per node its
+    parent, parent edge, root distance and preorder interval ``[_enter,
+    _leave)``, per edge its ends and length, and the binary-lifting
+    ancestor rows, one numpy gather each.  The array kernels read the numpy
+    arrays: the preorder of a depth-first walk taking children in
+    descending edge order, each node's position in it (``_tin``), per
+    position the end of its subtree (``_end``), and the root distances,
+    summed parent first.  w is v or an ancestor of v exactly when its
+    interval holds v's position: ``lca``, ``_exit_node`` and
+    ``_node_distances`` all test that.  Three kernels measure distance,
+    each with one job, and agree bit for bit: ``distance`` a pair, in
+    O(log n); the span index of a ``PointArray`` the points of one set
+    among themselves, a row in O(k), the matrix in O(n + k^2) and the
+    depths in O(k), reading the parents' root distances by preorder
+    position; and ``distances`` a point outside a set against all of it,
+    in O(n + len(qs)).
+
+    A node or edge id given to a query must be an integer in range, or
+    the query raises ``BadParams``; the walks inside take their ids from
+    the tables and skip that check.
     """
 
     __slots__ = (
@@ -394,18 +404,16 @@ class MetricTree:
         if not isinstance(n_nodes, int) or n_nodes < 1:
             raise BadParams("n_nodes must be a positive integer")
         self.n_nodes = n_nodes
-        self.tol = tol if tol is not None else Tolerance()
+        self.tol = tol if tol is not None else _DEFAULT_TOL
         self._edges: tuple[tuple[int, int, float], ...] | None = None
         if type(edges) is not _Columns:
             edges = _typed_columns(n_nodes, edges)
         ends, lens = edges
         n, m = n_nodes, len(lens)
-        flat = ends.tolist()  # the scalar queries index lists
-        us, vs, lengths = flat[0::2], flat[1::2], lens.tolist()
         if m != n - 1 or m and not (
             0 <= ends.min() and ends.max() < n and 0.0 < lens.min() and lens.max() < math.inf
         ):
-            _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
+            _raise_first_edge_fault(n, _triples(ends, lens))
         # the rows: half-edges by node, then by edge (a stable sort of keys
         # this narrow is a radix sort, up to 65536 nodes)
         order = ends.astype(np.min_scalar_type(n)).argsort(kind="stable")
@@ -414,27 +422,36 @@ class MetricTree:
         deg.cumsum(out=start[1:])
         rooted = _tour(ends, order, start, deg, lens)
         if rooted is None:
-            _raise_first_edge_fault(n, list(zip(us, vs, lengths)))
-        (self._parent, self._parent_edge, self._root_dist, self._enter, self._leave,
-         self._preorder, self._tin, self._end, self._root_dist_arr, self._parent_rd,
-         height) = rooted
+            _raise_first_edge_fault(n, _triples(ends, lens))
+        (parent, parent_edge, self._root_dist_arr, self._tin, leave, self._preorder, self._end,
+         self._parent_rd, height) = rooted
+        self._parent, self._parent_edge, self._root_dist, self._enter, self._leave = map(
+            _table, (parent, parent_edge, self._root_dist_arr, self._tin, leave)
+        )
         far = int(self._root_dist_arr.argmax())
         if self._root_dist[far] > sys.float_info.max / 4:
             raise BadParams(f"node {far} lies {self._root_dist[far]!r} from node 0; sums overflow")
-        up = [self._parent.copy()]
-        up[0][0] = 0
+        row = parent.copy()
+        row[0] = 0
+        up = [row]
         for _ in range(1, max(1, height.bit_length())):
-            up.append(itemgetter(*up[-1])(up[-1]))  # prev[prev], sharing its ints
-        self._up = tuple(up)
-        self._edge_u, self._edge_v, self._lengths = us, vs, lengths
+            up.append(row := row[row])
+        self._up = tuple(map(_table, up))
+        self._edge_u, self._edge_v, self._lengths = map(_table, (ends[0::2], ends[1::2], lens))
         self._ends, self._edge_len = ends, lens
         self._adj_start, self._adj_half = start, order
+
+    def __reduce__(self):
+        # the tables are memoryviews, which do not pickle; the columns rebuild them
+        return MetricTree, (self.n_nodes, _Columns(self._ends, self._edge_len), self.tol)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """The (u, v, length) triples in input order."""
         if self._edges is None:
-            self._edges = tuple(zip(self._edge_u, self._edge_v, self._lengths))
+            self._edges = tuple(
+                zip(self._edge_u.tolist(), self._edge_v.tolist(), self._lengths.tolist())
+            )
         return self._edges
 
     # ------------------------------------------------------------------ #
@@ -442,10 +459,7 @@ class MetricTree:
     # ------------------------------------------------------------------ #
 
     def node_point(self, node: int) -> TreePoint:
-        u = self._node_id(node)
-        if u is None:
-            raise BadParams(f"node {node!r} does not exist (tree has {self.n_nodes} nodes)")
-        return TreePoint(self, u, None, 0.0)
+        return TreePoint(self, self._node(node), None, 0.0)
 
     def edge_point(self, u: int, v: int, offset: float) -> TreePoint:
         """Point at ``offset`` from ``u`` along the edge (u, v).
@@ -453,7 +467,7 @@ class MetricTree:
         Offsets within ``abs_eps`` of an endpoint canonicalize to that node;
         offsets beyond ``[0, length]`` raise ParameterOutOfRange.
         """
-        iu, iv = self._node_id(u), self._node_id(v)
+        iu, iv = _id_below(u, self.n_nodes), _id_below(v, self.n_nodes)
         idx = None if iu is None or iv is None else self._edge_of(iu, iv)
         if idx is None:
             raise BadParams(f"no edge between nodes {u} and {v}")
@@ -489,28 +503,35 @@ class MetricTree:
     # ------------------------------------------------------------------ #
 
     def edge_nodes(self, idx: int) -> tuple[int, int]:
-        return self._edge_u[idx], self._edge_v[idx]
+        e = self._edge(idx)
+        return self._edge_u[e], self._edge_v[e]
 
     def edge_length(self, idx: int) -> float:
-        return self._lengths[idx]
+        return self._lengths[self._edge(idx)]
 
     def degree(self, node: int) -> int:
-        return self._adj_start.item(node + 1) - self._adj_start.item(node)
+        u = self._node(node)
+        return self._adj_start.item(u + 1) - self._adj_start.item(u)
 
     def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge index) pairs of a node, in edge order."""
-        start = self._adj_start
-        half = self._adj_half[start[node] : start[node + 1]]
+        u, start = self._node(node), self._adj_start
+        half = self._adj_half[start[u] : start[u + 1]]
         return tuple(zip(self._ends[half ^ 1].tolist(), (half >> 1).tolist()))
 
-    def _node_id(self, node) -> int | None:
-        """``node`` as a plain ``int`` when it names a node of this tree;
-        None for anything else, bools included."""
-        try:
-            u = -1 if isinstance(node, bool) else index(node)
-        except TypeError:
-            return None
-        return u if 0 <= u < self.n_nodes else None
+    def _node(self, node) -> int:
+        """``node`` as a plain ``int``; BadParams unless it names a node."""
+        u = _id_below(node, self.n_nodes)
+        if u is None:
+            raise BadParams(f"node {node!r} does not exist (tree has {self.n_nodes} nodes)")
+        return u
+
+    def _edge(self, idx) -> int:
+        """``idx`` as a plain ``int``; BadParams unless it names an edge."""
+        e = _id_below(idx, self.n_nodes - 1)
+        if e is None:
+            raise BadParams(f"edge {idx!r} does not exist (tree has {self.n_nodes - 1} edges)")
+        return e
 
     def _edge_of(self, u: int, v: int) -> int | None:
         """Index of the edge joining nodes u and v; None when they are not
@@ -522,6 +543,13 @@ class MetricTree:
         return None
 
     def lca(self, u: int, v: int) -> int:
+        return self._lca(self._node(u), self._node(v))
+
+    def node_distance(self, u: int, v: int) -> float:
+        return self._node_distance(self._node(u), self._node(v))
+
+    def _lca(self, u: int, v: int) -> int:
+        """``lca`` of two node ids taken from the tables, unchecked."""
         enter, leave = self._enter, self._leave
         t = enter[v]
         if enter[u] <= t < leave[u]:
@@ -532,8 +560,9 @@ class MetricTree:
                 u = w
         return self._parent[u]
 
-    def node_distance(self, u: int, v: int) -> float:
-        w = self.lca(u, v)
+    def _node_distance(self, u: int, v: int) -> float:
+        """``node_distance`` of two node ids taken from the tables, unchecked."""
+        w = self._lca(u, v)
         return self._root_dist[u] + self._root_dist[v] - 2.0 * self._root_dist[w]
 
     def same_structure(self, other: "MetricTree") -> bool:
@@ -661,12 +690,12 @@ class MetricTree:
 
     def _dist(self, x: TreePoint, y: TreePoint) -> float:
         if x.node is not None and y.node is not None:
-            return self.node_distance(x.node, y.node)
+            return self._node_distance(x.node, y.node)
         if x.edge is not None and x.edge == y.edge:
             return abs(x.offset - y.offset)
         if x.edge is not None and y.edge is not None and y.edge < x.edge:
             x, y = y, x  # the lower edge's offset is summed first: d(x, y) == d(y, x)
-        return min(cx + self.node_distance(ax, ay) + cy
+        return min(cx + self._node_distance(ax, ay) + cy
                    for ax, cx in self._anchors(x) for ay, cy in self._anchors(y))
 
     def is_between(self, x: TreePoint, y: TreePoint, z: TreePoint) -> bool:
@@ -706,7 +735,7 @@ class MetricTree:
         if x.node is None:
             e = x.edge
             yield e, x.offset, 0.0 if tail[e] == u else length[e], u
-        w = self.lca(u, v)
+        w = self._lca(u, v)
         while u != w:
             e = up_edge[u]
             c = 0.0 if tail[e] == u else length[e]
@@ -785,6 +814,16 @@ def _is_number_type(kind: type) -> bool:
     return issubclass(kind, numbers.Real) and kind is not bool
 
 
+def _id_below(value, bound: int) -> int | None:
+    """``value`` as a plain ``int`` in ``0..bound-1``; None for anything
+    else, bools included."""
+    try:
+        k = -1 if isinstance(value, bool) else index(value)
+    except TypeError:
+        return None
+    return k if 0 <= k < bound else None
+
+
 def _positive_count(value, what: str) -> int:
     """``value`` as a plain ``int`` of at least 1; BadParams for anything else,
     bools and integral floats included."""
@@ -800,16 +839,15 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     """The rooted tables, root = node 0, from an Euler tour over the rows, or
     None when the edges are not a tree.
 
-    Lists per node: parent, parent edge, root distance, preorder position
-    and subtree end; arrays: the preorder, each node's position in it, per
-    position the end of its subtree, the root distances, per position the
-    root distance of its parent (+inf at the root); and the largest hop
-    count.  The tour leaves each half-edge's head by the half-edge
-    after its twin in that node's row, cut before it leaves node 0 again;
-    pointer jumping counts the steps to the cut.  With n - 1 edges, a tour
-    over every half-edge that touches every node proves a tree.  Of an
-    edge's two half-edges, the first on the tour leads away from the root,
-    and half the steps between them are the nodes below it.
+    Per node its parent (-1 at the root), parent edge, root distance,
+    preorder position and subtree end; the preorder, per position the end
+    of its subtree and the root distance of its parent (+inf at the root);
+    and the largest hop count.  The tour leaves each half-edge's head by
+    the half-edge after its twin in that node's row, cut before it leaves
+    node 0 again; pointer jumping counts the steps to the cut.  With n - 1
+    edges, a tour over every half-edge that touches every node proves a
+    tree.  Of an edge's two half-edges, the first on the tour leads away
+    from the root, and half the steps between them are the nodes below it.
     """
     n, two_m = len(deg), len(order)
     h = np.arange(two_m)
@@ -836,8 +874,8 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     descend, ascend = np.minimum(r0, r1), np.maximum(r0, r1)
     size = (ascend - descend + 1) >> 1
     child, at = ends[down ^ 1], pos[down]
-    parent, parent_edge, subtree = np.zeros((3, n), dtype=np.intp)
-    tin = np.zeros(n, dtype=np.intp)  # kept by the tree, so not a row of that block
+    # rows of one block, which the tree keeps whole
+    parent, parent_edge, subtree, tin = np.zeros((4, n), dtype=np.intp)
     parent[0], parent_edge[0], subtree[0] = -1, -1, n
     parent[child], parent_edge[child], subtree[child] = ends[down], h[: two_m // 2], size
     # a child's preorder position is its parent's, plus one, plus the sizes
@@ -863,17 +901,26 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     by_position = np.fromiter(by_position, np.float64, n)
     parent_rd = np.concatenate(([math.inf], by_position[above]))
     root_dist = by_position[tin]
-    leave = tin + subtree
-    return (
-        parent.tolist(), parent_edge.tolist(), root_dist.tolist(), tin.tolist(), leave.tolist(),
-        preorder, tin, leave[preorder], root_dist, parent_rd, height,
-    )
+    leave = np.add(tin, subtree, out=subtree)
+    return parent, parent_edge, root_dist, tin, leave, preorder, leave[preorder], parent_rd, height
+
+
+def _table(column: np.ndarray) -> memoryview:
+    """A read-only view of a 1-D array for the scalar queries: made in O(1),
+    and its items index as plain ``int``s or ``float``s, bit for bit."""
+    return memoryview(column).toreadonly()
+
+
+def _triples(ends: np.ndarray, lens: np.ndarray) -> list[tuple[int, int, float]]:
+    """The edges of the columns as (u, v, length) triples."""
+    return list(zip(ends[0::2].tolist(), ends[1::2].tolist(), lens.tolist()))
 
 
 class _Columns(NamedTuple):
     """An edge list as arrays, which ``MetricTree`` builds from without
     checking their types again: edge e runs from ``ends[2e]`` to
-    ``ends[2e + 1]`` (``intp``) and has length ``lengths[e]`` (``float64``)."""
+    ``ends[2e + 1]`` (``intp``) and has length ``lengths[e]`` (``float64``),
+    both aligned, since the tree's memoryviews index them."""
 
     ends: np.ndarray
     lengths: np.ndarray

@@ -541,7 +541,9 @@ def _build_bulk(
     if us or not all(0 <= k <= m for k in node_ids):
         return None
     try:
-        tree = MetricTree(m + 1, _Columns(rows["ends"].ravel(), rows["length"].copy()), tol=tol)
+        # copies, since a field of loadtxt's rows may sit unaligned, which
+        # the tree's memoryviews cannot index
+        tree = MetricTree(m + 1, _Columns(rows["ends"].flatten(), rows["length"].copy()), tol=tol)
     except MetricTreeError:
         return None  # the line reader's path names the error
     return tree, point_lines

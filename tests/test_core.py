@@ -6,10 +6,12 @@ transitivity, segment gluing, ball convexity, four-point) are checked
 against direct distance arithmetic on sampled points.
 """
 
+import copy
 import gc
 import itertools
 import json
 import math
+import pickle
 import sys
 import tracemalloc
 from bisect import bisect_right
@@ -30,18 +32,25 @@ from metrictrees import (
     NonpositiveEdgeLength,
     ParameterOutOfRange,
     PointArray,
+    PointSet,
     Tolerance,
     TooFewPoints,
     edge_samples,
     gallery,
     is_metric_segment,
     lifschitz_witness,
+    matrix_from_points,
+    measure_report,
+    min_ball_cover,
     random_point,
     random_points,
     random_tree,
+    tree_from_distances,
 )
 
 from metrictrees.core import _Columns
+from metrictrees.ingest import _build_bulk, _build_from_lines
+from metrictrees.reports import report_obj
 
 from conftest import shaped_edges, shaped_tree, star_tips
 
@@ -1401,7 +1410,8 @@ class TestConstructionParity:
 
 class TestBuildGarbage:
     """A build leaves O(log n) objects for the cyclic garbage collector to
-    track (the lifting rows and a few lists), not one or more per node."""
+    track (the memoryviews of its tables and lifting rows), not one or more
+    per node, and a few machine words per node."""
 
     @pytest.mark.parametrize("shape", ["random", "path"])
     @pytest.mark.parametrize("n", [1000, 8000])
@@ -1417,3 +1427,144 @@ class TestBuildGarbage:
             gc.enable()
         assert tree.n_nodes == n
         assert grown <= 2 * n.bit_length() + 32
+
+    @pytest.mark.parametrize("shape", ["random", "path"])
+    def test_retained_bytes_per_node(self, shape, rng):
+        """The tables of an 8000-node tree hold a few machine words per node."""
+        n = 8000
+        edges = shaped_edges(rng, shape, n)
+        MetricTree(n, edges)  # first-call caches, not the build's own
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = MetricTree(n, edges)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tree.n_nodes == n
+        assert retained <= 300 * n
+
+
+def _every_build(rng):
+    """(how, tree) for each way a tree is built: the bulk pass (a one-edge
+    document too), the line reader, triples, ``_Columns.of`` and
+    reconstruction's ``_Builder``."""
+    edges = shaped_edges(rng, "random", 12)
+    doc = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in edges)
+    for how, text in (("bulk", doc), ("bulk, one edge", "edge 1 0 2.5\n")):
+        built = _build_bulk(text, None)  # None where numpy reads a fraction as an integer
+        if built is not None:
+            yield how, built[0]
+    yield "lines", _build_from_lines(doc, None)[0]
+    yield "triples", MetricTree(12, edges)
+    yield "columns", MetricTree(12, _Columns.of(*(list(col) for col in zip(*edges))))
+    source = MetricTree(12, edges)
+    labels = [source.node_point(u) for u in range(12)]
+    yield "builder", tree_from_distances(matrix_from_points(source, labels))[0]
+
+
+def _is_plain(p):
+    return (
+        (p.node is None or type(p.node) is int)
+        and (p.edge is None or type(p.edge) is int)
+        and type(p.offset) is float
+    )
+
+
+class TestTableContract:
+    """Whatever built a tree, its scalar queries answer in plain ``int`` and
+    ``float``, it pickles and copies, and its tables are read-only."""
+
+    def test_scalar_queries_answer_plain_numbers(self, rng):
+        for how, tree in _every_build(rng):
+            n = tree.n_nodes
+            for u in range(n):
+                assert type(tree.degree(u)) is int, how
+                assert all(type(x) is int for pair in tree.neighbors(u) for x in pair), how
+                for v in range(n):
+                    assert type(tree.lca(u, v)) is int, how
+                    assert type(tree.node_distance(u, v)) is float, how
+            for e in range(n - 1):
+                assert all(type(x) is int for x in tree.edge_nodes(e)), how
+                assert type(tree.edge_length(e)) is float, how
+            assert all(type(x) is int for u, v, _ in tree.edges for x in (u, v)), how
+            assert all(type(length) is float for *_, length in tree.edges), how
+
+    def test_points_and_reports_hold_plain_numbers(self, rng):
+        for how, tree in _every_build(rng):
+            pts = random_points(rng, tree, 6)
+            x, y, z = pts[:3]
+            u, v = tree.edge_nodes(tree.n_nodes - 2)
+            made = [
+                tree.node_point(tree.n_nodes - 1),
+                tree.edge_point(u, v, 0.5 * tree.edge_length(tree.n_nodes - 2)),
+                tree.point_at(x, y, 0.4 * tree.distance(x, y)),
+                tree.median(x, y, z),
+                *tree.segment(x, z).sample(5),
+                *edge_samples(tree, 2),
+                *PointArray.of(tree, pts),
+            ]
+            assert all(map(_is_plain, made)), how
+            ps = PointSet(tree, pts + made[:4])
+            for report in (measure_report(ps), min_ball_cover(ps, 1.0)):
+                json.dumps(report_obj(report))
+
+    def test_pickle_and_deepcopy_round_trip(self, rng):
+        for how, tree in _every_build(rng):
+            pts = random_points(rng, tree, 8)
+            for clone, clone_pts in (
+                pickle.loads(pickle.dumps((tree, pts))),
+                copy.deepcopy((tree, pts)),
+            ):
+                assert clone.edges == tree.edges and clone.tol == tree.tol, how
+                assert all(p.tree is clone for p in clone_pts)
+                for (p, q), (cp, cq) in zip(
+                    itertools.combinations(pts, 2), itertools.combinations(clone_pts, 2)
+                ):
+                    assert clone.distance(cp, cq).hex() == tree.distance(p, q).hex(), how
+        tol = Tolerance(1e-6, 0.0)
+        assert pickle.loads(pickle.dumps(MetricTree(2, [(0, 1, 1.0)], tol=tol))).tol == tol
+
+    def test_tables_are_read_only(self, rng):
+        for how, tree in _every_build(rng):
+            tables = [getattr(tree, name) for name in (
+                "_parent", "_parent_edge", "_root_dist", "_enter", "_leave",
+                "_edge_u", "_edge_v", "_lengths",
+            )]
+            for table in tables + list(tree._up):
+                with pytest.raises(TypeError):
+                    table[0] = table[0]
+
+
+class TestIdChecks:
+    """Node and edge ids out of range, bools and floats raise BadParams
+    rather than wrap around or index past the end."""
+
+    STAR = [(0, 1, 1.0), (0, 2, 1.5), (0, 3, 2.5)]
+
+    def test_bad_node_ids(self):
+        tree = MetricTree(4, self.STAR)
+        calls = (
+            tree.degree, tree.neighbors, tree.node_point,
+            lambda u: tree.lca(u, 2), lambda u: tree.lca(2, u),
+            lambda u: tree.node_distance(u, 2), lambda u: tree.node_distance(2, u),
+        )
+        for bad in (-1, 4, True, 1.0, "1", None):
+            for call in calls:
+                with pytest.raises(BadParams):
+                    call(bad)
+
+    def test_bad_edge_ids(self):
+        tree = MetricTree(4, self.STAR)
+        for bad in (-1, 3, True, 1.0, "1", None):
+            for call in (tree.edge_nodes, tree.edge_length):
+                with pytest.raises(BadParams):
+                    call(bad)
+
+    def test_integer_ids_of_any_type(self):
+        tree = MetricTree(4, self.STAR)
+        assert tree.degree(np.int64(0)) == 3 and tree.degree(np.int32(3)) == 1
+        assert tree.neighbors(np.intp(2)) == ((0, 1),)
+        assert type(tree.lca(np.int64(1), np.int64(2))) is int
+        assert tree.node_distance(np.int64(1), 3) == 3.5
+        assert tree.edge_nodes(np.int64(2)) == (0, 3) and tree.edge_length(np.int8(1)) == 1.5
