@@ -173,7 +173,7 @@ def _cmd_build(args, tol) -> int:
     base = {"schema": reports.SCHEMA_VERSION, "command": "build", "input": args.matrix}
     matrix = parse_matrix(_read(args.matrix), tol=tol)
     try:
-        tree, points, measured = _realize(matrix)
+        tree, points, deviation = _realize(matrix)
     except NotAMetric as exc:
         _emit({**base, "built": False, "reason": "not a metric",
                "violating_triple": list(exc.triple or ())}, args)
@@ -185,7 +185,6 @@ def _cmd_build(args, tol) -> int:
     text = serialize_tree(TreeDocument(tree, points))  # before the file is created
     with open(args.tree_out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    deviation = float(abs(measured - matrix.values).max(initial=0.0))
     _emit({**base, "built": True, "tree_file": args.tree_out,
            "n_nodes": tree.n_nodes,
            "points": reports.report_obj(points),

@@ -12,9 +12,9 @@ points, parameterized by arc length: ``Segment.point_at`` is an isometry from
 path from its start and stops once it passes the arc length asked for; it
 steers by the rooted tables, never by comparing rounded sums of distances.
 
-``MetricTree`` is immutable after validation.  All queries are read-only and
-safe to call from concurrent threads.  The constructor builds every table a
-query reads.  Only the ``MetricTree.edges`` tuple, the anchor arrays and span
+``MetricTree`` is immutable after validation, its tables read-only.  All
+queries are read-only and safe to call from concurrent threads.  The
+constructor builds every table a query reads.  Only the anchor arrays and span
 index of each ``PointArray`` and ``Segment.node_chain`` are built on first use
 and assigned once; a build is deterministic, so two threads that race on it
 store equal values and neither ever sees a partial one.
@@ -250,8 +250,8 @@ class PointArray(Sequence[TreePoint]):
         slots, costs, rd, bounds = self._span()
         src = slots[:, rows, None]  # (anchor, row, 1)
         at = np.arange(len(rd))
-        after = np.minimum.accumulate(np.where(at > src, bounds[:-1], np.inf), axis=-1)
-        before = np.minimum.accumulate(np.where(at < src, bounds[1:], np.inf)[..., ::-1], axis=-1)
+        after = np.fmin.accumulate(np.where(at > src, bounds[:-1], np.inf), axis=-1)
+        before = np.fmin.accumulate(np.where(at < src, bounds[1:], np.inf)[..., ::-1], axis=-1)
         lca_rd = np.where(at == src, rd, np.minimum(after, before[..., ::-1]))
         nodes = rd[src] + rd - 2.0 * lca_rd
         # every pair of anchors: (row anchor, row, column anchor, column)
@@ -369,19 +369,19 @@ class MetricTree:
     whose items index as plain ``int``s and ``float``s: per node its
     parent, parent edge, root distance and preorder interval ``[_enter,
     _leave)``, per edge its ends and length, and the binary-lifting
-    ancestor rows, one numpy gather each.  The array kernels read the numpy
-    arrays: the preorder of a depth-first walk taking children in
-    descending edge order, each node's position in it (``_tin``), per
-    position the end of its subtree (``_end``), and the root distances,
-    summed parent first.  w is v or an ancestor of v exactly when its
-    interval holds v's position: ``lca``, ``_exit_node`` and
-    ``_node_distances`` all test that.  Three kernels measure distance,
-    each with one job, and agree bit for bit: ``distance`` a pair, in
-    O(log n); the span index of a ``PointArray`` the points of one set
-    among themselves, a row in O(k), the matrix in O(n + k^2) and the
-    depths in O(k), reading the parents' root distances by preorder
-    position; and ``distances`` a point outside a set against all of it,
-    in O(n + len(qs)).
+    ancestor rows, one numpy gather each.  w is v or an ancestor of v
+    exactly when its interval holds v's position: ``lca`` and
+    ``_exit_node`` test that.  The array kernels read the numpy arrays,
+    all read-only: the preorder of a depth-first walk taking children in
+    descending edge order, each node's position in it (``_tin``), the root
+    distances, summed parent first, and per position its parent's root
+    distance (``_parent_rd``).  Three kernels measure distance, each with
+    one job, and agree bit for bit: ``distance`` a pair, in O(log n); the
+    span index of a ``PointArray`` the points of one set among
+    themselves, a row in O(k), the matrix in O(n + k^2) and the depths in
+    O(k); and ``distances`` a point outside a set against all of it, in
+    O(n + len(qs)).  The last two read the lca root distance of two
+    preorder positions by the span rule (see ``PointArray``).
 
     A node or edge id given to a query must be an integer in range, or
     the query raises ``BadParams``; the walks inside take their ids from
@@ -389,10 +389,10 @@ class MetricTree:
     """
 
     __slots__ = (
-        "n_nodes", "tol", "_edges", "_edge_u", "_edge_v", "_lengths",
+        "n_nodes", "tol", "_edge_u", "_edge_v", "_lengths",
         "_parent", "_parent_edge", "_root_dist", "_enter", "_leave", "_up",
         "_ends", "_edge_len", "_adj_start", "_adj_half",
-        "_preorder", "_tin", "_end", "_root_dist_arr", "_parent_rd",
+        "_preorder", "_tin", "_root_dist_arr", "_parent_rd",
     )
 
     def __init__(
@@ -405,7 +405,6 @@ class MetricTree:
             raise BadParams("n_nodes must be a positive integer")
         self.n_nodes = n_nodes
         self.tol = tol if tol is not None else _DEFAULT_TOL
-        self._edges: tuple[tuple[int, int, float], ...] | None = None
         if type(edges) is not _Columns:
             edges = _typed_columns(n_nodes, edges)
         ends, lens = edges
@@ -423,7 +422,7 @@ class MetricTree:
         rooted = _tour(ends, order, start, deg, lens)
         if rooted is None:
             _raise_first_edge_fault(n, _triples(ends, lens))
-        (parent, parent_edge, self._root_dist_arr, self._tin, leave, self._preorder, self._end,
+        (parent, parent_edge, self._root_dist_arr, self._tin, leave, self._preorder,
          self._parent_rd, height) = rooted
         self._parent, self._parent_edge, self._root_dist, self._enter, self._leave = map(
             _table, (parent, parent_edge, self._root_dist_arr, self._tin, leave)
@@ -440,6 +439,9 @@ class MetricTree:
         self._edge_u, self._edge_v, self._lengths = map(_table, (ends[0::2], ends[1::2], lens))
         self._ends, self._edge_len = ends, lens
         self._adj_start, self._adj_half = start, order
+        for table in (self._tin, self._preorder, self._root_dist_arr, self._parent_rd,
+                      start, order, ends, lens):
+            table.setflags(write=False)
 
     def __reduce__(self):
         # the tables are memoryviews, which do not pickle; the columns rebuild them
@@ -448,11 +450,7 @@ class MetricTree:
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """The (u, v, length) triples in input order."""
-        if self._edges is None:
-            self._edges = tuple(
-                zip(self._edge_u.tolist(), self._edge_v.tolist(), self._lengths.tolist())
-            )
-        return self._edges
+        return tuple(_triples(self._ends, self._edge_len))
 
     # ------------------------------------------------------------------ #
     # Construction of points                                              #
@@ -652,18 +650,16 @@ class MetricTree:
     def _node_distances(self, s: int) -> np.ndarray:
         """``node_distance(s, v)`` for every node v.
 
-        The ancestors of s are the positions whose preorder interval holds
-        s's position; their nested intervals cut the preorder into runs that
-        share one lowest common ancestor with s.
-        """
-        tin, end, rd = self._tin, self._end, self._root_dist_arr
+        The lca root distances by the span rule (see ``PointArray``): the
+        running minima of ``_parent_rd`` outward from s's position."""
+        tin, rd, parent_rd = self._tin, self._root_dist_arr, self._parent_rd
         t = tin[s]
-        anc = np.flatnonzero(end[: t + 1] > t)  # root first
-        ends = end[anc]
-        runs = np.concatenate((np.diff(anc), ends[-1:] - t, -np.diff(ends)[::-1]))
-        rd_anc = rd[self._preorder[anc]]
-        lca_rd = np.repeat(np.concatenate((rd_anc, rd_anc[-2::-1])), runs)[tin]
-        return rd[s] + rd - 2.0 * lca_rd
+        lca_rd = np.empty(self.n_nodes)
+        np.fmin.accumulate(parent_rd[t + 1 :], out=lca_rd[t + 1 :])
+        # [:t][::-1], not [t - 1::-1], which at t == 0 is all of lca_rd
+        np.fmin.accumulate(parent_rd[1 : t + 1][::-1], out=lca_rd[:t][::-1])
+        lca_rd[t] = rd[s]
+        return rd[s] + rd - 2.0 * lca_rd[tin]
 
     def _ball_on_edges(self, center: TreePoint, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-edge arrays ``(lo, hi)``: the tail coordinates where B(center;
@@ -840,14 +836,14 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     None when the edges are not a tree.
 
     Per node its parent (-1 at the root), parent edge, root distance,
-    preorder position and subtree end; the preorder, per position the end
-    of its subtree and the root distance of its parent (+inf at the root);
-    and the largest hop count.  The tour leaves each half-edge's head by
-    the half-edge after its twin in that node's row, cut before it leaves
-    node 0 again; pointer jumping counts the steps to the cut.  With n - 1
-    edges, a tour over every half-edge that touches every node proves a
-    tree.  Of an edge's two half-edges, the first on the tour leads away
-    from the root, and half the steps between them are the nodes below it.
+    preorder position and subtree end; the preorder, per position the root
+    distance of its parent (+inf at the root); and the largest hop count.
+    The tour leaves each half-edge's head by the half-edge after its twin in
+    that node's row, cut before it leaves node 0 again; pointer jumping
+    counts the steps to the cut.  With n - 1 edges, a tour over every
+    half-edge that touches every node proves a tree.  Of an edge's two
+    half-edges, the first on the tour leads away from the root, and half
+    the steps between them are the nodes below it.
     """
     n, two_m = len(deg), len(order)
     h = np.arange(two_m)
@@ -902,7 +898,7 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarra
     parent_rd = np.concatenate(([math.inf], by_position[above]))
     root_dist = by_position[tin]
     leave = np.add(tin, subtree, out=subtree)
-    return parent, parent_edge, root_dist, tin, leave, preorder, leave[preorder], parent_rd, height
+    return parent, parent_edge, root_dist, tin, leave, preorder, parent_rd, height
 
 
 def _table(column: np.ndarray) -> memoryview:
@@ -920,7 +916,8 @@ class _Columns(NamedTuple):
     """An edge list as arrays, which ``MetricTree`` builds from without
     checking their types again: edge e runs from ``ends[2e]`` to
     ``ends[2e + 1]`` (``intp``) and has length ``lengths[e]`` (``float64``),
-    both aligned, since the tree's memoryviews index them."""
+    both aligned, since the tree's memoryviews index them; the tree makes
+    both read-only."""
 
     ends: np.ndarray
     lengths: np.ndarray

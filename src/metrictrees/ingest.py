@@ -49,7 +49,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import itemgetter, not_
+from operator import not_
 from typing import Sequence
 
 import numpy as np
@@ -186,13 +186,14 @@ def _recognize(
     matrix: DistanceMatrix,
 ) -> tuple[
     tuple[int, int, int, int] | None,
-    tuple[MetricTree, dict[str, TreePoint], np.ndarray] | MetricTreeError,
+    tuple[MetricTree, dict[str, TreePoint], np.ndarray, float] | MetricTreeError,
 ]:
     """Certify or scan: (first violating quadruple or None, reconstruction).
 
-    The reconstruction is the tree, the label points and the tree distances
-    between the labels, or the error that building it raised.  Raises
-    NotAMetric when the triangle inequality fails.
+    The reconstruction is the tree, the label points, the tree distances
+    between the labels and their largest deviation from the matrix, or the
+    error that building it raised.  Raises NotAMetric when the triangle
+    inequality fails.
     """
     triple = matrix.metric_violation()
     if triple is not None:
@@ -209,7 +210,7 @@ def _recognize(
     # strict, so that a zero slack never certifies
     certified = 4.0 * dev + (4 * tree.n_nodes + 4) * _EPS * scale < slack
     quad = None if certified else _four_point_violation(d, slack)
-    return quad, (tree, points, measured)
+    return quad, (tree, points, measured, dev)
 
 
 def check_four_point(
@@ -311,15 +312,16 @@ def tree_from_distances(
     return _realize(matrix)[:2]
 
 
-def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], np.ndarray]:
-    """``tree_from_distances`` plus the tree distances between the labels,
-    as re-measured to verify the tree."""
+def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], float]:
+    """``tree_from_distances`` plus the largest deviation of the tree
+    distances between the labels from the matrix, as re-measured to verify
+    the tree."""
     quad, built = _recognize(matrix)
     if quad is not None:
         raise NotTreeMetric(f"four-point condition fails on {quad}", quadruple=quad)
     if isinstance(built, MetricTreeError):
         raise built
-    tree, points, measured = built
+    tree, points, measured, dev = built
     d = matrix.values
     verify_slack = matrix.tol.slack(float(d.max(initial=1.0))) * 16.0
     bad = np.argwhere(np.triu(np.abs(measured - d) > verify_slack, 1))
@@ -329,7 +331,7 @@ def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], 
             f"matrix is not additive: labels ({a}, {b}) re-measure to "
             f"{float(measured[a, b])!r}, expected {d[a, b]!r}"
         )
-    return tree, points, measured
+    return tree, points, dev
 
 
 def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint]]:
@@ -417,68 +419,64 @@ def _raise_number_error(
             raise _error_at(line, lineno, k, f"expected {what}, got {words[k]!r}")
 
 
-_CHUNK = 256  # lines split at a time: thousands alive at once fragment the heap
-
-
 def _read_lines(
     lines: list[str], numbers: Sequence[int]
 ) -> tuple[tuple[list[int], list[int], list[float]], list[int], list[tuple[int, str, tuple]]]:
     """The edge columns, node ids and point lines in ``lines`` of a tree
-    document, comments removed, numbered by ``numbers``.  Each column of a
-    chunk's well-formed edge lines is converted by one ``map``; then its other
-    lines are read in order, and all of them when a column does not convert,
-    so that an error names the first bad line."""
-    columns: tuple[list, list, list] | None = ([], [], [])
+    document, comments removed, numbered by ``numbers``.  Lines are read in
+    order, each converted where it is read, so that an error names the first
+    bad line."""
+    us: list[int] = []
+    vs: list[int] = []
+    lengths: list[float] = []
     node_ids: list[int] = []
     point_lines: list[tuple[int, str, tuple]] = []
-    for first in range(0, len(lines), _CHUNK):
-        chunk = lines[first : first + _CHUNK]
-        rows = [line.split() for line in chunk]
-        edge_rows = [words for words in rows if len(words) == 4 and words[0] == "edge"]
-        try:
-            for column, k, conv in zip(columns, (1, 2, 3), (int, int, float)):
-                column.extend(map(conv, map(itemgetter(k), edge_rows)))
-        except ValueError:
-            columns = None  # the scan below raises at the first bad number
-        for lineno, line, words in zip(numbers[first : first + _CHUNK], chunk, rows):
-            if not words:
-                continue
-            kind = words[0]
-            if kind == "edge":
-                if len(words) != 4:
-                    raise _error_at(line, lineno, 0, "edge line takes: edge <u> <v> <length>")
-                if columns is None:
-                    _raise_number_error(line, lineno, words, 1, (int, int, float))
-            elif kind == "point":
-                if len(words) < 3:
-                    raise _error_at(
-                        line, lineno, 0,
-                        "point line takes: point <name> node <id> | edge <u> <v> <offset>",
-                    )
-                mode = words[2]
-                if mode == "node" and len(words) == 4:
-                    convs: tuple = (int,)
-                elif mode == "edge" and len(words) == 6:
-                    convs = (int, int, float)
-                else:
-                    raise _error_at(line, lineno, 0, "malformed point line")
-                try:
-                    where = tuple(conv(w) for conv, w in zip(convs, words[3:]))
-                except ValueError:
-                    _raise_number_error(line, lineno, words, 3, convs)
-                    raise
-                point_lines.append((lineno, words[1], where))
-            elif kind == "node":
-                if len(words) != 2:
-                    raise _error_at(line, lineno, 0, "node line takes one id")
-                try:
-                    node_ids.append(int(words[1]))
-                except ValueError:
-                    _raise_number_error(line, lineno, words, 1, (int,))
-                    raise
+    for lineno, line in zip(numbers, lines):
+        words = line.split()
+        if not words:
+            continue
+        kind = words[0]
+        if kind == "edge":
+            if len(words) != 4:
+                raise _error_at(line, lineno, 0, "edge line takes: edge <u> <v> <length>")
+            try:
+                u, v, length = int(words[1]), int(words[2]), float(words[3])
+            except ValueError:
+                _raise_number_error(line, lineno, words, 1, (int, int, float))
+                raise
+            us.append(u)
+            vs.append(v)
+            lengths.append(length)
+        elif kind == "point":
+            if len(words) < 3:
+                raise _error_at(
+                    line, lineno, 0,
+                    "point line takes: point <name> node <id> | edge <u> <v> <offset>",
+                )
+            mode = words[2]
+            if mode == "node" and len(words) == 4:
+                convs: tuple = (int,)
+            elif mode == "edge" and len(words) == 6:
+                convs = (int, int, float)
             else:
-                raise _error_at(line, lineno, 0, f"unknown directive {kind!r}")
-    return columns, node_ids, point_lines
+                raise _error_at(line, lineno, 0, "malformed point line")
+            try:
+                where = tuple(conv(w) for conv, w in zip(convs, words[3:]))
+            except ValueError:
+                _raise_number_error(line, lineno, words, 3, convs)
+                raise
+            point_lines.append((lineno, words[1], where))
+        elif kind == "node":
+            if len(words) != 2:
+                raise _error_at(line, lineno, 0, "node line takes one id")
+            try:
+                node_ids.append(int(words[1]))
+            except ValueError:
+                _raise_number_error(line, lineno, words, 1, (int,))
+                raise
+        else:
+            raise _error_at(line, lineno, 0, f"unknown directive {kind!r}")
+    return (us, vs, lengths), node_ids, point_lines
 
 
 # an edge line as the bulk pass reads it; the keyword field is one character
@@ -608,10 +606,11 @@ def serialize_tree(doc: TreeDocument) -> str:
                 "names must be nonempty, without whitespace or '#'"
             )
     out = []
-    if not doc.tree.edges:
+    edges = doc.tree.edges
+    if not edges:
         for i in range(doc.tree.n_nodes):
             out.append(f"node {i}")
-    for u, v, length in doc.tree.edges:
+    for u, v, length in edges:
         out.append(f"edge {u} {v} {length!r}")
     for name, p in doc.points.items():
         rec = p.record()

@@ -9,6 +9,7 @@ import pytest
 from metrictrees import format_matrix_csv, gallery, matrix_from_points, parse_tree
 from metrictrees import cli, structure
 from metrictrees.cli import main
+from metrictrees.reports import report_obj
 
 
 def run(capsys, *argv):
@@ -301,6 +302,20 @@ class TestKappa:
         rep = json.loads(out)["report"]
         assert rep["consistent"] is False
         assert (rep["witness_failures"], rep["counterexample_failures"]) == (4, 4)
+
+    def test_eps_reaches_the_probe(self, tree_file, capsys, monkeypatch):
+        doc = parse_tree(tree_file.read_text())
+        expected = report_obj(structure.kappa_probe(doc.tree, 6, rng=3, eps=0.5))
+        witness, seen = structure.lifschitz_witness, []
+        monkeypatch.setattr(
+            structure, "lifschitz_witness",
+            lambda tree, x, y, r, eps: seen.append(eps) or witness(tree, x, y, r, eps),
+        )
+        code, out, _ = run(capsys, "kappa", str(tree_file), "--trials", "6", "--seed", "3",
+                           "--eps", "0.5")
+        assert code == 0
+        assert json.loads(out)["report"] == expected
+        assert seen == [0.5] * 6
 
     def test_seeded_byte_identical(self, tree_file, capsys):
         args = ("kappa", str(tree_file), "--trials", "10", "--seed", "7")

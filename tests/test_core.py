@@ -545,15 +545,15 @@ class TestBallGeometry:
 
 class TestConcurrencySafety:
     def test_parallel_reads(self, simple_doc):
-        """Queries share no mutable state beyond the lazily built edge tuple
-        and anchor arrays, which the first calls race to build; hammer them
-        from threads."""
+        """Queries share no mutable state beyond the lazily built anchor
+        arrays, which the first calls race to build; hammer them from
+        threads."""
         import concurrent.futures
         import sys
 
         t, p = simple_doc.tree, simple_doc.points
         sample = edge_samples(t, 5)  # builds the tree's arrays, not the sample's
-        fresh = gallery("simple")  # no edge tuple built yet
+        fresh = gallery("simple")  # no point arrays built on it yet
         expected = [t.distance(p["D"], q) for q in sample]
 
         def work(_):
@@ -650,7 +650,10 @@ class TestDistancesKernel:
     def test_equals_scalar_distance(self, seed, shape, n):
         rng = np.random.default_rng(seed)
         tree = shaped_tree(rng, shape, n)
-        sources = random_points(rng, tree, 6) + [tree.node_point(int(rng.integers(0, n)))]
+        # node 0 and the last preorder position: the two ends of the running
+        # minima that node rows take outward from their source
+        ends = [tree.node_point(0), tree.node_point(int(tree._preorder[-1]))]
+        sources = random_points(rng, tree, 6) + [tree.node_point(int(rng.integers(0, n)))] + ends
         targets = random_points(rng, tree, 30) + list(edge_samples(tree, 2))
         for p in sources:
             if p.edge is not None:  # pairs on one edge take the direct branch
@@ -1534,6 +1537,13 @@ class TestTableContract:
             for table in tables + list(tree._up):
                 with pytest.raises(TypeError):
                     table[0] = table[0]
+            arrays = [getattr(tree, name) for name in (
+                "_tin", "_preorder", "_root_dist_arr", "_parent_rd",
+                "_adj_start", "_adj_half", "_ends", "_edge_len",
+            )]
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
 
 
 class TestIdChecks:

@@ -894,8 +894,8 @@ class TestParseParity:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_long_documents_like_reference(self, seed):
-        # longer than one chunk of split lines, with up to two bad lines
-        # anywhere: the first in the document is the one named
+        # hundreds of lines, with up to two bad lines anywhere: the first
+        # in the document is the one named
         rng = np.random.default_rng(seed)
         lines = _doc_lines(rng, int(rng.integers(250, 800)))
         for _ in range(int(rng.integers(0, 3))):
