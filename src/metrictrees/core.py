@@ -419,11 +419,13 @@ class MetricTree:
         deg = np.bincount(ends, minlength=n)
         start = np.zeros(n + 1, dtype=np.intp)
         deg.cumsum(out=start[1:])
-        rooted = _tour(ends, order, start, deg, lens)
+        rooted = _tour(ends, order, start, deg)
         if rooted is None:
             _raise_first_edge_fault(n, _triples(ends, lens))
-        (parent, parent_edge, self._root_dist_arr, self._tin, leave, self._preorder,
-         self._parent_rd, height) = rooted
+        parent, parent_edge, self._tin, leave, self._preorder, height = rooted
+        self._root_dist_arr, self._parent_rd = _root_distances(
+            parent, parent_edge, self._tin, self._preorder, lens
+        )
         self._parent, self._parent_edge, self._root_dist, self._enter, self._leave = map(
             _table, (parent, parent_edge, self._root_dist_arr, self._tin, leave)
         )
@@ -830,75 +832,108 @@ def _positive_count(value, what: str) -> int:
     return count
 
 
-def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray, deg: np.ndarray,
-          lens: np.ndarray) -> tuple | None:
-    """The rooted tables, root = node 0, from an Euler tour over the rows, or
-    None when the edges are not a tree.
+def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray,
+          deg: np.ndarray) -> tuple | None:
+    """The rooted structure, root = node 0, from an Euler tour over the rows,
+    or None when the edges are not a tree.
 
-    Per node its parent (-1 at the root), parent edge, root distance,
-    preorder position and subtree end; the preorder, per position the root
-    distance of its parent (+inf at the root); and the largest hop count.
-    The tour leaves each half-edge's head by the half-edge after its twin in
-    that node's row, cut before it leaves node 0 again; pointer jumping
-    counts the steps to the cut.  With n - 1 edges, a tour over every
-    half-edge that touches every node proves a tree.  Of an edge's two
+    Per node its parent (-1 at the root), parent edge, preorder position and
+    subtree end; the preorder; and the largest hop count.  The tour leaves
+    each half-edge's head by the half-edge after its twin in that node's
+    row, cut before it leaves node 0 again; pointer jumping (Wyllie's list
+    ranking) counts the steps to the cut.  With n - 1 edges, a tour over
+    every half-edge that touches every node proves a tree.  Of an edge's two
     half-edges, the first on the tour leads away from the root, and half
     the steps between them are the nodes below it.
+
+    The ranking runs in three arrays over the half-edges, each jump
+    gathering into the one it does not read.  Two of them are then reused:
+    ``dist`` holds the tour ranks, then the tour's steps; ``succ`` each
+    half-edge's row position, then running sums.  Every other temporary is
+    dropped once spent, so the build's peak stays near what it keeps.
     """
     n, two_m = len(deg), len(order)
-    h = np.arange(two_m)
-    pos = np.empty(two_m, dtype=np.intp)
-    pos[order] = h
-    dist = np.ones(two_m, dtype=np.intp)  # steps to the cut
+    # arrays one by one: unpacking a 2-D block costs more on a small tree
+    succ = np.empty(two_m, dtype=np.intp)
+    dist, work = np.empty_like(succ), np.empty_like(succ)
+    row_last = start[1:] - 1  # per node, the last position of its row
     if two_m:
         if deg.min() == 0:
             return None
-        after = h + 1  # the next position in the same row, cyclically
-        after[start[1:] - 1] = start[:-1]
-        succ = order[after[pos[h ^ 1]]]
-        last = order[start[1] - 1] ^ 1
+        # succ[order[p] ^ 1] = order[p + 1], each row wrapping round
+        dist[:-1] = order[1:]
+        dist[row_last] = order[start[:-1]]
+        np.bitwise_xor(order, 1, out=work)
+        succ[work] = dist
+        last = order[row_last[0]] ^ 1
         succ[last] = last
+        dist.fill(1)  # steps to the cut
         dist[last] = 0
-        for _ in range((two_m - 2).bit_length()):
-            dist += dist[succ]
-            succ = succ[succ]
+        # the method form with mode="clip" skips np.take's index check and
+        # its buffered copy of the output; the indices are in range
+        for _ in range((two_m - 2).bit_length() - 1):
+            dist.take(succ, None, work, "clip")
+            dist += work
+            succ.take(succ, None, work, "clip")
+            succ, work = work, succ
+        # the last jump, whose pointers would never be read
+        dist.take(succ, None, work, "clip")
+        dist += work
         if dist[order[0]] != two_m - 1:
             return None
-    rank = two_m - 1 - dist
+    del work
+    rank = np.subtract(two_m - 1, dist, out=dist)
     r0, r1 = rank[0::2], rank[1::2]
+    h = np.arange(two_m)
+    pos = succ
+    pos[order] = h
     down = h[0::2] + (r1 < r0)  # per edge, the half-edge away from the root
     descend, ascend = np.minimum(r0, r1), np.maximum(r0, r1)
-    size = (ascend - descend + 1) >> 1
-    child, at = ends[down ^ 1], pos[down]
-    # rows of one block, which the tree keeps whole
-    parent, parent_edge, subtree, tin = np.zeros((4, n), dtype=np.intp)
-    parent[0], parent_edge[0], subtree[0] = -1, -1, n
-    parent[child], parent_edge[child], subtree[child] = ends[down], h[: two_m // 2], size
+    size = ascend - descend
+    size += 1
+    size >>= 1
+    tail, child, at = ends[down], ends[down ^ 1], pos[down]
+    del down
+    parent = np.empty(n, dtype=np.intp)
+    parent_edge, subtree, tin = np.empty_like(parent), np.empty_like(parent), np.empty_like(parent)
+    parent[0], parent_edge[0], subtree[0], tin[0] = -1, -1, n, 0
+    parent[child], parent_edge[child], subtree[child] = tail, h[: two_m // 2], size
+    del h
     # a child's preorder position is its parent's, plus one, plus the sizes
     # of its siblings on higher edges, which a depth-first walk takes first
-    later = np.zeros(two_m, dtype=np.intp)
+    later = pos
+    later.fill(0)
     later[at] = size
-    later = later.cumsum()
-    skip = later[start[ends[down] + 1] - 1] - later[at] + 1
-    steps = np.zeros(two_m, dtype=np.intp)
+    del size
+    later.cumsum(out=later)
+    skip = later[row_last[tail]]
+    skip -= later[at]
+    skip += 1
+    del tail, at
+    steps = rank  # every rank is a descend or an ascend
     steps[descend], steps[ascend] = skip, -skip
-    tin[child] = steps.cumsum()[descend]
+    tin[child] = steps.cumsum(out=later)[descend]
     steps[descend], steps[ascend] = 1, -1
-    height = int(steps.cumsum().max(initial=0))  # hop counts are its values at descend
-    positions = np.arange(n)
+    height = int(steps.cumsum(out=later).max(initial=0))  # hop counts are its values at descend
     preorder = np.empty(n, dtype=np.intp)
-    preorder[tin] = positions
-    # root distances by preorder position, each parent's before its children's
+    preorder[tin] = np.arange(n)
+    leave = np.add(tin, subtree, out=subtree)
+    return parent, parent_edge, tin, leave, preorder, height
+
+
+def _root_distances(parent: np.ndarray, parent_edge: np.ndarray, tin: np.ndarray,
+                    preorder: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node its root distance, and per preorder position its parent's
+    (+inf at the root).  Each is its parent's plus the edge's length, summed
+    in preorder, parent first; the fold reads memoryviews, whose items are
+    the plain ``int``s and ``float``s it adds."""
     below_root = preorder[1:]
     above = tin[parent[below_root]]
     by_position = [0.0]
-    for at_parent, length in zip(above.tolist(), lens[parent_edge[below_root]].tolist()):
+    for at_parent, length in zip(memoryview(above), memoryview(lens[parent_edge[below_root]])):
         by_position.append(by_position[at_parent] + length)
-    by_position = np.fromiter(by_position, np.float64, n)
-    parent_rd = np.concatenate(([math.inf], by_position[above]))
-    root_dist = by_position[tin]
-    leave = np.add(tin, subtree, out=subtree)
-    return parent, parent_edge, root_dist, tin, leave, preorder, parent_rd, height
+    by_position = np.fromiter(by_position, np.float64, len(preorder))
+    return by_position[tin], np.concatenate(([math.inf], by_position[above]))
 
 
 def _table(column: np.ndarray) -> memoryview:

@@ -48,8 +48,9 @@ from metrictrees import (
     tree_from_distances,
 )
 
+from metrictrees import ingest
 from metrictrees.core import _Columns
-from metrictrees.ingest import _build_bulk, _build_from_lines
+from metrictrees.ingest import _build_bulk, _build_from_lines, parse_tree
 from metrictrees.reports import report_obj
 
 from conftest import shaped_edges, shaped_tree, star_tips
@@ -1345,6 +1346,26 @@ class TestConstructionParity:
             assert all(type(x) is int for pair in got for x in pair)
             assert type(tree.degree(u)) is int
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_tiny_tree_like_reference(self, n):
+        """Every labelling, orientation and edge order of the paths on 2
+        and 3 nodes: the tour ranks in 0 and 2 jumps."""
+        for labels in itertools.permutations(range(n)):
+            path = list(zip(labels, labels[1:]))
+            for flips in itertools.product((False, True), repeat=n - 1):
+                oriented = [(v, u) if flip else (u, v) for (u, v), flip in zip(path, flips)]
+                for edges in itertools.permutations(oriented):
+                    edges = [(u, v, 1.5 + u) for u, v in edges]
+                    assert _tables(MetricTree(n, edges)) == _reference_tables(n, edges)
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    def test_large_tree_like_reference(self, shape, rng):
+        """8000 nodes, 14 jumps: more than the hypothesis cases reach, which
+        stop at 7."""
+        n = 8000
+        edges = shaped_edges(rng, shape, n)
+        assert _tables(MetricTree(n, edges)) == _reference_tables(n, edges)
+
     def test_columns_build_like_triples(self, rng):
         """``parse_tree`` hands the constructor columns, which build the
         same tables as the triples they transpose."""
@@ -1446,6 +1467,30 @@ class TestBuildGarbage:
             tracemalloc.stop()
         assert tree.n_nodes == n
         assert retained <= 300 * n
+
+    @pytest.mark.parametrize("reader", ["bulk", "lines"])
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    def test_document_peak_bytes_per_node(self, shape, reader, rng, monkeypatch):
+        """Loading an 8000-node document through either reader peaks at no
+        more than 250 bytes per node above the text, of which the tree keeps
+        150-200: the document's lines and the reader's rows or lists are
+        dropped before the build, and the tour's temporaries before the root
+        distances and lifting rows."""
+        n = 8000
+        text = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in shaped_edges(rng, shape, n))
+        text += "".join(f"point p{k} node {k}\n" for k in range(24))
+        if reader == "lines":
+            monkeypatch.setattr(ingest, "_BULK", False)
+        parse_tree(text)  # first-call caches, not the parse's own
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            doc = parse_tree(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert doc.tree.n_nodes == n and len(doc.points) == 24
+        assert peak <= 250 * n
 
 
 def _every_build(rng):
