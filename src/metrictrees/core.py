@@ -822,13 +822,13 @@ def _id_below(value, bound: int) -> int | None:
     return k if 0 <= k < bound else None
 
 
-def _positive_count(value, what: str) -> int:
-    """``value`` as a plain ``int`` of at least 1; BadParams for anything else,
-    bools and integral floats included."""
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as a plain ``int`` of at least ``least``; BadParams for
+    anything else, bools and integral floats included."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    count = index(value) if integral else 0
-    if count < 1:
-        raise BadParams(f"{what} must be an integer >= 1, got {value!r}")
+    count = index(value) if integral else least - 1
+    if count < least:
+        raise BadParams(f"{what} must be an integer >= {least}, got {value!r}")
     return count
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _positive_count
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _count, _is_number_type
 from .errors import (
     EmptySet,
     BadParams,
@@ -153,11 +153,11 @@ class CoverProfile:
 
 
 def _nonnegative(value: float, tol: Tolerance, error: type[MetricTreeError], what: str) -> float:
-    """``value`` as a float clamped at 0, or ``error`` when it lies below
-    ``-tol.abs_eps``, is infinite or is NaN: a radius or bound within
-    tolerance of 0 reads as 0 everywhere, and a cover's JSON report has no
-    token for an infinite one."""
-    if not -tol.abs_eps <= value < math.inf:  # also rejects NaN
+    """``value`` as a float clamped at 0, or ``error`` when it is no real
+    number (a bool included), lies below ``-tol.abs_eps``, is infinite or
+    is NaN: a radius or bound within tolerance of 0 reads as 0 everywhere,
+    and a cover's JSON report has no token for an infinite one."""
+    if not (_is_number_type(type(value)) and -tol.abs_eps <= value < math.inf):  # also NaN
         raise error(f"{what} must be nonnegative and finite, got {value!r}")
     return max(float(value), 0.0)
 
@@ -279,12 +279,15 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     nonincreasing in the radius; the greedy reads the rows of one distance
     matrix, and centers are placed only for the witness covers.
     """
-    n_max = _positive_count(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     if not ps.points:
         raise EmptySet("profile of an empty point set")
     dist = ps.tree._distance_matrix(ps._array)
     greedy = cache(lambda r: _greedy(ps, r, dist.__getitem__))
-    cands = sorted(set((0.5 * dist).ravel().tolist()))  # 0.0 from the diagonal
+    # the distinct half distances in order, 0.0 from the diagonal; np.unique
+    # would give the same list but import numpy.ma, 1.3 MB of resident memory
+    half = np.sort((0.5 * dist)[np.triu_indices(len(dist))])
+    cands = half[np.r_[True, half[1:] != half[:-1]]].tolist()
     values: list[float] = []
     hi = len(cands) - 1
     for n in range(1, n_max + 1):
@@ -404,7 +407,7 @@ def oracle_profiles(ps: PointSet, n_max: int) -> tuple[tuple[float, ...], tuple[
     partition optimum, and half of it is the ball optimum (circumball
     exactness).  Independent of the greedy machinery.
     """
-    n_max = _positive_count(n_max, "n_max")
+    n_max = _count(n_max, "n_max")
     pts, dist = _oracle_guard(ps)
     diam = _subset_diameters(dist)
     k = len(pts)

@@ -17,12 +17,11 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
     point <name> node <id>
     point <name> edge <u> <v> <offset>
 
-``parse_tree`` reads the lines that start with ``edge`` in bulk, by one
-``np.loadtxt`` pass, and builds the tree on one node more than there are
-edges, which proves the node ids are exactly 0..m when it succeeds.  A line
-reader reads the other lines, and reads the whole document again whenever
-the bulk pass rejects it; so the line reader names every error, at its line
-and column.
+``parse_tree`` reads a document, checks its node ids and builds the tree,
+each once.  One ``np.loadtxt`` pass converts the lines that start with
+``edge``, and a line reader reads the others; it reads the whole document
+only when the pass cannot convert the edge lines, and names every error at
+its line and column.  The n distinct node ids must be exactly 0..n-1.
 
 Recognition
 -----------
@@ -499,105 +498,98 @@ def _loadtxt_is_strict() -> bool:
 _BULK = _loadtxt_is_strict()  # else every document goes to the line reader
 
 
-def _build_bulk(
-    text: str, tol: Tolerance | None
-) -> tuple[MetricTree, list[tuple[int, str, tuple]]] | None:
-    """The tree and point lines of a document whose m edges sit on lines of
-    their own that start with ``edge``, read by one ``np.loadtxt`` pass, and
-    whose node lines name ids in 0..m; None for any other document.
+def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]] | None:
+    """``_read`` by one ``np.loadtxt`` pass over the lines that start with
+    ``edge`` and the line reader over the others; None when the pass cannot
+    convert the edge lines, or when an indented edge line escapes it.
 
     On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
     and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
-    it to the same values, so the edges it accepts are the ones the line
-    reader would read.  The line reader reads the other lines, and the first
-    bad line among them is the first of the document.  The tree is built on
-    n = m + 1 nodes: a build that succeeds proves the ids are exactly 0..m,
-    since every endpoint is in range and every node has an edge.  A build
-    that fails returns None too.
-
-    Only the columns and the point lines reach the build: the document's
-    lines, their flags, the edge lines and loadtxt's rows are each dropped
-    once read, and on an 8000-node document would add about 1.2 MB to the
-    build's peak.
+    it to the same values, so the edges it converts are the ones the line
+    reader would read, and the first bad line among the others is the first
+    of the document.
     """
-    if not _BULK:
-        return None
     lines = text.splitlines()
     is_edge = list(map(str.startswith, lines, repeat("edge")))
     edge_lines = list(compress(lines, is_edge))
-    if not edge_lines:  # loadtxt warns on no lines
-        return None
-    # numpy 2.4's integer parser reads some non-ASCII letters as digits
-    # (U+01FE as 462), so it gets ASCII lines only
-    if not (text.isascii() or "".join(edge_lines).isascii()):
+    # loadtxt warns on no lines, and numpy 2.4's integer parser reads some
+    # non-ASCII letters as digits (U+01FE as 462), so it gets ASCII lines only
+    if not edge_lines or not (text.isascii() or "".join(edge_lines).isascii()):
         return None
     try:
         rows = np.loadtxt(edge_lines, dtype=_EDGE_ROW, comments="#", ndmin=1)
     except ValueError:
         return None
-    del edge_lines
     if not (rows["kind"] == "edge").all():
         return None
     numbers = list(compress(range(1, len(lines) + 1), map(not_, is_edge)))
     other = [lines[k - 1].split("#", 1)[0] for k in numbers]
-    del lines, is_edge
+    del lines, is_edge, edge_lines
     (us, _, _), node_ids, point_lines = _read_lines(other, numbers)
-    m = len(rows)
-    if us or not all(0 <= k <= m for k in node_ids):
+    if us:  # an indented edge line, which the pass did not read
         return None
     # copies, since a field of loadtxt's rows may sit unaligned, which the
     # tree's memoryviews cannot index
-    columns = _Columns(rows["ends"].flatten(), rows["length"].copy())
-    del rows
-    try:
-        tree = MetricTree(m + 1, columns, tol=tol)
-    except MetricTreeError:
-        return None  # the line reader's path names the error
-    return tree, point_lines
+    return _Columns(rows["ends"].flatten(), rows["length"].copy()), node_ids, point_lines
 
 
-def _build_from_lines(
-    text: str, tol: Tolerance | None
-) -> tuple[MetricTree, list[tuple[int, str, tuple]]]:
-    """The tree and point lines of a document read by the line reader alone.
-    The node ids are checked before anything is sized by one.  The lines,
-    the id set and the column lists are dropped before the build, which
-    holds only the columns."""
+def _read_document(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
+    """``_read`` by the line reader alone.  An endpoint beyond any index
+    leaves the columns as lists, which the id check rejects."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     (us, vs, lengths), node_ids, point_lines = _read_lines(lines, range(1, len(lines) + 1))
     del lines
+    try:
+        return _Columns.of(us, vs, lengths), node_ids, point_lines
+    except OverflowError:
+        return _Columns(us + vs, lengths), node_ids, point_lines
+
+
+def _read(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
+    """The edge columns, node ids and point lines of a document: in bulk
+    (``_read_bulk``) where numpy can, else by the line reader over the whole
+    document, which names every error at its line and column.  Neither
+    holds the document's lines or loadtxt's rows when it returns."""
+    read = _read_bulk(text) if _BULK else None
+    return _read_document(text) if read is None else read
+
+
+def _node_count(ends: np.ndarray | list[int], node_ids: list[int]) -> int:
+    """The number n of distinct ids that the endpoints ``ends`` and the node
+    lines name; TreeParseError unless they are exactly 0..n-1.  An array of
+    exactly 0..h, h below its length, passes by a few numpy calls; other ids
+    go through a set of the ids named, so no id sizes anything."""
+    if isinstance(ends, np.ndarray) and len(ends) and ends.min() == 0:
+        high = int(ends.max())
+        if high < len(ends) and np.bincount(ends).all() and all(0 <= k <= high for k in node_ids):
+            return high + 1
     ids = set(node_ids)
-    ids.update(us)
-    ids.update(vs)
+    ids.update(ends)
     if not ids:
         raise TreeParseError("document defines no nodes", 1, 1)
     n_nodes = len(ids)
     if min(ids) < 0:
         raise TreeParseError(f"node id {min(ids)} is negative", 1, 1)
-    if max(ids) >= n_nodes:
-        # checked before the tree allocates max(id) + 1 slots; some id in
-        # 0..n_nodes is free because only n_nodes of them are used
+    if max(ids) >= n_nodes:  # then some id in 0..n_nodes is free
         missing = next(k for k in range(n_nodes + 1) if k not in ids)
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
         )
-    columns = _Columns.of(us, vs, lengths)
-    del ids, us, vs, lengths
-    return MetricTree(n_nodes, columns, tol=tol), point_lines
+    return n_nodes
 
 
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     """Parse a tree document; raises TreeParseError with line/column.
 
-    A document of edge lines, points and node lines is read in bulk
-    (``_build_bulk``), its node ids proven by the build.  Every other
-    document, and every one that the bulk pass or its build rejects, is read
-    again by the line reader alone, which checks the ids itself; so every
-    error is the one the line reader names, at its line and column.
+    The document is read once (``_read``), which names a malformed line at
+    its line and column; its node ids are checked once to be exactly 0..n-1
+    for n distinct ids (``_node_count``); and the tree is built once, on n
+    nodes, and raises what ``MetricTree`` raises.
     """
-    tree, point_lines = _build_bulk(text, tol) or _build_from_lines(text, tol)
+    columns, node_ids, point_lines = _read(text)
+    tree = MetricTree(_node_count(columns.ends, node_ids), columns, tol=tol)
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:

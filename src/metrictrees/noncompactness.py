@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, TreePoint, _positive_count
+from .core import MetricTree, TreePoint, _count, _id_below
 from .covering import (
     BallCover,
     CoverProfile,
@@ -119,7 +119,7 @@ def measure_report(ps: PointSet, n_max: int | None = None) -> MeasureReport:
     """
     if not ps.points:
         raise EmptySet("measure report of an empty point set")
-    n_max = len(ps.distinct) if n_max is None else _positive_count(n_max, "n_max")
+    n_max = len(ps.distinct) if n_max is None else _count(n_max, "n_max")
     tol = ps.tree.tol
     b = beta_profile(ps, n_max)
     a, bs = _doubled_profiles(b)
@@ -236,8 +236,8 @@ def contraction_constants(
     if not idx:
         raise EmptySet("contraction ratios of an empty sample")
     for k in idx:
-        if not 0 <= k < len(pm.pairs):
-            raise BadParams(f"subset index {k} out of range")
+        if _id_below(k, len(pm.pairs)) is None:
+            raise BadParams(f"subset index {k!r} is not an integer in 0..{len(pm.pairs) - 1}")
     src = measure_report(PointSet(pm.source, [pm.pairs[k][0] for k in idx]), n_max)
     img = measure_report(PointSet(pm.target, [pm.pairs[k][1] for k in idx]), src.n_max)
     tol = pm.source.tol

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _count
 
 __all__ = ["random_tree", "random_point", "random_points", "edge_samples"]
 
@@ -43,7 +43,9 @@ def edge_samples(tree: MetricTree, per_edge: int = 3) -> PointArray:
 
     The nodes in order, then for each edge its ``per_edge`` evenly spaced
     points from the tail, canonicalized as ``MetricTree.edge_point`` does.
+    ``per_edge`` is an integer of at least 0; BadParams otherwise.
     """
+    per_edge = _count(per_edge, "per_edge", least=0)
     lengths = tree._edge_len
     j = np.arange(1, per_edge + 1)
     coord = (lengths[:, None] * j / (per_edge + 1)).ravel()

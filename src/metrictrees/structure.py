@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint, _is_number_type, _positive_count
+from .core import MetricTree, Tolerance, TreePoint, _count, _is_number_type
 from .errors import BadParams, PreconditionViolation
 from .sampling import random_point
 
@@ -299,7 +299,7 @@ def kappa_probe(
     anything ``np.random.default_rng`` takes: a seed of any integer type,
     None, or a Generator, which is used as is.
     """
-    trials = _positive_count(trials, "trials")
+    trials = _count(trials, "trials")
     rng = np.random.default_rng(rng)
     witness_trials = 0
     witness_failures = 0

@@ -50,7 +50,7 @@ from metrictrees import (
 
 from metrictrees import ingest
 from metrictrees.core import _Columns
-from metrictrees.ingest import _build_bulk, _build_from_lines, parse_tree
+from metrictrees.ingest import parse_tree
 from metrictrees.reports import report_obj
 
 from conftest import shaped_edges, shaped_tree, star_tips
@@ -762,6 +762,13 @@ class TestEdgeSamples:
                 if expected:
                     assert sample[-1] == expected[-1]
                     assert list(sample[1::2]) == expected[1::2]
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, -2, -1, True, False, None, "2"])
+    def test_count_is_a_nonnegative_integer(self, simple_doc, bad):
+        # 1.5 used to space points by 1/2.5, and -2 to return the nodes alone
+        with pytest.raises(BadParams, match="per_edge must be an integer >= 0"):
+            edge_samples(simple_doc.tree, bad)
+        assert list(edge_samples(simple_doc.tree, np.int64(2))) == list(edge_samples(simple_doc.tree, 2))
 
     def test_read_only(self, simple_doc):
         sample = edge_samples(simple_doc.tree, 2)
@@ -1494,16 +1501,18 @@ class TestBuildGarbage:
 
 
 def _every_build(rng):
-    """(how, tree) for each way a tree is built: the bulk pass (a one-edge
-    document too), the line reader, triples, ``_Columns.of`` and
-    reconstruction's ``_Builder``."""
+    """(how, tree) for each way a tree is built: a document through the bulk
+    pass (where numpy has it; a one-edge document too) and through the line
+    reader alone, triples, ``_Columns.of`` and reconstruction's
+    ``_Builder``."""
     edges = shaped_edges(rng, "random", 12)
     doc = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in edges)
-    for how, text in (("bulk", doc), ("bulk, one edge", "edge 1 0 2.5\n")):
-        built = _build_bulk(text, None)  # None where numpy reads a fraction as an integer
-        if built is not None:
-            yield how, built[0]
-    yield "lines", _build_from_lines(doc, None)[0]
+    yield "bulk", parse_tree(doc).tree
+    yield "bulk, one edge", parse_tree("edge 1 0 2.5\n").tree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BULK", False)
+        lines = parse_tree(doc).tree
+    yield "lines", lines
     yield "triples", MetricTree(12, edges)
     yield "columns", MetricTree(12, _Columns.of(*(list(col) for col in zip(*edges))))
     source = MetricTree(12, edges)

@@ -241,6 +241,27 @@ class TestMinDiameterPartition:
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("shape", ["star", "random", "path"])
+    def test_candidates_like_every_half_distance(self, shape, rng):
+        """The profile reads its candidates off the upper triangle of half
+        the distance matrix; each of its values is, bit for bit, the least
+        entry of the whole matrix that takes at most n greedy balls.  Points
+        repeat, coincide (a node and a zero offset) and lie at equal
+        distances."""
+        for _ in range(6):
+            tree = shaped_tree(rng, shape, int(rng.integers(2, 12)))
+            pts = random_points(rng, tree, int(rng.integers(1, 9)))
+            u, v = tree.edge_nodes(0)
+            pts += pts[:3] + [tree.node_point(u), tree.edge_point(u, v, 0.0)]
+            ps = PointSet(tree, pts)
+            dist = tree._distance_matrix(ps._array)
+            want = sorted(set((0.5 * dist).ravel().tolist()))
+            k = len(ps.distinct)
+            values = beta_profile(ps, k).values
+            for n, value in enumerate(values, start=1):
+                least = next(r for r in want if len(min_ball_cover(ps, r).centers) <= n)
+                assert value.hex() == least.hex()
+
     def test_beta_one_is_half_diameter(self, rng):
         for _ in range(30):
             ps = random_instance(rng)
@@ -382,6 +403,26 @@ class TestEntryPointGuards:
     def test_numpy_integer_parts(self, simple_doc):
         ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))
         assert beta_profile(ps, np.int64(3)) == beta_profile(ps, 3)
+
+    RADIUS_CALLS = {
+        "min_ball_cover": (NegativeRadius, min_ball_cover),
+        "min_diameter_partition": (NegativeDiameter, min_diameter_partition),
+        "oracle_min_cover_ball": (NegativeRadius, oracle_min_cover),
+        "oracle_min_cover_diameter": (
+            NegativeDiameter, lambda ps, b: oracle_min_cover(ps, b, mode="diameter"),
+        ),
+        "ball_diameter": (NegativeRadius, lambda ps, r: ball_diameter(ps.tree, ps.points[0], r)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+    @pytest.mark.parametrize("value", [True, False, None, "1", 1j])
+    def test_radius_and_bound_are_numbers(self, simple_doc, name, value):
+        # True used to read as 1.0, None and "1" to raise a bare TypeError
+        error, call = self.RADIUS_CALLS[name]
+        ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))
+        with pytest.raises(error, match="must be nonnegative and finite"):
+            call(ps, value)
+        assert call(ps, np.float64(1.5)) == call(ps, 1.5)
 
     def test_unknown_oracle_mode(self, simple_doc):
         ps = PointSet(simple_doc.tree, list(simple_doc.points.values()))

@@ -987,10 +987,10 @@ class TestBulkPass:
 
     @pytest.fixture(autouse=True)
     def no_line_reader_path(self, monkeypatch):
-        def fail(text, tol):
+        def fail(text):
             raise AssertionError("the document left the bulk pass")
 
-        monkeypatch.setattr(ingest, "_build_from_lines", fail)
+        monkeypatch.setattr(ingest, "_read_document", fail)
 
     def test_bench_documents(self, rng):
         for n in (2, 3, 50, 700):
@@ -1073,3 +1073,68 @@ class TestBulkParity:
             got = _parse_outcome(parse_tree, text)
         assert got[0] is TreeParseError
         assert got == _parse_outcome(_parse_tree_reference, text)
+
+
+class TestReadAndBuildOnce:
+    """Every document is built at most once, and read a second time only when
+    the loadtxt pass cannot convert its edge lines: here only where an
+    indented edge line escapes it."""
+
+    @pytest.mark.parametrize(
+        "text, reads",
+        [
+            ("edge 0 1 1.0\nedge 1 0 2.0\npoint a node 0\n", 1),  # a duplicate edge
+            ("edge 0 1 1.0\nedge 1 3 1.0\n", 1),
+            ("edge 0 1 1.0\npoint a node 0\n", 1),
+            ("node 0\n", 1),
+            ("edge 0 9223372036854775808 1.0\n", 1),
+            ("edge 0 1 1.0\nedge 1 1000000000 1.0\n", 1),
+            ("edge 0 1 1.0\nnode 2\n", 1),
+            ("edge 0 1 1.0\nnode -1\n", 1),
+            ("edge 0 2 1.0\nedge 2 0 1.0\n", 1),
+            ("edge 0 1 1.0\nedge 1 2 -1.0\n", 1),
+            ("edge 0 1 1.0\n edge 1 2 1.0\n", 2),
+            ("edge 0 1 1.0\nedge\t1 2 1.0\npoint a node 3\n", 1),
+            ("edge 0 1 1.0\npoint a edge 0 1 2.0\npoint b nod 0\n", 1),
+            ("edgex 0 1 1.0\n", 1),
+            ("edge 0 1 1_0.5\n", 1),
+            ("edge 0 \u0661 1.0\n", 1),
+            ("edge 0 1 1.0\xa0\n", 1),
+        ],
+    )
+    def test_read_and_built_at_most_once(self, text, reads, monkeypatch):
+        want = _parse_outcome(_parse_tree_reference, text)
+        counts = {"reads": 0, "builds": 0}
+        read_lines, init = ingest._read_lines, MetricTree.__init__
+
+        def counted_read(*args):
+            counts["reads"] += 1
+            return read_lines(*args)
+
+        def counted_init(self, *args, **kwargs):
+            counts["builds"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_read_lines", counted_read)
+        monkeypatch.setattr(MetricTree, "__init__", counted_init)
+        assert _parse_outcome(parse_tree, text) == want
+        assert counts["builds"] <= 1
+        assert counts["reads"] == (reads if ingest._BULK else 1)
+
+
+class TestNodeCount:
+    """The id check's numpy fast path against its set rule."""
+
+    @given(
+        ends=st.lists(st.integers(-2, 12), max_size=14),
+        node_ids=st.lists(st.integers(-2, 12), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_counts_like_list(self, ends, node_ids):
+        def outcome(ends):
+            try:
+                return ingest._node_count(ends, node_ids)
+            except TreeParseError as exc:
+                return str(exc)
+
+        assert outcome(np.array(ends, dtype=np.intp)) == outcome(ends)

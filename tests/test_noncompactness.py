@@ -179,6 +179,17 @@ class TestContraction:
         with pytest.raises(BadParams):
             contraction_constants(pm, subset=[9])
 
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1", None, -1])
+    def test_subset_indices_are_integers(self, star_doc, bad):
+        # True used to read index 1 and 1.5 to raise a bare TypeError
+        doc = star_doc(4)
+        pm = PointMap(doc.tree, doc.tree, [(p, p) for p in star_tips(doc)])
+        for check in (contraction_constants, contraction_bound_check):
+            with pytest.raises(BadParams, match="subset index"):
+                check(pm, subset=[0, bad, 2])
+        subset = [np.int64(0), np.intp(1), 2]
+        assert contraction_constants(pm, subset=subset) == contraction_constants(pm, subset=[0, 1, 2])
+
     def test_duplicate_sources_rejected(self, star_doc):
         doc = star_doc(3)
         p = doc.points["tip1"]
