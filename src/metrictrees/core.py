@@ -180,13 +180,10 @@ class PointArray(Sequence[TreePoint]):
             if points.tree is not tree:
                 raise ForeignPoint("points belong to a different tree")
             return points
-        node, edge, offset = [], [], []
-        for p in points:
-            tree._own(p)
-            node.append(-1 if p.node is None else p.node)
-            edge.append(-1 if p.edge is None else p.edge)
-            offset.append(p.offset)
-        return cls(tree, node, edge, offset)
+        points = list(points)
+        tree._own(*points)
+        return cls(tree, [-1 if p.node is None else p.node for p in points],
+                   [-1 if p.edge is None else p.edge for p in points], [p.offset for p in points])
 
     def __len__(self) -> int:
         return len(self.node)
@@ -234,19 +231,19 @@ class PointArray(Sequence[TreePoint]):
             if len(at) > 1:
                 bounds[1:-1] = np.minimum.reduceat(tree._parent_rd[: at[-1] + 1], at[:-1] + 1)
             rd = tree._root_dist_arr[tree._preorder[at]]
-            span = self._span_index = (slot.reshape(2, -1), np.stack((c1, c2)), rd, bounds)
+            span = self._span_index = (slot.reshape(2, -1), np.array((c1, c2)), rd, bounds)
         return span
 
     def _span_rows(self, rows: slice) -> np.ndarray:
         """``MetricTree.distance`` from each point of ``self[rows]`` to every
         point, bit for bit, as one row each.
 
-        The lca root distance of two slots is the least bound between them,
-        an exact root distance; node distances sum as ``_node_distances``
-        does, and each pair of points combines its anchors as ``distances``
-        does, the lower edge's offset first.  The combine is its own, over
-        all 2 x 2 anchor pairs at once: a layout shared with ``distances``
-        measured slower for one of the two (see ``distances``)."""
+        The lca root distance of a row's slot and each slot is the least
+        bound between them, exact: two running minima outward from the row's
+        slot, O(slots) per row, never a slot x slot table, which a single row
+        could not afford on a large set.  Node distances sum as
+        ``_node_distances`` does; each pair of points combines its anchors as
+        ``distances`` does, over all 2 x 2 anchor pairs at once."""
         slots, costs, rd, bounds = self._span()
         src = slots[:, rows, None]  # (anchor, row, 1)
         at = np.arange(len(rd))
@@ -264,7 +261,7 @@ class PointArray(Sequence[TreePoint]):
         pairs += np.where(q_first, cp, costs)
         out = pairs.min(axis=(0, 2))
         offset = self.offset
-        return np.where((edge == own) & (edge >= 0), np.abs(offset[rows, None] - offset), out)
+        return np.where((edge == own) & (own >= 0), np.abs(offset[rows, None] - offset), out)
 
     def _span_row(self, i: int) -> np.ndarray:
         """``MetricTree.distance`` from point i to every point, in O(k)."""

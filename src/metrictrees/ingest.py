@@ -26,17 +26,31 @@ its line and column.  The n distinct node ids must be exactly 0..n-1.
 Recognition
 -----------
 ``check_four_point`` and ``tree_from_distances`` share one recognizer that
-certifies or scans.  It checks the triangle inequality one row at a time,
-reconstructs a tree once and re-measures every label pair on it.  When the
-largest deviation ``dev`` from the matrix satisfies
-``4*dev + (4*n_nodes + 4)*eps*scale < slack`` (``scale`` twice the largest
-entry, ``eps`` the float epsilon, ``slack`` the four-point slack), every
-quadruple passes the four-point test: an exact tree metric's two largest
-pairing sums are equal, the matrix's lie within ``4*dev`` of them, and the
-``eps`` term bounds the rounding of the tree distances and of the sums.
-Otherwise a scan over the quadruples, one (i, j) pair at a time, finds the
-first violation in lexicographic order.  Either way the verdict is the one the
-brute-force test gives.
+certifies or scans.  It reconstructs a tree first and re-measures every label
+pair on it; ``dev`` is the largest deviation of those distances from the
+matrix d.  Let ``scale`` be twice the largest entry and ``eps`` the float
+epsilon.  Each re-measured distance lies within ``(n_nodes + 1)*eps*scale``
+of the exact distance T of the reconstructed tree, the rounding of its root
+distances and their sums, and each entry of d within ``dev`` of it.
+
+Triangles: T is a metric, so ``d(i,k) - d(i,j) - d(j,k)`` is at most
+``3*(dev + (n_nodes + 1)*eps*scale)``, and the scan's float expression
+``(d[i,j] + d[j,k]) + slack`` rounds by at most ``2*eps*(scale + slack)``.
+So when ``3*dev + ((3*n_nodes + 5)*scale + 2*slack)*eps < slack`` (``slack``
+the triangle slack, taken at the largest entry) no triple fails and the scan
+is skipped.  Otherwise ``DistanceMatrix.metric_violation`` scans, also when
+the reconstruction raises, before any result is returned, so NotAMetric
+and its first triple keep their precedence.
+
+Quadruples: when ``4*dev + (4*n_nodes + 4)*eps*scale < slack`` (``slack``
+the four-point slack, taken at ``scale``), every quadruple passes: an exact
+tree metric's two largest pairing sums are equal, the matrix's lie within
+``4*dev`` of them, and the ``eps`` term bounds the rounding of the tree
+distances and of the sums.  Otherwise a scan over the quadruples, one (i, j)
+pair at a time, finds the first violation in lexicographic order.  The
+four-point slack is taken at twice the triangle slack's scale, so neither
+certificate implies the other.  Either way the verdicts are the ones the
+brute-force tests give.
 """
 
 from __future__ import annotations
@@ -47,19 +61,19 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import not_
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint, _Columns, _is_number_type
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns, _is_number_type
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
     MetricTreeError,
     NotAMetric,
     NotTreeMetric,
+    ParameterOutOfRange,
     TreeParseError,
     UnknownGallery,
 )
@@ -84,6 +98,7 @@ __all__ = [
 # overflowed sum is inf, and inf - inf is NaN, which compares as no violation.
 _LARGEST_ENTRY = float(np.finfo(float).max) / 4.0
 _EPS = float(np.finfo(float).eps)
+_SCAN_FLOATS = 8192  # the most floats in one block of the triangle scan (2^13)
 
 
 @dataclass(frozen=True)
@@ -103,27 +118,30 @@ class DistanceMatrix:
             raise InvalidDistanceMatrix(
                 f"matrix shape {values.shape} does not match {n} labels"
             )
-        if not np.all(np.isfinite(values)):
+        low, high = (values.min(), values.max()) if n else (0.0, 0.0)
+        if not (math.isfinite(low) and math.isfinite(high)):  # NaN included
             raise InvalidDistanceMatrix("matrix entries must be finite")
-        if np.any(values > _LARGEST_ENTRY):
+        if high > _LARGEST_ENTRY:
             i, j = map(int, np.argwhere(values > _LARGEST_ENTRY)[0])
             raise InvalidDistanceMatrix(
                 f"entry at ({i}, {j}) exceeds {_LARGEST_ENTRY!r}, the largest "
                 "whose sums of distances stay finite"
             )
-        if np.any(values < 0):
+        if low < 0:
             i, j = map(int, np.argwhere(values < 0)[0])
             raise InvalidDistanceMatrix(f"negative entry at ({i}, {j})")
-        scale = float(values.max(initial=0.0))
-        slack = self.tol.slack(scale)
-        if np.any(np.abs(values - values.T) > slack):
-            i, j = map(int, np.argwhere(np.abs(values - values.T) > slack)[0])
+        slack = self.tol.slack(float(high))
+        gap = values - values.T
+        if n and np.abs(gap, out=gap).max() > slack:
+            i, j = map(int, np.argwhere(gap > slack)[0])
             raise InvalidDistanceMatrix(f"asymmetric at ({i}, {j})")
-        if np.any(np.abs(np.diag(values)) > slack):
-            i = int(np.argmax(np.abs(np.diag(values))))
+        diagonal = values.diagonal()
+        if n and diagonal.max() > slack:  # the entries are nonnegative here
+            i = int(diagonal.argmax())
             raise InvalidDistanceMatrix(f"nonzero diagonal at ({i}, {i})")
-        values = 0.5 * (values + values.T)
-        np.fill_diagonal(values, 0.0)
+        values = values + values.T
+        values *= 0.5
+        values.flat[:: n + 1] = 0.0  # the diagonal
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -139,18 +157,24 @@ class DistanceMatrix:
         """First triple (i, j, k) in lexicographic order with
         ``d(i,k) > d(i,j) + d(j,k)`` beyond the slack, or None.
 
-        One numpy comparison per row i over the k x k slab of (j, k), in the
-        float expression ``d[i,k] > (d[i,j] + d[j,k]) + slack``.
+        One numpy comparison per block of rows i over their (i, j, k) slab,
+        ``_SCAN_FLOATS // k^2`` rows at a time (at least one), in the float
+        expression ``d[i,k] > (d[i,j] + d[j,k]) + slack``; the slab is in
+        lexicographic order, so its first hit is the first triple.
         """
         d = self.values
+        n = len(d)
         slack = self.tol.slack(float(d.max(initial=0.0)))
-        for i, row in enumerate(d):
-            bound = row[:, None] + d
+        step = max(1, _SCAN_FLOATS // max(1, n * n))
+        for i in range(0, n, step):
+            rows = d[i : i + step]
+            bound = rows[:, :, None] + d  # [i, j, k] = d(i,j) + d(j,k)
             bound += slack
-            bad = row > bound
-            hit = int(np.argmax(bad))
+            bad = rows[:, None, :] > bound
+            hit = int(bad.argmax())
             if bad.flat[hit]:
-                return (i, *divmod(hit, len(row)))
+                a, jk = divmod(hit, n * n)
+                return (i + a, *divmod(jk, n))
         return None
 
 
@@ -192,24 +216,37 @@ def _recognize(
     The reconstruction is the tree, the label points, the tree distances
     between the labels and their largest deviation from the matrix, or the
     error that building it raised.  Raises NotAMetric when the triangle
-    inequality fails.
+    inequality fails; the triangles are scanned unless the reconstruction
+    certifies them, and before anything is returned.
     """
-    triple = matrix.metric_violation()
-    if triple is not None:
-        raise NotAMetric(f"triangle inequality fails on {triple}", triple=triple)
     d = matrix.values
-    scale = 2.0 * float(d.max(initial=0.0))
+    top = float(d.max(initial=0.0))
+    scale = 2.0 * top
     slack = matrix.tol.slack(scale)
     try:
         tree, points = _reconstruct(matrix)
     except MetricTreeError as exc:
+        _raise_triangle(matrix)
         return _four_point_violation(d, slack), exc
-    measured = tree._distance_matrix(list(points.values()))
+    k = len(points)  # every label sits at a node
+    labels_at = PointArray(tree, [p.node for p in points.values()], np.full(k, -1), np.zeros(k))
+    measured = tree._distance_matrix(labels_at)
     dev = float(np.abs(measured - d).max(initial=0.0))
-    # strict, so that a zero slack never certifies
-    certified = 4.0 * dev + (4 * tree.n_nodes + 4) * _EPS * scale < slack
+    # both certificates are strict, so that a zero slack never certifies
+    n = tree.n_nodes
+    triangle_slack = matrix.tol.slack(top)
+    if not 3.0 * dev + ((3 * n + 5) * scale + 2.0 * triangle_slack) * _EPS < triangle_slack:
+        _raise_triangle(matrix)
+    certified = 4.0 * dev + (4 * n + 4) * _EPS * scale < slack
     quad = None if certified else _four_point_violation(d, slack)
     return quad, (tree, points, measured, dev)
+
+
+def _raise_triangle(matrix: DistanceMatrix) -> None:
+    """NotAMetric naming the first triangle that fails, if one does."""
+    triple = matrix.metric_violation()
+    if triple is not None:
+        raise NotAMetric(f"triangle inequality fails on {triple}", triple=triple)
 
 
 def check_four_point(
@@ -222,11 +259,13 @@ def check_four_point(
     (up to tolerance); equivalently each sum is bounded by the maximum of
     the other two.  Raises NotAMetric when the matrix is not even a metric.
 
-    A matrix is certified without a scan when the tree reconstructed from it
+    The tree reconstructed from the matrix comes first.  When it
     re-measures every entry within ``dev``, where
-    ``4*dev + (4*n_nodes + 4)*eps*scale < slack``; otherwise the quadruples
-    are scanned for the first violation in lexicographic order (see the
-    module docstring).  The verdict and quadruple are the brute-force ones.
+    ``4*dev + (4*n_nodes + 4)*eps*scale < slack``, the matrix is certified
+    without a scan; otherwise the quadruples are scanned for the first
+    violation in lexicographic order.  The triangles are scanned first
+    unless the same tree certifies them (see the module docstring).  The
+    verdict, triple and quadruple are the brute-force ones.
     """
     quad, _ = _recognize(matrix)
     return quad is None, quad
@@ -259,34 +298,43 @@ class _Builder:
 
     def locate(self, v: int, t: float, snap: float) -> int:
         """Node at distance t from node 0 on the path to v, splitting an
-        edge when t falls strictly inside one."""
-        nodes = [v]
-        while nodes[-1]:
-            nodes.append(self.parent[nodes[-1]])
-        nodes.reverse()
-        cum = [0.0]
-        for b in nodes[1:]:
-            cum.append(cum[-1] + self.length[b])
-        for k, c in enumerate(cum):
-            if abs(c - t) <= snap:
-                return nodes[k]
-        for k in range(len(nodes) - 1):
-            if cum[k] < t < cum[k + 1]:
-                b = nodes[k + 1]
-                m = self.add_node(nodes[k], t - cum[k])
-                self.parent[b] = m
-                self.length[b] = self.length[b] - (t - cum[k])
+        edge when t falls strictly inside one.
+
+        The path is walked from node 0, summing edge lengths, which only
+        grow.  The first node within ``snap`` of t wins; failing that, the
+        first edge whose ends lie either side of t is split.  One pass finds
+        both: no node past such an edge lies nearer t than its far end,
+        which is checked before the split."""
+        parent, length = self.parent, self.length
+        path = []
+        b = v
+        while b:
+            path.append(b)
+            b = parent[b]
+        above, at = 0, 0.0
+        if abs(at - t) <= snap:
+            return 0
+        for b in reversed(path):
+            below = at + length[b]
+            if abs(below - t) <= snap:
+                return b
+            if at < t < below:
+                m = self.add_node(above, t - at)
+                parent[b] = m
+                length[b] = length[b] - (t - at)
                 return m
+            above, at = b, below
         # t beyond the path end (can only be float slop): clamp to v
         return v
 
     def columns(self) -> _Columns:
         """The edges as columns, by (lower, higher) endpoint."""
-        edges = sorted((min(p, c), max(p, c), c) for c, p in enumerate(self.parent) if c)
-        return _Columns.of(
-            [u for u, _, _ in edges], [v for _, v, _ in edges],
-            [self.length[c] for _, _, c in edges],
-        )
+        child = np.arange(1, len(self.parent))
+        parent = np.array(self.parent[1:], dtype=np.intp)
+        low, high = np.minimum(parent, child), np.maximum(parent, child)
+        order = np.lexsort((high, low))
+        ends = np.array((low[order], high[order])).T.ravel()
+        return _Columns(ends, np.array(self.length[1:])[order])
 
 
 def tree_from_distances(
@@ -323,9 +371,8 @@ def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], 
     tree, points, measured, dev = built
     d = matrix.values
     verify_slack = matrix.tol.slack(float(d.max(initial=1.0))) * 16.0
-    bad = np.argwhere(np.triu(np.abs(measured - d) > verify_slack, 1))
-    if len(bad):
-        a, b = map(int, bad[0])
+    if dev > verify_slack:  # dev is the largest gap; both matrices are symmetric
+        a, b = map(int, np.argwhere(np.triu(np.abs(measured - d) > verify_slack, 1))[0])
         raise NotTreeMetric(
             f"matrix is not additive: labels ({a}, {b}) re-measure to "
             f"{float(measured[a, b])!r}, expected {d[a, b]!r}"
@@ -334,40 +381,48 @@ def _realize(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint], 
 
 
 def _reconstruct(matrix: DistanceMatrix) -> tuple[MetricTree, dict[str, TreePoint]]:
-    """The tree ``tree_from_distances`` builds, unchecked, and the label points."""
+    """The tree ``tree_from_distances`` builds, unchecked, and the label points.
+
+    Each label's duplicate (the first earlier label within the snap) and
+    attachment (the first j maximizing ``t = 0.5*((d(0,x) + d(0,j)) -
+    d(j,x))`` over the labels 0 < j < x) read only the matrix, so both come
+    from whole-matrix passes; the walk then places the labels in order."""
     n = matrix.size
     tol = matrix.tol
-    snap = tol.slack(float(matrix.values.max(initial=1.0))) * 4.0
-    d = matrix.values.tolist()  # floats index faster than numpy scalars; d[x][j] == d[j][x]
+    d = matrix.values
+    if not n:
+        return MetricTree(1, [], tol=tol), {}
+    snap = tol.slack(float(d.max(initial=1.0))) * 4.0
+    # the first label within the snap of x is x itself when none before it is
+    dups = (d <= snap).argmax(axis=1).tolist()
+    ref = d[0]  # the reference label 0 sits at node 0, the builder's root
+    t = ref[:, None] + ref  # [x, j] = d(0,x) + d(0,j)
+    t -= d
+    t *= 0.5
+    at = np.arange(n)
+    within = at[:, None] > at  # j < x
+    within[:, 0] = False
+    t = np.where(within, t, -np.inf)
+    best = t.argmax(axis=1)
+    best_js, best_ts, ref = best.tolist(), t[at, best].tolist(), ref.tolist()
 
     builder = _Builder()
-    position = [0] * n  # node id per label; label 0 starts at node 0
+    position = [0] * n  # node id per label; label 0 sits at node 0
     for x in range(1, n):
-        row = d[x]
-        dup = next((j for j in range(x) if row[j] <= snap), None)
-        if dup is not None:
-            position[x] = position[dup]
+        if dups[x] < x:
+            position[x] = position[dups[x]]
             continue
-        i = 0  # the reference label; it sits at node 0, the builder's root
-        ref = d[i]
-        best_t, best_j = 0.0, None
-        for j in range(1, x):
-            t = 0.5 * (ref[x] + ref[j] - row[j])
-            if best_j is None or t > best_t:
-                best_t, best_j = t, j
-        if best_j is None:
-            attach = position[i]
+        if x == 1:  # label 0 is the only one placed
+            attach, rem = 0, ref[1]
         else:
-            best_t = min(max(best_t, 0.0), ref[best_j])
+            best_j = best_js[x]
+            best_t = min(max(best_ts[x], 0.0), ref[best_j])
             attach = builder.locate(position[best_j], best_t, snap)
-        rem = ref[x] - best_t if best_j is not None else ref[x]
-        if rem <= snap:
-            position[x] = attach
-        else:
-            position[x] = builder.add_node(attach, rem)
+            rem = ref[x] - best_t
+        position[x] = attach if rem <= snap else builder.add_node(attach, rem)
 
     tree = MetricTree(len(builder.parent), builder.columns(), tol=tol)
-    return tree, {matrix.labels[k]: tree.node_point(position[k]) for k in range(n)}
+    return tree, {label: TreePoint(tree, k, None, 0.0) for label, k in zip(matrix.labels, position)}
 
 
 # --------------------------------------------------------------------- #
@@ -479,8 +534,9 @@ def _read_lines(
 
 
 # an edge line as the bulk pass reads it; the keyword field is one character
-# wider than "edge", so that a longer word such as "edgex" does not equal it
-_EDGE_ROW = np.dtype([("kind", "U5"), ("ends", np.intp, (2,)), ("length", np.float64)])
+# wider than "edge", so that a longer word such as "edgex" does not equal it,
+# and bytes, since the pass reads ASCII lines only
+_EDGE_ROW = np.dtype([("kind", "S5"), ("ends", np.intp, (2,)), ("length", np.float64)])
 
 
 def _loadtxt_is_strict() -> bool:
@@ -520,9 +576,12 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
         rows = np.loadtxt(edge_lines, dtype=_EDGE_ROW, comments="#", ndmin=1)
     except ValueError:
         return None
-    if not (rows["kind"] == "edge").all():
+    if not (rows["kind"] == b"edge").all():
         return None
-    numbers = list(compress(range(1, len(lines) + 1), map(not_, is_edge)))
+    numbers, at = [], -1  # the line numbers of the other lines
+    for _ in range(len(lines) - len(edge_lines)):
+        at = is_edge.index(False, at + 1)
+        numbers.append(at + 1)
     other = [lines[k - 1].split("#", 1)[0] for k in numbers]
     del lines, is_edge, edge_lines
     (us, _, _), node_ids, point_lines = _read_lines(other, numbers)
@@ -586,7 +645,8 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     The document is read once (``_read``), which names a malformed line at
     its line and column; its node ids are checked once to be exactly 0..n-1
     for n distinct ids (``_node_count``); and the tree is built once, on n
-    nodes, and raises what ``MetricTree`` raises.
+    nodes, and raises what ``MetricTree`` raises.  A point on a missing node
+    or edge, or off its edge, raises TreeParseError at its line.
     """
     columns, node_ids, point_lines = _read(text)
     tree = MetricTree(_node_count(columns.ends, node_ids), columns, tol=tol)
@@ -595,7 +655,10 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     for lineno, name, where in point_lines:
         if name in points:
             raise TreeParseError(f"duplicate point name {name!r}", lineno)
-        points[name] = tree.node_point(*where) if len(where) == 1 else tree.edge_point(*where)
+        try:
+            points[name] = tree.node_point(*where) if len(where) == 1 else tree.edge_point(*where)
+        except (BadParams, ParameterOutOfRange) as exc:  # no such node or edge, or offset off it
+            raise TreeParseError(str(exc), lineno) from exc
     return TreeDocument(tree, points)
 
 
@@ -713,7 +776,11 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
 
 
 def parse_matrix(text: str, tol: Tolerance | None = None) -> DistanceMatrix:
-    """Parse CSV (with label header) or whitespace lower-triangle text."""
+    """Parse CSV (with label header) or whitespace lower-triangle text.
+
+    The rows are checked in order and their values converted at once; an
+    error names the first bad row, a value ``float`` rejects before a row of
+    the wrong shape."""
     tol = tol if tol is not None else Tolerance()
     stripped = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not stripped:
@@ -724,39 +791,61 @@ def parse_matrix(text: str, tol: Tolerance | None = None) -> DistanceMatrix:
         n = len(labels)
         if len(rows) != n + 1:
             raise InvalidDistanceMatrix(f"expected {n} data rows, got {len(rows) - 1}")
-        values = np.zeros((n, n))
+        cells = [row[1:] for row in rows[1:]]
         for i, row in enumerate(rows[1:]):
+            if len(row) != n + 1 or row[0].strip() != labels[i]:
+                _floats(cells[:i], 1)  # a bad value in an earlier row comes first
             if len(row) != n + 1:
                 raise InvalidDistanceMatrix(f"row {i + 1} has {len(row) - 1} values, expected {n}")
             if row[0].strip() != labels[i]:
                 raise InvalidDistanceMatrix(
                     f"row label {row[0].strip()!r} does not match column label {labels[i]!r}"
                 )
-            try:
-                values[i] = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise InvalidDistanceMatrix(f"row {i + 1}: {exc}")
+        # the upper triangle restates the lower one: a string equal to its
+        # mirror's converts to the same value, so only the others convert
+        at = np.arange(n)
+        within = at[:, None] >= at
+        values = np.empty((n, n))
+        lower = [row[: i + 1] for i, row in enumerate(cells)]
+        values[within] = values.T[within] = _floats(cells, 1, lower)
+        flat = list(chain.from_iterable(cells))
+        for i, row in enumerate(cells):
+            if row[i + 1 :] != flat[(i + 1) * n + i :: n]:
+                values[i, i + 1 :] = _floats(cells, 1, [row[i + 1 :]])
         return DistanceMatrix(tuple(labels), values, tol=tol)
 
     labels = []
-    tri: list[float] = []  # the strict lower triangle, row by row
+    cells = []  # the strict lower triangle, row by row
     for i, line in enumerate(stripped):
         toks = line.split()
         labels.append(toks[0])
-        try:
-            vals = [float(t) for t in toks[1:]]
-        except ValueError as exc:
-            raise InvalidDistanceMatrix(f"row {i}: {exc}")
-        if len(vals) != i:
+        cells.append(toks[1:])
+        if len(toks) - 1 != i:
+            _floats(cells, 0)
             raise InvalidDistanceMatrix(
-                f"row {i} ({toks[0]!r}) has {len(vals)} values, expected {i}"
+                f"row {i} ({toks[0]!r}) has {len(toks) - 1} values, expected {i}"
             )
-        tri += vals
     n = len(labels)
+    at = np.arange(n)
     values = np.zeros((n, n))
-    rows, cols = np.tril_indices(n, -1)  # row-major, the order of ``tri``
-    values[rows, cols] = values[cols, rows] = tri
-    return DistanceMatrix(tuple(labels), values, tol=tol)
+    values[at[:, None] > at] = _floats(cells, 0)  # row-major, the order of ``cells``
+    return DistanceMatrix(tuple(labels), values + values.T, tol=tol)
+
+
+def _floats(rows: list[list[str]], first: int, part: list[list[str]] | None = None) -> np.ndarray:
+    """The strings of the rows ``part`` (by default ``rows``) as one flat
+    float array, each converted as ``float`` converts it; else
+    InvalidDistanceMatrix naming the first of ``rows`` (numbered from
+    ``first``) that holds a string ``float`` rejects."""
+    try:
+        return np.fromiter(map(float, chain.from_iterable(rows if part is None else part)), float)
+    except ValueError:
+        for i, row in enumerate(rows, start=first):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise InvalidDistanceMatrix(f"row {i}: {exc}") from None
+        raise
 
 
 def format_matrix_csv(matrix: DistanceMatrix) -> str:

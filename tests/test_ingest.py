@@ -476,6 +476,85 @@ class TestRecognitionParity:
         check_four_point(DistanceMatrix(("a",), np.zeros((1, 1)), tol=Tolerance(0.0, 0.0)))
         assert scans == [0.0]
 
+    # Labels 2 and 3 of the 4-tip star sit delta further apart than the
+    # tree: reconstruction re-measures them with dev near delta.
+    @staticmethod
+    def _star(delta):
+        star = np.array([[0.0 if i == j else 2.0 for j in range(4)] for i in range(4)])
+        star[2, 3] = star[3, 2] = 2.0 + delta
+        return star
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12])
+    def test_triangle_certificate_boundary(self, delta, monkeypatch):
+        # the triangle scan is skipped only when 3*dev + ((3*n_nodes + 5)*
+        # scale + 2*slack)*eps < slack (scale twice the largest entry,
+        # slack the triangle slack): at the largest slack that fails it the
+        # scan runs, one ulp of slack above it it does not
+        scans = []
+        scan = DistanceMatrix.metric_violation
+
+        def spy(matrix):
+            scans.append(matrix.tol.abs_eps)
+            return scan(matrix)
+
+        monkeypatch.setattr(DistanceMatrix, "metric_violation", spy)
+        eps = float(np.finfo(float).eps)
+
+        def matrix(slack):
+            return DistanceMatrix(tuple("abcd"), self._star(delta), tol=Tolerance(slack, 0.0))
+
+        dev = ingest._realize(matrix(1e-11))[2]
+        assert (dev > 0.0) == (delta > 0.0)
+        n_nodes, scale = 5, 2.0 * (2.0 + delta)  # twice the largest entry
+
+        def certifies(slack):
+            return 3.0 * dev + ((3 * n_nodes + 5) * scale + 2.0 * slack) * eps < slack
+
+        first = 3.0 * dev + (3 * n_nodes + 5) * scale * eps
+        while not certifies(first):
+            first = float(np.nextafter(first, 1.0))
+        bound = float(np.nextafter(first, 0.0))
+        for slack, scanned in [(bound, True), (first, False)]:
+            scans.clear()
+            m = matrix(slack)
+            built = ingest._realize(m)
+            assert built[0].n_nodes == n_nodes and built[2] == dev
+            assert check_four_point(m) == (True, None)
+            assert scans == ([slack] * 2 if scanned else []), slack
+        scans.clear()
+        check_four_point(matrix(0.0))
+        assert scans == [0.0]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar"]),
+        k=st.integers(3, 14),
+        tol=st.sampled_from(_TOLERANCES),
+        scale=st.floats(0.01, 2.0),
+        near=st.booleans(),
+        shrink=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_non_metric_matrices(self, seed, shape, k, tol, scale, near, shrink):
+        # one pair stretched past the triangle slack, by a few slacks or by
+        # a share of the largest entry, and sometimes a second pair shrunk:
+        # reconstructing first changes no outcome
+        rng = np.random.default_rng(seed)
+        values = np.array(_noisy_matrix(rng, shape, k, tol, scale).values)
+        i, j = (int(a) for a in rng.choice(k, 2, replace=False))
+        via = min(values[i, l] + values[l, j] for l in range(k) if l not in (i, j))
+        top = max(float(values.max()), via)
+        if near:
+            stretch = float(rng.uniform(1.0, 3.0)) * tol.slack(2.0 * top)
+        else:
+            stretch = float(rng.uniform(0.01, 0.5)) * (top + 1.0)
+        values[i, j] = values[j, i] = via + stretch
+        if shrink:
+            a, b = (int(x) for x in rng.choice(k, 2, replace=False))
+            values[a, b] = values[b, a] = values[a, b] * float(rng.uniform(0.0, 1.0))
+        labels = tuple(f"p{x}" for x in range(k))
+        _assert_recognized_like_reference(DistanceMatrix(labels, values, tol=tol))
+
 
 class TestDocuments:
     def test_roundtrip_simple(self, simple_doc):
@@ -531,8 +610,18 @@ class TestDocuments:
             parse_tree("edge -1 0 1.0\n")
 
     def test_offset_beyond_edge_length(self):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(TreeParseError, match=r"^line 2, column 1: offset 1.5 outside") as info:
             parse_tree("edge 0 1 1.0\npoint a edge 0 1 1.5\n")
+        assert isinstance(info.value.__cause__, ParameterOutOfRange)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("edge 0 1 1.0\npoint a node 3\n", 2, "node 3 does not exist (tree has 2 nodes)"),
+        ("edge 0 1 1.0\nedge 1 2 1.0\n\npoint a edge 0 2 0.5\n", 4, "no edge between nodes 0 and 2"),
+        ("edge 0 1 1.0\npoint a node 0\npoint b edge 1 0 -0.5\n", 3, "offset -0.5 outside"),
+    ])
+    def test_point_errors_name_their_line(self, text, line, message):
+        with pytest.raises(TreeParseError, match=f"^line {line}, column 1: {re.escape(message)}"):
+            parse_tree(text)
 
     @pytest.mark.parametrize("name", ["a b", "c#d", "", "x\ty", "#", "tail\xa0", "line\x85"])
     def test_unwritable_point_name(self, simple_doc, name):
@@ -676,6 +765,137 @@ class TestMatrixText:
         with pytest.raises(InvalidDistanceMatrix):
             parse_matrix("a\nb x\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (",a,b,c\na,0,x,1\nb,1,0\nc,1,1,0\n", "row 1: could not convert string to float: 'x'"),
+        (",a,b,c\na,0,x,1\nz,1,0,1\nc,1,1,0\n", "row 1: could not convert string to float: 'x'"),
+        (",a,b,c\na,0,1,1\nz,1,y,1\nc,1,1,0\n", "row label 'z' does not match column label 'b'"),
+        ("a\nb x\nc 1.0\n", "row 1: could not convert string to float: 'x'"),
+        ("a\nb 1.0\nc 1.0 y 2.0\n", "row 2: could not convert string to float: 'y'"),
+    ])
+    def test_first_bad_row_named(self, text, message):
+        # a bad value in an earlier row, or in the same whitespace row, comes
+        # before a row of the wrong shape; a CSV row label before its values
+        with pytest.raises(InvalidDistanceMatrix, match=f"^{re.escape(message)}$"):
+            parse_matrix(text)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        csv_form=st.booleans(),
+        faults=st.lists(st.sampled_from(
+            ["token", "mirror", "equal", "short", "long", "label", "quote", "blank", "comment"]
+        ), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parses_like_reference(self, seed, n, csv_form, faults):
+        # against the row-by-row parser: the same labels and values, or the
+        # same error, naming the same first bad row
+        rng = np.random.default_rng(seed)
+        text = _matrix_text(rng, n, csv_form, faults)
+        assert _matrix_outcome(parse_matrix, text) == _matrix_outcome(_parse_matrix_reference, text)
+
+
+_ODD_VALUES = ["x", "", "1_0", " 2 ", "nan", "inf", "-1", "1e400", "\u0661", "0x1p3", "1,5"]
+
+
+def _matrix_text(rng, n, csv_form, faults):
+    """A CSV or lower-triangle text of a random metric on n labels, with
+    the ``faults`` applied: odd tokens, a mirror entry written differently
+    or to another value, rows one value short or long, a wrong row label,
+    quoted fields, blank and comment lines."""
+    pts = rng.uniform(0.0, 3.0, (n, 2))
+    values = np.abs(pts[:, None] - pts[None, :]).sum(axis=2)
+    rows = [[repr(float(v)) for v in row] for row in values]
+    if not csv_form:
+        rows = [row[:i] for i, row in enumerate(rows)]
+    labels = [f"L{i}" for i in range(n)]
+    for fault in faults:
+        i = int(rng.integers(0, max(n, 1)))
+        if not n or fault in ("quote", "blank", "comment"):
+            continue
+        if fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["1.0"]
+        elif fault == "label":
+            labels[i] += "x"
+        elif rows[i]:
+            j = int(rng.integers(0, min(len(rows[i]), n)))
+            if fault == "token":
+                rows[i][j] = _ODD_VALUES[int(rng.integers(len(_ODD_VALUES)))]
+            elif fault == "mirror":
+                rows[i][j] = repr(float(values[i, j]) + float(rng.choice([1e-12, 0.5])))
+            else:  # the same value, other text
+                rows[i][j] = f"{float(values[i, j]):.25f}"
+    if csv_form:
+        cell = (lambda c: f'"{c}"') if "quote" in faults else (lambda c: c)
+        lines = [",".join(map(cell, [""] + [f"L{i}" for i in range(n)]))]
+        lines += [",".join(map(cell, [lab] + row)) for lab, row in zip(labels, rows)]
+    else:
+        lines = [" ".join([lab] + row) for lab, row in zip(labels, rows)]
+    for fault, line in (("blank", "   "), ("comment", "# a comment, 1, 2")):
+        if fault in faults:
+            lines.insert(int(rng.integers(len(lines) + 1)), line)
+    return "\n".join(lines) + "\n"
+
+
+def _matrix_outcome(parse, text):
+    try:
+        m = parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return m.labels, m.values.tobytes()
+
+
+def _parse_matrix_reference(text, tol=None):
+    """``parse_matrix`` as it was: each row's values converted by ``float``
+    where the row is read."""
+    import csv
+    import io
+
+    tol = tol if tol is not None else Tolerance()
+    stripped = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if not stripped:
+        raise InvalidDistanceMatrix("empty matrix document")
+    if "," in stripped[0]:
+        rows = list(csv.reader(io.StringIO("\n".join(stripped))))
+        labels = [c.strip() for c in rows[0][1:]]
+        n = len(labels)
+        if len(rows) != n + 1:
+            raise InvalidDistanceMatrix(f"expected {n} data rows, got {len(rows) - 1}")
+        values = np.zeros((n, n))
+        for i, row in enumerate(rows[1:]):
+            if len(row) != n + 1:
+                raise InvalidDistanceMatrix(f"row {i + 1} has {len(row) - 1} values, expected {n}")
+            if row[0].strip() != labels[i]:
+                raise InvalidDistanceMatrix(
+                    f"row label {row[0].strip()!r} does not match column label {labels[i]!r}"
+                )
+            try:
+                values[i] = [float(c) for c in row[1:]]
+            except ValueError as exc:
+                raise InvalidDistanceMatrix(f"row {i + 1}: {exc}")
+        return DistanceMatrix(tuple(labels), values, tol=tol)
+    labels = []
+    tri = []
+    for i, line in enumerate(stripped):
+        toks = line.split()
+        labels.append(toks[0])
+        try:
+            vals = [float(t) for t in toks[1:]]
+        except ValueError as exc:
+            raise InvalidDistanceMatrix(f"row {i}: {exc}")
+        if len(vals) != i:
+            raise InvalidDistanceMatrix(
+                f"row {i} ({toks[0]!r}) has {len(vals)} values, expected {i}"
+            )
+        tri += vals
+    n = len(labels)
+    values = np.zeros((n, n))
+    rows, cols = np.tril_indices(n, -1)
+    values[rows, cols] = values[cols, rows] = tri
+    return DistanceMatrix(tuple(labels), values, tol=tol)
+
 
 _REF_TOKEN = re.compile(r"\S+")
 
@@ -755,10 +975,13 @@ def _parse_tree_reference(text, tol=None):
     for lineno, name, mode, ids in point_lines:
         if name in points:
             raise TreeParseError(f"duplicate point name {name!r}", lineno)
-        if mode[0] == "node":
-            points[name] = tree.node_point(ids[0])
-        else:
-            points[name] = tree.edge_point(ids[0], ids[1], float(mode[1]))
+        try:
+            if mode[0] == "node":
+                points[name] = tree.node_point(ids[0])
+            else:
+                points[name] = tree.edge_point(ids[0], ids[1], float(mode[1]))
+        except (BadParams, ParameterOutOfRange) as exc:
+            raise TreeParseError(str(exc), lineno) from exc
     return TreeDocument(tree, points)
 
 
