@@ -2,18 +2,18 @@
 
 Subcommands
 -----------
-check    MATRIX            verify a distance matrix is a tree metric
-build    MATRIX --out T    reconstruct a tree document from a tree metric
-measure  TREE [NAME...]    covering profiles and relation checks
-cover    TREE [NAME...]    one optimal cover (--radius R) or partition
-                           (--diameter D)
-kappa    TREE              randomized Lifschitz-characteristic probe
-gallery  NAME [k=v...]     write a named example tree
+check    MATRIX                 verify a distance matrix is a tree metric
+build    MATRIX --tree-out T    reconstruct a tree document from a tree metric
+measure  TREE [NAME...]         covering profiles and relation checks
+cover    TREE [NAME...]         one optimal cover (--radius R) or partition
+                                (--diameter D)
+kappa    TREE                   randomized Lifschitz-characteristic probe
+gallery  NAME [k=v...]          write a named example tree
 
 Exit codes: 0 success, 1 I/O or usage error, 2 mathematical verdict "no"
-(not a tree metric, or a relation check failed).  Reports are emitted in
-full or not at all; with a fixed --seed the JSON output is byte-identical
-across runs.
+(not a tree metric, or a relation check failed).  Each report carries
+schema, command and, but for gallery, input; it is emitted in full or not
+at all, and with a fixed --seed its JSON is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import sys
 from . import reports
 from .core import Tolerance
 from .covering import PointSet, min_ball_cover, min_diameter_partition
-from .errors import (
-    MetricTreeError,
-    NotAMetric,
-    NotTreeMetric,
-    UnknownPoint,
-)
+from .errors import MetricTreeError, NotAMetric, NotTreeMetric, UnknownPoint
 from .ingest import (
     TreeDocument,
     _realize,
@@ -74,36 +69,42 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="is the matrix a tree metric?", parents=[common])
-    p.add_argument("matrix")
+    p.add_argument("input", metavar="matrix")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("build", help="reconstruct a tree from a matrix", parents=[common])
-    p.add_argument("matrix")
+    p.add_argument("input", metavar="matrix")
     p.add_argument("--tree-out", required=True, metavar="FILE",
                    help="write the reconstructed tree document here")
+    p.set_defaults(run=_cmd_build)
 
     p = sub.add_parser("measure", help="covering profiles of named points", parents=[common])
-    p.add_argument("tree")
+    p.add_argument("input", metavar="tree")
     p.add_argument("names", nargs="*")
     p.add_argument("--n", type=int, default=None, help="largest part count")
+    p.set_defaults(run=_cmd_measure)
 
     p = sub.add_parser("cover", help="optimal ball cover or diameter partition", parents=[common])
-    p.add_argument("tree")
+    p.add_argument("input", metavar="tree")
     p.add_argument("names", nargs="*")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--radius", type=float)
     group.add_argument("--diameter", type=float)
+    p.set_defaults(run=_cmd_cover)
 
     p = sub.add_parser("kappa", help="randomized Lifschitz probe", parents=[common])
-    p.add_argument("tree")
+    p.add_argument("input", metavar="tree")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=None)
+    p.set_defaults(run=_cmd_kappa)
 
     p = sub.add_parser("gallery", help="write a named example tree", parents=[common])
     p.add_argument("name")
     p.add_argument("params", nargs="*", metavar="KEY=VALUE")
     p.add_argument("--tree-out", default=None, metavar="FILE",
                    help="write the tree document here (default: stdout)")
+    p.set_defaults(run=_cmd_gallery)
     return parser
 
 
@@ -139,106 +140,72 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _resolve_points(doc, names):
-    if names:
+def _resolve_points(args, tol) -> tuple[PointSet, list]:
+    """The points named, else the document's named points, else every node."""
+    doc = parse_tree(_read(args.input), tol=tol)
+    if args.names:
         pts = []
-        for name in names:
+        for name in args.names:
             if name not in doc.points:
                 raise UnknownPoint(f"point {name!r} is not defined in the tree document")
             pts.append(doc.points[name])
-        return pts
-    if doc.points:
-        return list(doc.points.values())
-    return [doc.tree.node_point(i) for i in range(doc.tree.n_nodes)]
+    elif doc.points:
+        pts = list(doc.points.values())
+    else:
+        pts = [doc.tree.node_point(i) for i in range(doc.tree.n_nodes)]
+    return PointSet(doc.tree, pts), pts
 
 
-def _cmd_check(args, tol) -> int:
-    base = {"schema": reports.SCHEMA_VERSION, "command": "check", "input": args.matrix}
+# Each command returns (fields, verdict): the raw fields of its report, which
+# main stamps and serializes, and whether the verdict is "yes" (exit 0, else 2).
+def _cmd_check(args, tol) -> tuple[dict, bool]:
     try:
-        matrix = parse_matrix(_read(args.matrix), tol=tol)
+        matrix = parse_matrix(_read(args.input), tol=tol)
         ok, quad = check_four_point(matrix)
     except NotAMetric as exc:
-        _emit({**base, "is_tree_metric": False, "reason": "not a metric",
-               "violating_triple": list(exc.triple or ())}, args)
-        return 2
+        return {"is_tree_metric": False, "reason": "not a metric",
+                "violating_triple": exc.triple or ()}, False
     if ok:
-        _emit({**base, "is_tree_metric": True, "labels": list(matrix.labels)}, args)
-        return 0
-    _emit({**base, "is_tree_metric": False, "reason": "four-point condition fails",
-           "violating_quadruple": [matrix.labels[i] for i in quad]}, args)
-    return 2
+        return {"is_tree_metric": True, "labels": matrix.labels}, True
+    return {"is_tree_metric": False, "reason": "four-point condition fails",
+            "violating_quadruple": [matrix.labels[i] for i in quad]}, False
 
 
-def _cmd_build(args, tol) -> int:
-    base = {"schema": reports.SCHEMA_VERSION, "command": "build", "input": args.matrix}
-    matrix = parse_matrix(_read(args.matrix), tol=tol)
+def _cmd_build(args, tol) -> tuple[dict, bool]:
+    matrix = parse_matrix(_read(args.input), tol=tol)
     try:
         tree, points, deviation = _realize(matrix)
     except NotAMetric as exc:
-        _emit({**base, "built": False, "reason": "not a metric",
-               "violating_triple": list(exc.triple or ())}, args)
-        return 2
+        return {"built": False, "reason": "not a metric",
+                "violating_triple": exc.triple or ()}, False
     except NotTreeMetric as exc:
-        _emit({**base, "built": False, "reason": "not a tree metric",
-               "violating_quadruple": list(exc.quadruple or ())}, args)
-        return 2
+        return {"built": False, "reason": "not a tree metric",
+                "violating_quadruple": exc.quadruple or ()}, False
     text = serialize_tree(TreeDocument(tree, points))  # before the file is created
     with open(args.tree_out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    _emit({**base, "built": True, "tree_file": args.tree_out,
-           "n_nodes": tree.n_nodes,
-           "points": reports.report_obj(points),
-           "max_deviation": deviation}, args)
-    return 0
+    return {"built": True, "tree_file": args.tree_out, "n_nodes": tree.n_nodes,
+            "points": points, "max_deviation": deviation}, True
 
 
-def _cmd_measure(args, tol) -> int:
-    doc = parse_tree(_read(args.tree), tol=tol)
-    pts = _resolve_points(doc, args.names)
-    ps = PointSet(doc.tree, pts)
+def _cmd_measure(args, tol) -> tuple[dict, bool]:
+    ps, pts = _resolve_points(args, tol)
     report = measure_report(ps, n_max=args.n)
-    body = {
-        "schema": reports.SCHEMA_VERSION,
-        "command": "measure",
-        "input": args.tree,
-        "points": reports.report_obj(pts),
-        "report": reports.report_obj(report),
-    }
-    _emit(body, args)
-    return 0 if report.passed else 2
+    return {"points": pts, "report": report}, report.passed
 
 
-def _cmd_cover(args, tol) -> int:
-    doc = parse_tree(_read(args.tree), tol=tol)
-    pts = _resolve_points(doc, args.names)
-    ps = PointSet(doc.tree, pts)
-    base = {
-        "schema": reports.SCHEMA_VERSION,
-        "command": "cover",
-        "input": args.tree,
-        "points": reports.report_obj(pts),
-    }
+def _cmd_cover(args, tol) -> tuple[dict, bool]:
+    ps, pts = _resolve_points(args, tol)
     if args.radius is not None:
-        cover = min_ball_cover(ps, args.radius)
-        _emit({**base, "mode": "radius", "cover": reports.report_obj(cover)}, args)
-    else:
-        partition = min_diameter_partition(ps, args.diameter)
-        _emit({**base, "mode": "diameter", "partition": reports.report_obj(partition)}, args)
-    return 0
+        return {"points": pts, "mode": "radius", "cover": min_ball_cover(ps, args.radius)}, True
+    return {"points": pts, "mode": "diameter",
+            "partition": min_diameter_partition(ps, args.diameter)}, True
 
 
-def _cmd_kappa(args, tol) -> int:
-    doc = parse_tree(_read(args.tree), tol=tol)
-    report = kappa_probe(doc.tree, args.trials, rng=args.seed, eps=args.eps)
-    body = {
-        "schema": reports.SCHEMA_VERSION,
-        "command": "kappa",
-        "input": args.tree,
-        "seed": args.seed,
-        "report": reports.report_obj(report),
-    }
-    _emit(body, args)
-    return 0 if report.consistent else 2
+def _cmd_kappa(args, tol) -> tuple[dict, bool]:
+    tree = parse_tree(_read(args.input), tol=tol).tree
+    report = kappa_probe(tree, args.trials, rng=args.seed, eps=args.eps)
+    return {"seed": args.seed, "report": report}, report.consistent
 
 
 def _parse_params(raw: list[str]) -> dict:
@@ -257,29 +224,15 @@ def _parse_params(raw: list[str]) -> dict:
     return params
 
 
-def _cmd_gallery(args, tol) -> int:
+def _cmd_gallery(args, tol) -> tuple[dict | None, bool]:
     doc = gallery(args.name, tol=tol, **_parse_params(args.params))
-    text = serialize_tree(doc)
-    if args.tree_out:
-        with open(args.tree_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"schema": reports.SCHEMA_VERSION, "command": "gallery",
-               "name": args.name, "tree_file": args.tree_out,
-               "n_nodes": doc.tree.n_nodes,
-               "point_names": list(doc.points)}, args)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-_DISPATCH = {
-    "check": _cmd_check,
-    "build": _cmd_build,
-    "measure": _cmd_measure,
-    "cover": _cmd_cover,
-    "kappa": _cmd_kappa,
-    "gallery": _cmd_gallery,
-}
+    if not args.tree_out:  # the document goes to stdout, in place of a report
+        sys.stdout.write(serialize_tree(doc))
+        return None, True
+    with open(args.tree_out, "w", encoding="utf-8") as fh:
+        fh.write(serialize_tree(doc))
+    return {"name": args.name, "tree_file": args.tree_out, "n_nodes": doc.tree.n_nodes,
+            "point_names": list(doc.points)}, True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,8 +244,13 @@ def main(argv: list[str] | None = None) -> int:
         for key, default in (("tol", 1e-9), ("format", "json"), ("out", None)):
             if not hasattr(args, key):
                 setattr(args, key, default)
-        tol = Tolerance(args.tol, args.tol)
-        return _DISPATCH[args.command](args, tol)
+        fields, verdict = args.run(args, Tolerance(args.tol, args.tol))
+        if fields is not None:
+            head = {"schema": reports.SCHEMA_VERSION, "command": args.command}
+            if hasattr(args, "input"):  # every command but gallery reads one file
+                head["input"] = args.input
+            _emit(reports.report_obj({**head, **fields}), args)
+        return 0 if verdict else 2
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -148,8 +148,7 @@ def lifschitz_witness(
         raise PreconditionViolation(f"r must be positive, got {r!r}")
     if tree.distance(x, y) <= r:
         raise PreconditionViolation("need d(x, y) > r")
-    if not 0.0 < eps < 1.0:
-        raise PreconditionViolation(f"eps must lie in (0, 1), got {eps!r}")
+    _check_eps(eps)
     a = 1.0 + eps
     b = 2.0 - 2.0 * eps
     z = tree.point_at(x, y, eps * r)
@@ -161,6 +160,11 @@ def lifschitz_witness(
     failures = tuple(dict.fromkeys(ends[i] for i in np.flatnonzero(failed)))
     witness = LifschitzWitness(x, y, float(r), float(eps), a, b, z)
     return witness, WitnessVerification(len(lo), len(met), failures)
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise PreconditionViolation(f"eps must lie in (0, 1), got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -295,12 +299,20 @@ def kappa_probe(
     fixed ``eps``), runs the exact ``lifschitz_witness`` over the whole
     tree, and verifies one ``lifschitz_counterexample`` template, a path
     apart from the tree, at the default tolerance.  A tree with no pair at
-    positive distance (a single node) yields a vacuous pass.  ``rng`` is
-    anything ``np.random.default_rng`` takes: a seed of any integer type,
-    None, or a Generator, which is used as is.
+    positive distance (a single node) yields a vacuous pass.  A fixed
+    ``eps`` outside (0, 1) raises PreconditionViolation before the first
+    trial, on any tree.  ``rng`` is anything ``np.random.default_rng``
+    takes: a non-negative seed of any integer type, None, or a Generator,
+    which is used as is; a seed it rejects raises BadParams.
     """
     trials = _count(trials, "trials")
-    rng = np.random.default_rng(rng)
+    if eps is not None:
+        eps = float(eps)
+        _check_eps(eps)
+    try:
+        rng = np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"bad seed {rng!r}: {exc}") from exc
     witness_trials = 0
     witness_failures = 0
     cex_failures = 0
@@ -316,7 +328,7 @@ def kappa_probe(
                     break
             if d > tree.tol.abs_eps:
                 r = float(rng.uniform(0.05, 0.95)) * d
-                e = float(eps) if eps is not None else float(rng.uniform(0.05, 0.95))
+                e = eps if eps is not None else float(rng.uniform(0.05, 0.95))
                 _w, verification = lifschitz_witness(tree, x, y, r, e)
                 witness_trials += 1
                 if not verification.passed:

@@ -323,6 +323,21 @@ class TestKappa:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_negative_seed_exits_one(self, tree_file, capsys):
+        # np.random.default_rng rejects it; the CLI names the error, no traceback
+        code, out, err = run(capsys, "kappa", str(tree_file), "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad seed -1: ")
+
+    def test_eps_checked_on_single_node_tree(self, tree_file, tmp_path, capsys):
+        # a one-node tree runs no witness, yet rejects eps as a larger tree does
+        one = tmp_path / "one.tree"
+        one.write_text("node 0\n")
+        for path in (one, tree_file):
+            code, out, err = run(capsys, "kappa", str(path), "--eps", "5")
+            assert (code, out) == (1, "")
+            assert err == "error: eps must lie in (0, 1), got 5.0\n"
+
 
 class TestGallery:
     def test_simple_to_stdout(self, capsys):
@@ -400,3 +415,41 @@ def test_parser_reused_across_calls(tmp_path, capsys):
 
     assert results(fresh=False) == results(fresh=True)
     assert [code for code, _, _ in results(fresh=False)] == [0, 1, 0, 0, 0]
+
+
+REPORT_FIELDS = {  # argv and the command's own top-level fields
+    "check": (["check", "{matrix}"], {"is_tree_metric", "labels"}),
+    "build": (["build", "{matrix}", "--tree-out", "{dir}/built.tree"],
+              {"built", "max_deviation", "n_nodes", "points", "tree_file"}),
+    "measure": (["measure", "{tree}", "--n", "2"], {"points", "report"}),
+    "cover-radius": (["cover", "{tree}", "--radius", "0.9"], {"cover", "mode", "points"}),
+    "cover-diameter": (["cover", "{tree}", "--diameter", "1.8"], {"mode", "partition", "points"}),
+    "kappa": (["kappa", "{tree}", "--trials", "2", "--seed", "1"], {"report", "seed"}),
+    "gallery": (["gallery", "comb_compact", "n=2", "--tree-out", "{dir}/comb.tree"],
+                {"name", "n_nodes", "point_names", "tree_file"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", REPORT_FIELDS)
+def test_report_envelope(case, fmt, tmp_path, capsys):
+    """Every report's top-level keys: schema, command and input (gallery
+    reads no file, so it has no input), then the command's own fields."""
+    matrix, tree = tmp_path / "star.csv", tmp_path / "star.tree"
+    write_star_matrix(matrix, n=3)
+    main(["gallery", "star", "n=3", "--tree-out", str(tree)])
+    capsys.readouterr()
+    template, own = REPORT_FIELDS[case]
+    argv = [a.format(matrix=matrix, tree=tree, dir=tmp_path) for a in template]
+    envelope = {"schema", "command"} if case == "gallery" else {"schema", "command", "input"}
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        report = json.loads(out)
+        assert set(report) == envelope | own
+        assert (report["schema"], report["command"]) == (1, argv[0])
+        assert report.get("input") == (None if case == "gallery" else argv[1])
+    else:
+        top = [line.split(":", 1)[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert top == sorted(envelope | own)
+        assert f"command: {argv[0]}" in out.splitlines()

@@ -348,6 +348,21 @@ class TestKappaProbe:
         with pytest.raises(BadParams, match="trials must be an integer"):
             kappa_probe(star_doc(3).tree, trials=trials)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), [1, -2], 1.5, "abc"])
+    def test_rejected_seed(self, star_doc, seed):
+        # np.random.default_rng rejects these with ValueError or TypeError
+        with pytest.raises(BadParams, match="^bad seed"):
+            kappa_probe(star_doc(3).tree, trials=2, rng=seed)
+
+    @pytest.mark.parametrize("eps", [5, 0.0, 1.0, -0.5, math.nan])
+    def test_fixed_eps_checked_before_trials(self, star_doc, eps):
+        # a single-node tree runs no witness; it rejects eps as a larger
+        # tree's lifschitz_witness does
+        message = rf"^eps must lie in \(0, 1\), got {float(eps)!r}$"
+        for tree in (MetricTree(1, []), star_doc(3).tree):
+            with pytest.raises(PreconditionViolation, match=message):
+                kappa_probe(tree, trials=3, rng=0, eps=eps)
+
     def test_failures_are_counted(self, star_doc, monkeypatch):
         failed = SimpleNamespace(passed=False)
         monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
