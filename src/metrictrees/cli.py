@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 I/O or usage error, 2 mathematical verdict "no"
 (not a tree metric, or a relation check failed).  Each report carries
 schema, command and, but for gallery, input; it is emitted in full or not
 at all, and with a fixed --seed its JSON is byte-identical across runs.
+--tree-out and --out may not name the same file, and gallery without
+--tree-out, which prints its document, takes no --out or --format.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import reports
@@ -135,6 +138,19 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, which need not exist yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        pass
+    # entries of two names, neither a link, are two files, with no need to
+    # resolve the paths, which takes a stat per path component
+    if os.path.basename(a) != os.path.basename(b) and not (os.path.islink(a) or os.path.islink(b)):
+        return False
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -239,11 +255,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # gallery without --tree-out prints its document, not a report; the
+        # SUPPRESS defaults leave --format and --out unset unless given
+        if args.command == "gallery" and not args.tree_out:
+            if hasattr(args, "format") or hasattr(args, "out"):
+                raise _UsageError("gallery takes --out and --format only with --tree-out")
         # the common options carry SUPPRESS defaults (so a pre-subcommand
         # occurrence survives the subparser); fill the fallbacks here
         for key, default in (("tol", 1e-9), ("format", "json"), ("out", None)):
             if not hasattr(args, key):
                 setattr(args, key, default)
+        if args.out and getattr(args, "tree_out", None) and _same_file(args.out, args.tree_out):
+            raise _UsageError("--tree-out and --out name the same file")
         fields, verdict = args.run(args, Tolerance(args.tol, args.tol))
         if fields is not None:
             head = {"schema": reports.SCHEMA_VERSION, "command": args.command}

@@ -56,6 +56,12 @@ __all__ = [
 ]
 
 
+def _is_number_type(kind: type) -> bool:
+    """Whether values of ``kind`` may be edge values: real numbers, numpy's
+    included, but not bools, which would read as 0 and 1."""
+    return issubclass(kind, numbers.Real) and kind is not bool
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative slack for real-valued comparisons.
@@ -69,7 +75,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not all(0 <= eps < math.inf for eps in (self.abs_eps, self.rel_eps)):
+        if not all(_is_number_type(type(eps)) and 0 <= eps < math.inf
+                   for eps in (self.abs_eps, self.rel_eps)):
             raise BadParams("tolerance components must be finite and nonnegative")
 
     def slack(self, scale: float) -> float:
@@ -309,8 +316,9 @@ class Segment:
         return self.tree.is_between(self.a, p, self.b)
 
     def sample(self, k: int) -> list[TreePoint]:
-        """``k + 1`` evenly spaced points including both endpoints."""
-        if k < 1:
+        """``k + 1`` evenly spaced points including both endpoints; ``k >= 0``."""
+        k = _count(k, "k", least=0)
+        if k == 0:
             return [self.a, self.b]
         return [self.point_at(self.total_length * (j / k)) for j in range(k + 1)]
 
@@ -340,7 +348,7 @@ class Segment:
 class MetricTree:
     """Immutable weighted tree with the shortest-path metric.
 
-    Nodes are ``0..n_nodes-1``.  A single-node tree (no edges) is legal;
+    Nodes are ``0..n_nodes-1``, ``n_nodes`` an integer.  A single-node tree is legal;
     all its distances are zero.  An edge list that is not a weighted tree
     raises a ``TreeValidationError`` naming its first bad edge:
     ``CycleDetected`` (self-loop or cycle), ``DuplicateEdge``,
@@ -398,9 +406,7 @@ class MetricTree:
         edges: Iterable[tuple[int, int, float]],
         tol: Tolerance | None = None,
     ):
-        if not isinstance(n_nodes, int) or n_nodes < 1:
-            raise BadParams("n_nodes must be a positive integer")
-        self.n_nodes = n_nodes
+        self.n_nodes = n_nodes = _count(n_nodes, "n_nodes")
         self.tol = tol if tol is not None else _DEFAULT_TOL
         if type(edges) is not _Columns:
             edges = _typed_columns(n_nodes, edges)
@@ -801,12 +807,6 @@ class MetricTree:
         dxy, dxz, dyz = self.distance(x, y), self.distance(x, z), self.distance(y, z)
         t = min(max(0.5 * (dxy + dxz - dyz), 0.0), dxy)
         return self._point_along(x, y, dxy, t)
-
-
-def _is_number_type(kind: type) -> bool:
-    """Whether values of ``kind`` may be edge values: real numbers, numpy's
-    included, but not bools, which would read as 0 and 1."""
-    return issubclass(kind, numbers.Real) and kind is not bool
 
 
 def _id_below(value, bound: int) -> int | None:

@@ -21,7 +21,8 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
 each once.  One ``np.loadtxt`` pass converts the lines that start with
 ``edge``, and a line reader reads the others; it reads the whole document
 only when the pass cannot convert the edge lines, and names every error at
-its line and column.  The n distinct node ids must be exactly 0..n-1.
+its line and column.  The n distinct node ids must be exactly 0..n-1; an
+id error names the first id at fault at its line and column.
 
 Recognition
 -----------
@@ -66,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns, _is_number_type
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns, _count, _is_number_type
 from .errors import (
     BadParams,
     InvalidDistanceMatrix,
@@ -615,11 +616,12 @@ def _read(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]
     return _read_document(text) if read is None else read
 
 
-def _node_count(ends: np.ndarray | list[int], node_ids: list[int]) -> int:
+def _node_count(ends: np.ndarray | list[int], node_ids: list[int], text: str = "") -> int:
     """The number n of distinct ids that the endpoints ``ends`` and the node
-    lines name; TreeParseError unless they are exactly 0..n-1.  An array of
-    exactly 0..h, h below its length, passes by a few numpy calls; other ids
-    go through a set of the ids named, so no id sizes anything."""
+    lines name; TreeParseError unless they are exactly 0..n-1, at the first
+    id of the document ``text`` at fault (``_id_error``).  An array of exactly
+    0..h, h below its length, passes by a few numpy calls; other ids go
+    through a set of the ids named, so no id sizes anything."""
     if isinstance(ends, np.ndarray) and len(ends) and ends.min() == 0:
         high = int(ends.max())
         if high < len(ends) and np.bincount(ends).all() and all(0 <= k <= high for k in node_ids):
@@ -629,14 +631,31 @@ def _node_count(ends: np.ndarray | list[int], node_ids: list[int]) -> int:
     if not ids:
         raise TreeParseError("document defines no nodes", 1, 1)
     n_nodes = len(ids)
-    if min(ids) < 0:
-        raise TreeParseError(f"node id {min(ids)} is negative", 1, 1)
+    low = min(ids)
+    if low < 0:
+        raise _id_error(text, lambda k: k == low, f"node id {low} is negative")
     if max(ids) >= n_nodes:  # then some id in 0..n_nodes is free
         missing = next(k for k in range(n_nodes + 1) if k not in ids)
-        raise TreeParseError(
-            f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
+        raise _id_error(
+            text, lambda k: k >= n_nodes,
+            f"node ids must be 0..n-1 with none skipped; node {missing} is missing",
         )
     return n_nodes
+
+
+_ID_SLOTS = {"edge": (1, 2), "node": (1,)}  # the tokens of a line that are node ids
+
+
+def _id_error(text: str, at_fault, message: str) -> TreeParseError:
+    """TreeParseError at the first node id of the document ``text``, on an
+    edge or node line, for which ``at_fault`` holds; else at line 1, column
+    1.  The document has been read, so each of its ids converts."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split("#", 1)[0].split()
+        for k in _ID_SLOTS.get(words[0], ()) if words else ():
+            if at_fault(int(words[k])):
+                return _error_at(line, lineno, k, message)
+    return TreeParseError(message, 1, 1)
 
 
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
@@ -644,12 +663,13 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
 
     The document is read once (``_read``), which names a malformed line at
     its line and column; its node ids are checked once to be exactly 0..n-1
-    for n distinct ids (``_node_count``); and the tree is built once, on n
+    for n distinct ids (``_node_count``), which names the first id at fault
+    at its line and column; and the tree is built once, on n
     nodes, and raises what ``MetricTree`` raises.  A point on a missing node
     or edge, or off its edge, raises TreeParseError at its line.
     """
     columns, node_ids, point_lines = _read(text)
-    tree = MetricTree(_node_count(columns.ends, node_ids), columns, tol=tol)
+    tree = MetricTree(_node_count(columns.ends, node_ids, text), columns, tol=tol)
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:
@@ -714,18 +734,6 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
     if name not in known:
         raise UnknownGallery(f"unknown gallery tree {name!r}; choose from {sorted(known)}")
 
-    def want_pos_int(key: str, default=None) -> int:
-        val = params.pop(key, default)
-        if val is None:
-            raise BadParams(f"gallery {name!r} requires parameter {key!r}")
-        try:
-            number = int(val)
-        except (TypeError, ValueError, OverflowError):  # also NaN and +-inf
-            number = None
-        if number is None or isinstance(val, bool) or number != val or number < 1:
-            raise BadParams(f"parameter {key!r} must be a positive integer")
-        return number
-
     if name == "simple":
         if params:
             raise BadParams(f"gallery 'simple' takes no parameters, got {sorted(params)}")
@@ -734,7 +742,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
         return TreeDocument(tree, points)
 
     if name == "star":
-        n = want_pos_int("n")
+        n = _count(params.pop("n", None), "parameter 'n'")
         spoke_len = params.pop("spoke_len", 1.0)
         if params:
             raise BadParams(f"unexpected parameters {sorted(params)}")
@@ -748,7 +756,7 @@ def gallery(name: str, tol: Tolerance | None = None, **params) -> TreeDocument:
 
     # combs: spine node 0 at x=0, spine node k at x=1/(n+1-k) for k=1..n,
     # tooth tip node n+k hangs off spine node k.
-    n = want_pos_int("n")
+    n = _count(params.pop("n", None), "parameter 'n'")
     if params:
         raise BadParams(f"unexpected parameters {sorted(params)}")
     xs = [1.0 / k for k in range(n, 0, -1)]  # ascending positions 1/n .. 1
@@ -858,11 +866,9 @@ def format_matrix_csv(matrix: DistanceMatrix) -> str:
 
 
 def matrix_from_points(
-    tree: MetricTree,
-    points: dict[str, TreePoint] | list[TreePoint],
-    tol: Tolerance | None = None,
+    tree: MetricTree, points: dict[str, TreePoint] | list[TreePoint]
 ) -> DistanceMatrix:
-    """Extract the pairwise distance matrix of named or listed points."""
+    """The pairwise distance matrix of named or listed points, at the tree's tolerance."""
     if isinstance(points, dict):
         labels = tuple(points.keys())
         pts = list(points.values())
@@ -870,4 +876,4 @@ def matrix_from_points(
         pts = list(points)
         labels = tuple(f"p{i}" for i in range(len(pts)))
     values = tree._distance_matrix(pts)
-    return DistanceMatrix(labels, values, tol=tol if tol is not None else tree.tol)
+    return DistanceMatrix(labels, values, tol=tree.tol)

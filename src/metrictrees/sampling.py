@@ -4,25 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _count
+from .core import MetricTree, PointArray, TreePoint, _count
 
 __all__ = ["random_tree", "random_point", "random_points", "edge_samples"]
 
 
 def random_tree(
-    rng: np.random.Generator,
-    n_nodes: int | None = None,
-    max_nodes: int = 12,
-    tol: Tolerance | None = None,
+    rng: np.random.Generator, n_nodes: int | None = None, max_nodes: int = 12
 ) -> MetricTree:
-    """Uniform random attachment tree with lengths uniform in [0.2, 2.5]."""
+    """Uniform random attachment tree on ``n_nodes`` nodes, else on 1 to
+    ``max_nodes`` drawn uniformly, with lengths uniform in [0.2, 2.5]."""
     if n_nodes is None:
-        n_nodes = int(rng.integers(1, max_nodes + 1))
+        n_nodes = rng.integers(1, _count(max_nodes, "max_nodes") + 1)
+    n_nodes = _count(n_nodes, "n_nodes")
     edges = [
         (int(rng.integers(0, i)), i, float(rng.uniform(0.2, 2.5)))
         for i in range(1, n_nodes)
     ]
-    return MetricTree(n_nodes, edges, tol=tol)
+    return MetricTree(n_nodes, edges)
 
 
 def random_point(rng: np.random.Generator, tree: MetricTree) -> TreePoint:
@@ -35,7 +34,7 @@ def random_point(rng: np.random.Generator, tree: MetricTree) -> TreePoint:
 
 
 def random_points(rng: np.random.Generator, tree: MetricTree, k: int) -> list[TreePoint]:
-    return [random_point(rng, tree) for _ in range(k)]
+    return [random_point(rng, tree) for _ in range(_count(k, "k", least=0))]
 
 
 def edge_samples(tree: MetricTree, per_edge: int = 3) -> PointArray:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, Tolerance, TreePoint, _count, _is_number_type
+from .core import MetricTree, TreePoint, _count, _is_number_type
 from .errors import BadParams, PreconditionViolation
 from .sampling import random_point
 
@@ -137,14 +137,14 @@ def lifschitz_witness(
 ) -> tuple[LifschitzWitness, WitnessVerification]:
     """Construct the sub-2 Lifschitz center and verify it over the whole tree.
 
-    Requires d(x, y) > r and 0 < eps < 1.  Every point w inside both
-    B(x; (1+eps)*r) and B(y; (2-2*eps)*r) must satisfy d(w, z) <= r for
-    z on [x, y] at distance eps*r from x.  The balls are taken exactly, with
-    no slack; on each edge their intervals meet in one, whose ends are
-    checked against z up to the tolerance.
+    Requires reals (not bools) with d(x, y) > r and 0 < eps < 1.  Every
+    point w inside both B(x; (1+eps)*r) and B(y; (2-2*eps)*r) must satisfy
+    d(w, z) <= r for z on [x, y] at distance eps*r from x.  The balls are
+    taken exactly, with no slack; on each edge their intervals meet in one,
+    whose ends are checked against z up to the tolerance.
     """
     tree._own(x, y)
-    if not r > 0:
+    if not (_is_number_type(type(r)) and r > 0):
         raise PreconditionViolation(f"r must be positive, got {r!r}")
     if tree.distance(x, y) <= r:
         raise PreconditionViolation("need d(x, y) > r")
@@ -163,7 +163,7 @@ def lifschitz_witness(
 
 
 def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
+    if not (_is_number_type(type(eps)) and 0.0 < eps < 1.0):
         raise PreconditionViolation(f"eps must lie in (0, 1), got {eps!r}")
 
 
@@ -197,9 +197,7 @@ class CounterexampleRecord:
         return self.containment_ok and self.diameter_exceeds_2r and self.no_small_ball_ok
 
 
-def lifschitz_counterexample(
-    r: float, a: float, tol: Tolerance | None = None
-) -> CounterexampleRecord:
+def lifschitz_counterexample(r: float, a: float) -> CounterexampleRecord:
     """Build and verify the construction showing b = 2 is not Lifschitz.
 
     ``r`` and ``a`` may be any real numbers, numpy's included, but not
@@ -219,7 +217,7 @@ def lifschitz_counterexample(
     r = float(r)
     a = float(a)
     length = 4.0 * r
-    tree = MetricTree(2, [(0, 1, length)], tol=tol)
+    tree = MetricTree(2, [(0, 1, length)])
     w = tree.node_point(0)
     v = tree.node_point(1)
     y = tree.edge_point(0, 1, 2.0 * r)
@@ -300,14 +298,15 @@ def kappa_probe(
     tree, and verifies one ``lifschitz_counterexample`` template, a path
     apart from the tree, at the default tolerance.  A tree with no pair at
     positive distance (a single node) yields a vacuous pass.  A fixed
-    ``eps`` outside (0, 1) raises PreconditionViolation before the first
-    trial, on any tree.  ``rng`` is anything ``np.random.default_rng``
+    ``eps`` that is not a real in (0, 1) raises PreconditionViolation
+    before the first trial, on any tree.  ``rng`` is anything ``np.random.default_rng``
     takes: a non-negative seed of any integer type, None, or a Generator,
     which is used as is; a seed it rejects raises BadParams.
     """
     trials = _count(trials, "trials")
     if eps is not None:
-        eps = float(eps)
+        if _is_number_type(type(eps)):
+            eps = _to_float(eps)
         _check_eps(eps)
     try:
         rng = np.random.default_rng(rng)

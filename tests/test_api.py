@@ -47,3 +47,10 @@ def test_unused_knobs_are_gone():
     assert "samples" not in inspect.signature(metrictrees.lifschitz_counterexample).parameters
     assert "samples_per_edge" not in inspect.signature(metrictrees.kappa_probe).parameters
     assert "test_points" not in inspect.signature(metrictrees.lifschitz_witness).parameters
+
+
+@pytest.mark.parametrize("name", ["random_tree", "lifschitz_counterexample", "matrix_from_points"])
+def test_no_unset_tolerance(name):
+    # no caller set these; the trees take the default tolerance and the
+    # matrix its tree's
+    assert "tol" not in inspect.signature(getattr(metrictrees, name)).parameters

@@ -136,6 +136,33 @@ class TestBuild:
         assert "'a b'" in err
         assert not out_tree.exists()
 
+    @pytest.mark.parametrize("spell", [str, lambda p: f"{p.parent}/./{p.name}", "link"])
+    def test_tree_out_equal_to_out_exits_one(self, tmp_path, capsys, spell):
+        # the report used to replace the tree just written, with exit 0
+        matrix = tmp_path / "star.csv"
+        write_star_matrix(matrix)
+        same = tmp_path / "same.out"
+        if spell == "link":
+            (tmp_path / "alias.out").symlink_to(same)
+            other = str(tmp_path / "alias.out")
+        else:
+            other = spell(same)
+        code, out, err = run(capsys, "build", str(matrix), "--tree-out", str(same),
+                             "--out", other)
+        assert (code, out) == (1, "")
+        assert err == "usage error: --tree-out and --out name the same file\n"
+        assert not same.exists()
+
+    def test_tree_out_and_out_apart(self, tmp_path, capsys):
+        matrix = tmp_path / "star.csv"
+        write_star_matrix(matrix)
+        tree_path, report_path = tmp_path / "star.tree", tmp_path / "report.json"
+        code, out, _ = run(capsys, "--out", str(report_path), "build", str(matrix),
+                           "--tree-out", str(tree_path))
+        assert (code, out) == (0, "")
+        assert json.loads(report_path.read_text())["tree_file"] == str(tree_path)
+        assert parse_tree(tree_path.read_text()).tree.n_nodes == 5
+
 
 class TestMeasure:
     @pytest.fixture
@@ -363,6 +390,11 @@ class TestGallery:
         assert code == 1
         assert "usage error" in err
 
+    def test_param_without_value_exits_one(self, capsys):
+        code, out, err = run(capsys, "gallery", "star", "n3")
+        assert (code, out) == (1, "")
+        assert err == "usage error: gallery parameters look like key=value, got 'n3'\n"
+
     @pytest.mark.parametrize("name, param", [
         ("star", "n=nan"), ("star", "n=inf"), ("comb_compact", "n=1e400"),
     ])
@@ -370,7 +402,38 @@ class TestGallery:
         # these used to end in a traceback from int()
         code, out, err = run(capsys, "gallery", name, param)
         assert (code, out) == (1, "")
-        assert err == "error: parameter 'n' must be a positive integer\n"
+        got = float(param.split("=", 1)[1])
+        assert err == f"error: parameter 'n' must be an integer >= 1, got {got!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{path}", "gallery", "simple"],
+        ["gallery", "simple", "--out", "{path}"],
+        ["--format", "text", "gallery", "simple"],
+        ["gallery", "star", "n=3", "--format", "json"],
+    ])
+    def test_report_options_need_tree_out(self, tmp_path, capsys, argv):
+        # the document used to go to stdout, --out and --format ignored
+        path = tmp_path / "g.json"
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == "usage error: gallery takes --out and --format only with --tree-out\n"
+        assert not path.exists()
+
+    def test_tree_out_equal_to_out_exits_one(self, tmp_path, capsys):
+        same = tmp_path / "same.out"
+        code, out, err = run(capsys, "gallery", "simple", "--tree-out", str(same),
+                             "--out", str(same))
+        assert (code, out) == (1, "")
+        assert err == "usage error: --tree-out and --out name the same file\n"
+        assert not same.exists()
+
+    def test_report_options_with_tree_out(self, tmp_path, capsys):
+        tree_path, report_path = tmp_path / "s.tree", tmp_path / "report.txt"
+        code, out, _ = run(capsys, "--format", "text", "gallery", "simple",
+                           "--tree-out", str(tree_path), "--out", str(report_path))
+        assert (code, out) == (0, "")
+        assert "n_nodes: 4" in report_path.read_text().splitlines()
+        assert parse_tree(tree_path.read_text()).tree.n_nodes == 4
 
     def test_infinite_spoke_len_exits_one(self, capsys):
         code, out, err = run(capsys, "gallery", "star", "n=3", "spoke_len=inf")

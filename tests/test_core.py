@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 from bisect import bisect_right
@@ -29,15 +30,18 @@ from metrictrees import (
     DuplicateEdge,
     ForeignPoint,
     MetricTree,
+    MetricTreeError,
     NonpositiveEdgeLength,
     ParameterOutOfRange,
     PointArray,
+    PreconditionViolation,
     PointSet,
     Tolerance,
     TooFewPoints,
     edge_samples,
     gallery,
     is_metric_segment,
+    kappa_probe,
     lifschitz_witness,
     matrix_from_points,
     measure_report,
@@ -1632,3 +1636,50 @@ class TestIdChecks:
         assert type(tree.lca(np.int64(1), np.int64(2))) is int
         assert tree.node_distance(np.int64(1), 3) == 3.5
         assert tree.edge_nodes(np.int64(2)) == (0, 3) and tree.edge_length(np.int8(1)) == 1.5
+
+
+_PATH3 = MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0)])
+_ENDS = (_PATH3.node_point(0), _PATH3.node_point(2))
+_RULES = "n_nodes must be an integer >= 1", "tolerance components must be finite and nonnegative"
+
+
+# each input is refused by its owner: counts by core._count, reals by a
+# range check that tests core._is_number_type first
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MetricTree(True, []), BadParams, f"{_RULES[0]}, got True"),
+    (lambda: MetricTree(2.0, [(0, 1, 1.0)]), BadParams, f"{_RULES[0]}, got 2.0"),
+    (lambda: MetricTree(0, []), BadParams, f"{_RULES[0]}, got 0"),
+    (lambda: Tolerance("x", 1e-9), BadParams, _RULES[1]),
+    (lambda: Tolerance(True, 0.0), BadParams, _RULES[1]),
+    (lambda: Tolerance(0.0, np.True_), BadParams, _RULES[1]),
+    (lambda: random_tree(np.random.default_rng(0), 2.5), BadParams, f"{_RULES[0]}, got 2.5"),
+    (lambda: random_tree(np.random.default_rng(0), max_nodes=0), BadParams,
+     "max_nodes must be an integer >= 1, got 0"),
+    (lambda: random_points(np.random.default_rng(0), _PATH3, 1.5), BadParams,
+     "k must be an integer >= 0, got 1.5"),
+    (lambda: _PATH3.segment(*_ENDS).sample(1.5), BadParams, "k must be an integer >= 0, got 1.5"),
+    (lambda: kappa_probe(_PATH3, 1, eps="x"), PreconditionViolation,
+     "eps must lie in (0, 1), got 'x'"),
+    (lambda: kappa_probe(_PATH3, 1, eps="0.5"), PreconditionViolation,
+     "eps must lie in (0, 1), got '0.5'"),
+    (lambda: gallery("star", n=3.0), BadParams, "parameter 'n' must be an integer >= 1, got 3.0"),
+    (lambda: lifschitz_witness(_PATH3, *_ENDS, r=True, eps=0.5), PreconditionViolation,
+     "r must be positive, got True"),
+], ids=["tree-bool", "tree-float", "tree-zero", "tol-str", "tol-bool", "tol-numpy-bool",
+        "random-tree-float", "random-tree-max", "random-points-float", "sample-float",
+        "kappa-eps-str", "kappa-eps-numeric-str", "gallery-float", "witness-r-bool"])
+def test_inputs_refused_by_their_owner(call, error, message):
+    # before, the bool tree, the string tolerance, the three float counts
+    # and the sample raised TypeError, eps="x" ValueError; the bool
+    # tolerances, eps="0.5", n=3.0 and r=True were accepted
+    assert issubclass(error, MetricTreeError)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_node_count_builds():
+    # BadParams before; node ids took numpy integers already
+    tree = MetricTree(np.int64(3), [(0, 1, 1.0), (1, 2, 2.0)])
+    assert type(tree.n_nodes) is int and tree.n_nodes == 3
+    assert tree.distance(tree.node_point(0), tree.node_point(2)) == 3.0
+    assert _PATH3.segment(*_ENDS).sample(np.int64(0)) == list(_ENDS)

@@ -61,6 +61,10 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidDistanceMatrix):
             _matrix("abc", [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(InvalidDistanceMatrix, match="^labels must be unique$"):
+            _matrix("aba", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
     def test_near_overflow_rejected(self):
         # the unit square x 1e308 once passed the four-point check (inf - inf
         # is NaN, never > slack) and rebuilt onto one node; two labels at
@@ -110,6 +114,30 @@ class TestFourPoint:
         with pytest.raises(NotAMetric) as exc:
             check_four_point(_matrix("abc", rows))
         assert exc.value.triple is not None
+
+    def test_verdicts_when_reconstruction_raises(self, monkeypatch):
+        # the triangle and four-point scans stand in for the certificates,
+        # and tree_from_distances raises what the reconstruction raised
+        def fail(matrix):
+            raise BadParams("reconstruction failed")
+
+        monkeypatch.setattr(ingest, "_reconstruct", fail)
+        s = math.sqrt(2.0)
+        not_metric = _matrix("abcd", [[0, 1, 5, 1], [1, 0, 1, 1], [5, 1, 0, 1], [1, 1, 1, 0]])
+        square = _matrix("abcd", [[0, 1, s, 1], [1, 0, 1, s], [s, 1, 0, 1], [1, s, 1, 0]])
+        star = _matrix("abcd", [[0.0 if i == j else 2.0 for j in range(4)] for i in range(4)])
+        for run in (check_four_point, tree_from_distances):
+            with pytest.raises(NotAMetric) as exc:
+                run(not_metric)
+            assert exc.value.triple == _reference_metric_violation(not_metric)
+        assert check_four_point(square) == _reference_check_four_point(square)
+        assert check_four_point(square) == (False, (0, 1, 2, 3))
+        with pytest.raises(NotTreeMetric) as exc:
+            tree_from_distances(square)
+        assert exc.value.quadruple == (0, 1, 2, 3)
+        assert check_four_point(star) == (True, None)
+        with pytest.raises(BadParams, match="^reconstruction failed$"):
+            tree_from_distances(star)
 
 
 class TestReconstruction:
@@ -609,6 +637,22 @@ class TestDocuments:
         with pytest.raises(TreeParseError, match="-1 is negative"):
             parse_tree("edge -1 0 1.0\n")
 
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("edge 0 1 1.0\nedge 1 2 1.0\nedge 2 3 1.0\nedge 1 5 1.0\n", 4, 8, "node 4 is missing"),
+        ("edge 3 0 1.0\nedge 0 1 1.0\n", 1, 6, "node 2 is missing"),
+        ("point a node 9\nedge 0 1 1.0\nedge 1 9 1.0\n", 3, 8, "node 2 is missing"),
+        ("edge 0 1 1.0\n  edge 1 7 1.0  # indented\n", 2, 10, "node 2 is missing"),
+        ("node 0\nnode 4\n", 2, 6, "node 1 is missing"),
+        ("edge 0 1 1.0\n# c\nnode -1\nedge 1 -1 2.0\n", 3, 6, "node id -1 is negative"),
+        ("edge 0 -2 1.0\nedge -1 0 2.0\nedge 1 -2 1.0\n", 1, 8, "node id -2 is negative"),
+        ("# nothing\n\n", 1, 1, "document defines no nodes"),
+    ])
+    def test_id_errors_name_their_token(self, text, line, column, message):
+        # every id error used to read line 1, column 1
+        with pytest.raises(TreeParseError, match=re.escape(message)) as info:
+            parse_tree(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_offset_beyond_edge_length(self):
         with pytest.raises(TreeParseError, match=r"^line 2, column 1: offset 1.5 outside") as info:
             parse_tree("edge 0 1 1.0\npoint a edge 0 1 1.5\n")
@@ -711,12 +755,23 @@ class TestGallery:
         # non-finite counts used to escape int() as ValueError/OverflowError
         for name, n in [("star", math.nan), ("star", math.inf), ("comb_compact", float("1e400")),
                         ("comb_noncompact", -math.inf), ("star", 2.5), ("star", "3")]:
-            with pytest.raises(BadParams, match="must be a positive integer"):
+            message = f"parameter 'n' must be an integer >= 1, got {n!r}"
+            with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
                 gallery(name, n=n)
+
+    @pytest.mark.parametrize("name, params, extra", [
+        ("star", {"n": 3, "m": 1}, ["m"]),
+        ("star", {"n": 3, "spoke_len": 1.0, "teeth": 2, "arms": 1}, ["arms", "teeth"]),
+        ("comb_compact", {"n": 2, "spoke_len": 1.0}, ["spoke_len"]),
+        ("comb_noncompact", {"n": 2, "x": 0}, ["x"]),
+    ])
+    def test_unexpected_parameters(self, name, params, extra):
+        with pytest.raises(BadParams, match=f"^{re.escape(f'unexpected parameters {extra}')}$"):
+            gallery(name, **params)
 
     def test_bool_count(self):
         # True used to read as n = 1
-        with pytest.raises(BadParams, match="parameter 'n' must be a positive integer"):
+        with pytest.raises(BadParams, match="^parameter 'n' must be an integer >= 1, got True$"):
             gallery("star", n=True)
 
     @pytest.mark.parametrize("spoke_len", [math.inf, math.nan, True, "1.0", 0.0])
@@ -764,6 +819,19 @@ class TestMatrixText:
     def test_garbage_rejected(self):
         with pytest.raises(InvalidDistanceMatrix):
             parse_matrix("a\nb x\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# a comment\n\n  # another\n"])
+    def test_empty_document_rejected(self, text):
+        with pytest.raises(InvalidDistanceMatrix, match="^empty matrix document$"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (",a,b,c\na,0,1,1\nb,1,0,1\n", "expected 3 data rows, got 2"),
+        (",a,b\na,0,1\nb,1,0\nc,1,1\n", "expected 2 data rows, got 3"),
+    ])
+    def test_csv_row_count(self, text, message):
+        with pytest.raises(InvalidDistanceMatrix, match=f"^{message}$"):
+            parse_matrix(text)
 
     @pytest.mark.parametrize("text, message", [
         (",a,b,c\na,0,x,1\nb,1,0\nc,1,1,0\n", "row 1: could not convert string to float: 'x'"),
@@ -903,6 +971,7 @@ _REF_TOKEN = re.compile(r"\S+")
 def _parse_tree_reference(text, tol=None):
     """The regex tokenizer ``parse_tree`` replaced, kept as the reference."""
     node_ids = set()
+    id_tokens = []  # (id, line, column) of each id on a node or edge line, in order
     edge_lines = []
     point_lines = []
 
@@ -930,13 +999,16 @@ def _parse_tree_reference(text, tol=None):
         if kind == "node":
             if len(words) != 2:
                 raise TreeParseError("node line takes one id", lineno, cols[0])
-            node_ids.add(want_int(1))
+            k = want_int(1)
+            node_ids.add(k)
+            id_tokens.append((k, lineno, cols[1]))
         elif kind == "edge":
             if len(words) != 4:
                 raise TreeParseError("edge line takes: edge <u> <v> <length>", lineno, cols[0])
             u, v = want_int(1), want_int(2)
             edge_lines.append((lineno, (u, v, want_float(3))))
             node_ids.update((u, v))
+            id_tokens += [(u, lineno, cols[1]), (v, lineno, cols[2])]
         elif kind == "point":
             if len(words) < 3:
                 raise TreeParseError(
@@ -960,14 +1032,18 @@ def _parse_tree_reference(text, tol=None):
     if not node_ids:
         raise TreeParseError("document defines no nodes", 1, 1)
     n_nodes = len(node_ids)
-    if min(node_ids) < 0:
-        raise TreeParseError(f"node id {min(node_ids)} is negative", 1, 1)
+    # an id error names the first token of the id at fault
+    low = min(node_ids)
+    if low < 0:
+        at = next((ln, col) for k, ln, col in id_tokens if k == low)
+        raise TreeParseError(f"node id {low} is negative", *at)
     if max(node_ids) >= n_nodes:
         # checked before the tree allocates max(id) + 1 slots; some id in
         # 0..n_nodes is free because only n_nodes of them are used
         missing = next(k for k in range(n_nodes + 1) if k not in node_ids)
+        at = next((ln, col) for k, ln, col in id_tokens if k >= n_nodes)
         raise TreeParseError(
-            f"node ids must be 0..n-1 with none skipped; node {missing} is missing", 1, 1
+            f"node ids must be 0..n-1 with none skipped; node {missing} is missing", *at
         )
     tree = MetricTree(n_nodes, [e for _, e in edge_lines], tol=tol)
 

@@ -381,3 +381,34 @@ class TestParityWithSeparateSearches:
             assert _json(contraction_bound_check(pm, subset, n_max)) == _json(
                 _reference_contraction_bound_check(pm, subset, n_max)
             )
+
+
+class TestGuards:
+    """Foreign points and empty sets are refused before any profile runs."""
+
+    def test_point_map_foreign_points(self, simple_doc, star_doc):
+        t, other = simple_doc.tree, star_doc(3).tree
+        p, q = t.node_point(0), other.node_point(0)
+        with pytest.raises(ForeignPoint, match="^source point belongs to a different tree$"):
+            PointMap(t, t, [(p, p), (q, p)])
+        with pytest.raises(ForeignPoint, match="^image point belongs to a different tree$"):
+            PointMap(t, t, [(p, q)])
+
+    def test_embedding_foreign_image(self, simple_doc, star_doc):
+        t, other = simple_doc.tree, star_doc(3).tree
+        pts = [t.node_point(0), t.node_point(1)]
+        with pytest.raises(ForeignPoint, match="^image point does not belong to the host tree$"):
+            embedding_invariance_check(PointSet(t, pts), t, [pts[0], other.node_point(1)])
+
+    def test_embedding_empty_set(self, simple_doc):
+        t = simple_doc.tree
+        with pytest.raises(EmptySet, match="^embedding check of an empty point set$"):
+            embedding_invariance_check(PointSet(t, []), t, [])
+
+    @pytest.mark.parametrize("pairs, subset", [([], None), ("nodes", [])])
+    def test_contraction_empty_sample(self, simple_doc, pairs, subset):
+        t = simple_doc.tree
+        if pairs == "nodes":
+            pairs = [(t.node_point(i), t.node_point(i)) for i in range(t.n_nodes)]
+        with pytest.raises(EmptySet, match="^contraction ratios of an empty sample$"):
+            contraction_constants(PointMap(t, t, pairs), subset)
