@@ -75,8 +75,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not all(_is_number_type(type(eps)) and 0 <= eps < math.inf
-                   for eps in (self.abs_eps, self.rel_eps)):
+        if not all(_is_number_type(type(eps)) and 0 <= eps <= sys.float_info.max
+                   for eps in (self.abs_eps, self.rel_eps)):  # NaN, inf, ints beyond floats fail
             raise BadParams("tolerance components must be finite and nonnegative")
 
     def slack(self, scale: float) -> float:
@@ -241,9 +241,10 @@ class PointArray(Sequence[TreePoint]):
             span = self._span_index = (slot.reshape(2, -1), np.array((c1, c2)), rd, bounds)
         return span
 
-    def _span_rows(self, rows: slice) -> np.ndarray:
+    def _span_rows(self, rows: slice | list[int]) -> np.ndarray:
         """``MetricTree.distance`` from each point of ``self[rows]`` to every
-        point, bit for bit, as one row each.
+        point, bit for bit, as one row each; ``rows`` is a slice or a list of
+        point indices, so one pass may read any rows in any order.
 
         The lca root distance of a row's slot and each slot is the least
         bound between them, exact: two running minima outward from the row's
@@ -269,10 +270,6 @@ class PointArray(Sequence[TreePoint]):
         out = pairs.min(axis=(0, 2))
         offset = self.offset
         return np.where((edge == own) & (own >= 0), np.abs(offset[rows, None] - offset), out)
-
-    def _span_row(self, i: int) -> np.ndarray:
-        """``MetricTree.distance`` from point i to every point, in O(k)."""
-        return self._span_rows(slice(i, i + 1))[0]
 
     def _depths(self) -> np.ndarray:
         """``MetricTree.distance`` from node 0 to every point, bit for bit,
@@ -468,18 +465,20 @@ class MetricTree:
         """Point at ``offset`` from ``u`` along the edge (u, v).
 
         Offsets within ``abs_eps`` of an endpoint canonicalize to that node;
-        offsets beyond ``[0, length]`` raise ParameterOutOfRange.
+        offsets beyond ``[0, length]``, and offsets that are no real number
+        (bools and strings included), raise ParameterOutOfRange.
         """
         iu, iv = _id_below(u, self.n_nodes), _id_below(v, self.n_nodes)
         idx = None if iu is None or iv is None else self._edge_of(iu, iv)
         if idx is None:
             raise BadParams(f"no edge between nodes {u} and {v}")
-        offset = float(offset)
         length = self._lengths[idx]
-        if not -self.tol.abs_eps <= offset <= length + self.tol.slack(length):  # also rejects NaN
+        if not (_is_number_type(type(offset))  # NaN fails the range test below
+                and -self.tol.abs_eps <= offset <= length + self.tol.slack(length)):
             raise ParameterOutOfRange(
                 f"offset {offset!r} outside [0, {length!r}] on edge ({u}, {v})"
             )
+        offset = float(offset)  # after the test, which an int beyond every float fails
         if self._edge_u[idx] != iu:
             offset = length - offset
         return self._edge_point_at(idx, offset)
@@ -760,9 +759,10 @@ class MetricTree:
         Sums leg lengths from x in path order and stops on the first leg that
         ends past t, or on the last leg (the sum may fall short of ``total``);
         a t equal to a stop's sum returns that stop, the leg's start first.
+        A t that is no real number, bools included, is out of range.
         """
-        slack = self.tol.slack(max(total, abs(t)))
-        if not (math.isfinite(t) and -slack <= t <= total + slack):
+        if not (_is_number_type(type(t)) and abs(t) <= sys.float_info.max  # finite, as a float
+                and -(slack := self.tol.slack(max(total, abs(t)))) <= t <= total + slack):
             raise ParameterOutOfRange(f"arc length {t!r} outside [0, {total!r}]")
         t = min(max(t, 0.0), total)
         if t <= 0.0:

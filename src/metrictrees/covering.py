@@ -32,7 +32,12 @@ Math. 1979): the greedy reads rows of distances and places centers last.
 The rows are span rows of the set's ``PointArray``, O(k) each for k points,
 and the depths come off the same span index, O(k) for all of them; no cover
 or diameter builds the k x k matrix, which only the profile search and the
-oracle read.
+oracle read.  The greedy reads its rows in passes of pending seeds: each
+pass reads the rows of the next unclaimed points in depth order in one
+call, as many as ``_PASS_FLOATS`` distances hold and at least one, and then
+settles them in order.  A 24-point set reads all its rows in one pass, a
+set of more than 1024 points one row per pass, and no cover holds more than
+one pass of rows.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import islice
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -73,6 +79,7 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 10
+_PASS_FLOATS = 2048  # distances per pass of the greedy's rows, unless one row is more
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,12 @@ class PointSet:
         """The distinct points' indices, deepest first (ties by index)."""
         depth = self._depth
         return sorted(range(len(depth)), key=lambda i: -depth[i])
+
+    @cached_property
+    def _distinct_index(self) -> list[int]:
+        """Per point, the index of its distinct representative."""
+        index = {p: i for i, p in enumerate(self.distinct)}
+        return [index[p] for p in self.points]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -178,8 +191,8 @@ def diameter(ps: PointSet) -> tuple[float, tuple[TreePoint, TreePoint]]:
     if not pts:
         raise EmptySet("diameter of an empty point set")
     arr = ps._array
-    x = int(arr._span_row(0).argmax())  # the first farthest, as max picks
-    row = arr._span_row(x)
+    x = int(arr._span_rows(slice(0, 1))[0].argmax())  # the first farthest, as max picks
+    row = arr._span_rows(slice(x, x + 1))[0]
     y = int(row.argmax())
     return float(row[y]), (pts[x], pts[y])
 
@@ -210,25 +223,44 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     greedy count is minimum.  c covers an uncovered q exactly when
     ``d(p, q) <= 2 * radius``, because q is no deeper than p (see the module
     docstring), so the greedy reads p's span row in place of c's and places
-    the centers last: O(k) for the depths, then O(k) per center.
+    the centers last: O(k) for the depths, then O(k) per row.  The rows are
+    read in passes of pending seeds, a row for every center and for each
+    point claimed within its own pass; no cover holds more than one pass of
+    rows (``_PASS_FLOATS`` distances, or one row).
     """
     if not ps.points:
         raise EmptySet("cover of an empty point set")
     radius = _nonnegative(radius, ps.tree.tol, NegativeRadius, "radius")
-    return _placed(ps, radius, *_greedy(ps, radius, ps._array._span_row))
+    return _placed(ps, radius, *_greedy(ps, radius, ps._array._span_rows))
 
 
-def _greedy(ps: PointSet, radius: float, row: Callable) -> tuple[list[int], list[int]]:
+def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], list[int]]:
     """The seeds of the greedy cover (indices of distinct points, deepest
     first) and, per distinct point, the number of the seed that claims it.
-    ``row(i)`` is the distances row of distinct point i."""
+    ``rows(block)`` returns the distance rows of the distinct points whose
+    indices are the list or slice ``block``.
+
+    Each pass reads the rows of the next unclaimed points in depth order,
+    at most ``_PASS_FLOATS`` distances and at least one row, and settles
+    them in order: a point still unclaimed becomes a seed and claims every
+    unclaimed point within ``2 * radius`` by its row.  Every verdict is the
+    one a row per seed gives.  A point claimed earlier in its own pass
+    wastes its row, so a pass holds few rows on a large set, where each row
+    costs most."""
     leq = ps.tree.tol.leq_array
-    assigned = np.full(len(ps.distinct), -1)
+    k = len(ps.distinct)
+    step = max(1, _PASS_FLOATS // k)
+    assigned = np.full(k, -1)
     seeds: list[int] = []
-    for i in ps._order:
-        if assigned[i] < 0:
-            assigned[(assigned < 0) & leq(row(i) - radius, radius)] = len(seeds)
-            seeds.append(i)
+    # lazy, so each point is tested once, after the passes before it settled
+    unclaimed = (i for i in ps._order if assigned[i] < 0)
+    while block := list(islice(unclaimed, step)):
+        # one row by a slice, which numpy indexes 5-7 us faster than a list
+        picked = slice(block[0], block[0] + 1) if len(block) == 1 else block
+        for i, close in zip(block, leq(rows(picked) - radius, radius)):
+            if assigned[i] < 0:
+                assigned[(assigned < 0) & close] = len(seeds)
+                seeds.append(i)
     return seeds, assigned.tolist()
 
 
@@ -239,8 +271,7 @@ def _placed(ps: PointSet, radius: float, seeds: list[int], assigned: list[int]) 
     tree, pts, depth = ps.tree, ps.distinct, ps._depth
     root = tree.node_point(0)
     centers = tuple(tree._point_along(pts[i], root, depth[i], min(radius, depth[i])) for i in seeds)
-    index = {p: i for i, p in enumerate(pts)}
-    return BallCover(centers, radius, tuple(assigned[index[p]] for p in ps.points))
+    return BallCover(centers, radius, tuple(assigned[i] for i in ps._distinct_index))
 
 
 def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:
@@ -277,7 +308,8 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     is nonincreasing and hits 0 at n = number of distinct points.  Binary
     search over those candidates, since the greedy ball count is
     nonincreasing in the radius; the greedy reads the rows of one distance
-    matrix, and centers are placed only for the witness covers.
+    matrix, a block of them per pass, and centers are placed only for the
+    witness covers.
     """
     n_max = _count(n_max, "n_max")
     if not ps.points:

@@ -16,6 +16,7 @@ import re
 import sys
 import tracemalloc
 from bisect import bisect_right
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -592,6 +593,16 @@ def test_tolerance_validation():
     assert not tol.close(1.0, 1.0 + 5e-6)
 
 
+def test_tolerance_beyond_every_float_refused():
+    # accepted before, and every comparison then raised OverflowError
+    for args in ((10**400, 0.0), (0.0, 10**400), (-(10**400), 0.0)):
+        with pytest.raises(BadParams, match=f"^{re.escape(_RULES[1])}$"):
+            Tolerance(*args)
+    tol = Tolerance(sys.float_info.max, 0)
+    assert tol.leq(1.0, 2.0) and tol.close(0.0, 1e300)
+    assert MetricTree(2, [(0, 1, 1.0)], tol=Tolerance(10**300, 0.0)).n_nodes == 2
+
+
 def test_leq_array_matches_scalar(rng):
     tol = Tolerance(1e-6, 1e-3)
     for b in (0.0, 1e-7, 2.0, 5000.0):
@@ -635,7 +646,8 @@ def _assert_span_bits(tree, pts):
     assert got.tobytes() == expected.tobytes()
     arr = PointArray.of(tree, pts)
     for i in range(k):
-        assert arr._span_row(i).tobytes() == expected[i].tobytes()
+        assert arr._span_rows([i])[0].tobytes() == expected[i].tobytes()
+    assert arr._span_rows(list(range(k))[::-1]).tobytes() == expected[::-1].tobytes()
     root = tree.node_point(0)
     depths = np.array([tree.distance(p, root) for p in pts], dtype=np.float64)
     assert arr._depths().tobytes() == depths.tobytes()
@@ -1675,6 +1687,36 @@ def test_inputs_refused_by_their_owner(call, error, message):
     assert issubclass(error, MetricTreeError)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# offsets and arc lengths are reals by core._is_number_type, tested inside
+# each range check; before, "0.5" and True were read as 0.5 and 1.0, "1" as
+# an arc length raised a bare TypeError and 10**400 an OverflowError
+@pytest.mark.parametrize("call", [
+    lambda: _PATH3.edge_point(0, 1, "0.5"),
+    lambda: _PATH3.edge_point(0, 1, True),
+    lambda: _PATH3.edge_point(1, 2, np.True_),
+    lambda: _PATH3.edge_point(0, 1, None),
+    lambda: _PATH3.edge_point(0, 1, 10**400),
+    lambda: _PATH3.segment(*_ENDS).point_at(True),
+    lambda: _PATH3.segment(*_ENDS).point_at("1"),
+    lambda: _PATH3.segment(*_ENDS).point_at(None),
+    lambda: _PATH3.point_at(*_ENDS, np.False_),
+    lambda: _PATH3.point_at(*_ENDS, -(10**400)),
+], ids=["offset-str", "offset-bool", "offset-numpy-bool", "offset-none", "offset-huge-int",
+        "arc-bool", "arc-str", "arc-none", "arc-numpy-bool", "arc-huge-int"])
+def test_offsets_and_arc_lengths_are_real_numbers(call):
+    with pytest.raises(ParameterOutOfRange, match="outside"):
+        call()
+
+
+def test_real_offsets_and_arc_lengths_of_any_type():
+    assert _PATH3.edge_point(0, 1, np.float32(0.5)) == _PATH3.edge_point(0, 1, 0.5)
+    assert _PATH3.edge_point(0, 1, 1) == _PATH3.node_point(1)
+    assert _PATH3.edge_point(0, 1, Fraction(1, 2)) == _PATH3.edge_point(0, 1, 0.5)
+    seg = _PATH3.segment(*_ENDS)
+    assert seg.point_at(1) == seg.point_at(np.int64(1)) == _PATH3.node_point(1)
+    assert seg.point_at(np.float64(0.5)) == _PATH3.edge_point(0, 1, 0.5)
 
 
 def test_numpy_node_count_builds():

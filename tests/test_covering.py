@@ -7,6 +7,7 @@ enumeration for cover counts and profiles.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from metrictrees import (
     EmptySet,
     NegativeDiameter,
     NegativeRadius,
+    PointArray,
     PointSet,
     TooLargeForOracle,
     alpha_profile,
@@ -650,3 +652,97 @@ class TestScalarReference:
             diameter(ps)
             circumcenter(ps)
             ball_diameter(ps.tree, ps.points[0], float(rng.uniform(0.0, 2.0)))
+
+
+def _reference_greedy(ps, radius, row):
+    """``covering._greedy`` as it was: the points in depth order, one
+    distance row per seed, ``row(i)`` the row of distinct point i."""
+    depth = ps._depth
+    leq = ps.tree.tol.leq_array
+    assigned = np.full(len(ps.distinct), -1)
+    seeds = []
+    for i in sorted(range(len(depth)), key=lambda i: -depth[i]):
+        if assigned[i] < 0:
+            assigned[(assigned < 0) & leq(row(i) - radius, radius)] = len(seeds)
+            seeds.append(i)
+    return seeds, assigned.tolist()
+
+
+class TestGreedyParity:
+    """The greedy that reads its rows in passes of pending seeds against
+    the greedy with one row per seed: the same seeds and assignments, from
+    span rows and from matrix rows, in ``min_ball_cover`` and in
+    ``beta_profile``'s values and witnesses.  The radii are the set's own
+    half distances, exact and 1 ulp to either side, where the tolerance
+    decides which points a ball claims."""
+
+    @staticmethod
+    def radii(rng, dist, count):
+        i, j = rng.integers(0, len(dist), (2, count))
+        for h in (0.5 * dist[i, j]).tolist():  # 0.0 where i == j
+            yield from (h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf))
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    @pytest.mark.parametrize("k", [1, 2, 24, 200, 700])
+    def test_seeds_and_assignments(self, shape, k):
+        rng = np.random.default_rng(2700 + k)
+        tree = shaped_tree(rng, shape, max(8, k // 2))
+        ps = PointSet(tree, random_points(rng, tree, k))
+        arr, dist = ps._array, tree._distance_matrix(ps._array)
+        for r in self.radii(rng, dist, 4 if k > 24 else 10):
+            r0 = max(r, 0.0)  # min_ball_cover reads -1 ulp of 0.0 as 0.0
+            want = _reference_greedy(ps, r0, lambda i: arr._span_rows([i])[0])
+            assert _reference_greedy(ps, r0, dist.__getitem__) == want
+            assert covering._greedy(ps, r0, arr._span_rows) == want
+            assert covering._greedy(ps, r0, dist.__getitem__) == want
+            assert _records(min_ball_cover(ps, r)) == _records(covering._placed(ps, r0, *want))
+        prof = beta_profile(ps, 5)
+        half = np.unique(0.5 * dist).tolist()
+        for n, value, witness in zip(range(1, 6), prof.values, prof.witnesses):
+            want = _reference_greedy(ps, value, dist.__getitem__)
+            assert _records(witness) == _records(covering._placed(ps, value, *want))
+            assert len(want[0]) <= n
+            # the value is the least half distance that n balls reach
+            below = half[half.index(value) - 1] if value > 0.0 else None
+            assert below is None or len(_reference_greedy(ps, below, dist.__getitem__)[0]) > n
+
+
+class TestGreedyPasses:
+    """A cover reads as few passes of span rows as its seeds allow, each
+    within the float budget."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        span_rows = PointArray._span_rows
+
+        def record(self, rows):
+            calls.append((len(self), len(np.arange(len(self))[rows])))  # rows: a slice or a list
+            return span_rows(self, rows)
+
+        monkeypatch.setattr(PointArray, "_span_rows", record)
+        return calls
+
+    def test_small_cover_reads_one_pass(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        rng = np.random.default_rng(2424)
+        for shape in ("random", "caterpillar"):
+            tree = shaped_tree(rng, shape, 200)
+            ps = PointSet(tree, random_points(rng, tree, 24))
+            k = len(ps.distinct)  # random points may repeat a node
+            for r in (0.0, 0.3, 1.0, 3.0, 100.0):
+                calls.clear()
+                min_ball_cover(ps, r)
+                assert calls == [(k, k)]
+
+    def test_large_cover_passes_within_seeds_and_budget(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        rng = np.random.default_rng(7007)
+        for shape in ("random", "caterpillar"):
+            tree = shaped_tree(rng, shape, 400)
+            ps = PointSet(tree, random_points(rng, tree, 700))
+            for r in (0.0, 0.5, 2.0, 8.0, 100.0):
+                calls.clear()
+                cover = min_ball_cover(ps, r)
+                assert 1 <= len(calls) <= len(cover.centers)
+                assert all(rows == 1 or k * rows <= covering._PASS_FLOATS for k, rows in calls)
