@@ -37,7 +37,16 @@ pass reads the rows of the next unclaimed points in depth order in one
 call, as many as ``_PASS_FLOATS`` distances hold and at least one, and then
 settles them in order.  A 24-point set reads all its rows in one pass, a
 set of more than 1024 points one row per pass, and no cover holds more than
-one pass of rows.
+one pass of rows.  Claims are Python-int bitsets: a new seed claims its
+packed row less the points already claimed in one ``int`` operation, and
+one unpack at the end gives every point its seed.
+
+The centers come last: those of one cover, or of all a profile's witness
+covers, from one climb toward node 0 that finds every seed's ancestors by
+doubling over the tree's ``_up`` rows and sums each seed's legs in path
+order with one sequential ``np.add.accumulate``.  The sums are those of a
+walk along the path, bit for bit, so each center is the point that
+``MetricTree._point_along`` would reach, and no center walks.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -80,6 +89,7 @@ __all__ = [
 
 ORACLE_LIMIT = 10
 _PASS_FLOATS = 2048  # distances per pass of the greedy's rows, unless one row is more
+_WIDE = 64  # legs per row from which a climb drops its finished rows
 
 
 @dataclass(frozen=True)
@@ -223,10 +233,10 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     greedy count is minimum.  c covers an uncovered q exactly when
     ``d(p, q) <= 2 * radius``, because q is no deeper than p (see the module
     docstring), so the greedy reads p's span row in place of c's and places
-    the centers last: O(k) for the depths, then O(k) per row.  The rows are
-    read in passes of pending seeds, a row for every center and for each
-    point claimed within its own pass; no cover holds more than one pass of
-    rows (``_PASS_FLOATS`` distances, or one row).
+    the centers last, in one climb: O(k) for the depths, then O(k) per row.
+    The rows are read in passes of pending seeds, a row for every center
+    and for each point claimed within its own pass; no cover holds more
+    than one pass of rows (``_PASS_FLOATS`` distances, or one row).
     """
     if not ps.points:
         raise EmptySet("cover of an empty point set")
@@ -242,36 +252,139 @@ def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], lis
 
     Each pass reads the rows of the next unclaimed points in depth order,
     at most ``_PASS_FLOATS`` distances and at least one row, and settles
-    them in order: a point still unclaimed becomes a seed and claims every
-    unclaimed point within ``2 * radius`` by its row.  Every verdict is the
-    one a row per seed gives.  A point claimed earlier in its own pass
+    them in order on bitsets: a point still unclaimed becomes a seed and
+    claims every unclaimed point within ``2 * radius`` by its row, as one
+    ``int`` operation on its packed row (bit j for distinct point j).  The
+    seeds claim disjoint sets, so one unpack of their claims at the end, k
+    bits per seed, gives each point its seed's number.  Every verdict is
+    the one a row per seed gives.  A point claimed earlier in its own pass
     wastes its row, so a pass holds few rows on a large set, where each row
     costs most."""
     leq = ps.tree.tol.leq_array
     k = len(ps.distinct)
-    step = max(1, _PASS_FLOATS // k)
-    assigned = np.full(k, -1)
+    step, width = max(1, _PASS_FLOATS // k), (k + 7) // 8
     seeds: list[int] = []
+    claims: list[bytes] = []  # per seed, the points it claims, packed
+    claimed = 0  # bit j set: distinct point j is claimed
     # lazy, so each point is tested once, after the passes before it settled
-    unclaimed = (i for i in ps._order if assigned[i] < 0)
+    unclaimed = (i for i in ps._order if not claimed & (1 << i))
     while block := list(islice(unclaimed, step)):
         # one row by a slice, which numpy indexes 5-7 us faster than a list
         picked = slice(block[0], block[0] + 1) if len(block) == 1 else block
-        for i, close in zip(block, leq(rows(picked) - radius, radius)):
-            if assigned[i] < 0:
-                assigned[(assigned < 0) & close] = len(seeds)
+        close = np.packbits(leq(rows(picked) - radius, radius), axis=1, bitorder="little").tobytes()
+        for at, i in enumerate(block):
+            if not claimed & (1 << i):
+                claim = int.from_bytes(close[at * width : (at + 1) * width], "little") & ~claimed
+                claimed |= claim
+                claims.append(claim.to_bytes(width, "little"))
                 seeds.append(i)
-    return seeds, assigned.tolist()
+    # the claims are disjoint and every point has one, so a point's seed is
+    # the first (and only) row that holds its bit
+    bits = np.frombuffer(b"".join(claims), np.uint8).reshape(len(seeds), width)
+    return seeds, np.unpackbits(bits, axis=1, count=k, bitorder="little").argmax(axis=0).tolist()
 
 
 def _placed(ps: PointSet, radius: float, seeds: list[int], assigned: list[int]) -> BallCover:
     """The greedy's cover: a center ``min(radius, depth)`` from each seed
-    toward node 0, and the seed numbers as the assignment of every point.
-    A seed's depth is its distance to node 0, so no center re-measures it."""
+    toward node 0 (``_centers``), and the seed numbers as the assignment of
+    every point.  A seed's depth is its distance to node 0, so no center
+    re-measures it."""
+    centers = _centers(ps, seeds, [radius] * len(seeds))
+    return BallCover(tuple(centers), radius, tuple(assigned[i] for i in ps._distinct_index))
+
+
+def _centers(ps: PointSet, seeds: list[int], radii: list[float]) -> list[TreePoint]:
+    """Per seed, the point ``t = min(radius, depth)`` from it toward node 0:
+    the one ``MetricTree._point_along(seed, node 0, depth, t)`` gives, bit
+    for bit, without its walk.  That is the seed itself at t = 0, node 0 at
+    the seed's depth, and any other center from one climb for all seeds
+    (``_climb``), which ends on the leg that holds the center.  The walk's
+    own stop rules then place it: t at the leg's end gives the node it stops
+    at, and any other t the point ``t - start`` along it (t at its start,
+    the node before it)."""
     tree, pts, depth = ps.tree, ps.distinct, ps._depth
+    tail, length, parent, up_edge = tree._edge_u, tree._lengths, tree._parent, tree._parent_edge
     root = tree.node_point(0)
-    centers = tuple(tree._point_along(pts[i], root, depth[i], min(radius, depth[i])) for i in seeds)
-    return BallCover(centers, radius, tuple(assigned[i] for i in ps._distinct_index))
+    centers, climbs = [], []
+    for i, r in zip(seeds, radii):
+        t = min(r, depth[i])
+        if 0.0 < t < depth[i]:
+            p = pts[i]
+            if p.node is None:  # its first leg runs to its edge's upper end
+                e, u, v = p.edge, tail[p.edge], tree._edge_v[p.edge]
+                low, at = (v if parent[v] == u else u), p.offset
+            else:  # its first leg is its parent edge
+                low = p.node
+                e = up_edge[low]
+                at = 0.0 if tail[e] == low else length[e]
+            # |coordinate - the upper end's|, as _point_along sums a leg
+            first = abs(at - (length[e] if tail[e] == low else 0.0))
+            climbs.append((len(centers), t, at, low, first))
+        centers.append(pts[i] if t <= 0.0 else root)
+    if not climbs:
+        return centers
+    rows, ts, seed_at, lows, firsts = zip(*climbs)
+    for k, j, a, start, end in _climb(tree, lows, firsts, ts):
+        t = ts[k]
+        if t == end:
+            centers[rows[k]] = TreePoint(tree, parent[a], None, 0.0)
+            continue
+        # coordinates from the edge's tail, cs at the leg's start; a t at the
+        # start of a later leg moves 0.0 from node a, so it gives node a, as
+        # the walk's rule for it does
+        e = up_edge[a]
+        c = 0.0 if tail[e] == a else length[e]
+        cs, delta = (c, t - start) if j else (seed_at[k], t)
+        centers[rows[k]] = tree._edge_point_at(e, cs + delta if length[e] - c > cs else cs - delta)
+    return centers
+
+
+def _climb(tree: MetricTree, lows: tuple, firsts: tuple, ts: tuple) -> Iterable[tuple]:
+    """Per row k, the leg that holds the point ``ts[k]`` along a climb
+    toward node 0 whose first leg, of length ``firsts[k]``, ends at node
+    ``lows[k]`` or runs up from it: (k, j, a, start, end), j the leg's
+    number, a the node below it, and start and end the sums of the legs
+    before it and up to it.  That is the first leg whose sum passes t, or
+    the leg into node 0 when the sums fall short of t.
+
+    Each row holds its legs in path order: the first, then the edge above
+    each ancestor of ``lows[k]``.  The ancestors come by doubling over the
+    ``_up`` rows (Bender & Farach-Colton, "The level ancestor problem
+    simplified", TCS 2004), only while some row's sums have not passed its
+    t; node 0's own leg is infinite, so a row that reaches node 0 passes t
+    there.  Once rows hold ``_WIDE`` legs, a climb with half its rows done
+    carries on with the others only.  One sequential ``np.add.accumulate``
+    per row sums the legs in the walk's order, so the sums are the walk's.
+    """
+    t = np.array(ts)
+    left = np.arange(len(t))  # the row number of each row still climbing
+    anc, lengths = np.array(lows)[:, None], np.array(firsts)[:, None]
+    sums = lengths  # sums[:, q] ends the leg up from anc[:, q]
+    up_edge, length = np.asarray(tree._parent_edge), tree._edge_len
+
+    def passed(k, anc, sums, t):
+        leg = (sums > t[:, None]).argmax(axis=1)
+        r = np.arange(len(leg))
+        leg -= anc[r, leg] == 0  # past node 0: its leg in
+        return zip(k.tolist(), leg.tolist(), anc[r, leg].tolist(),
+                   sums[r, leg - 1].tolist(), sums[r, leg].tolist())
+
+    done = []
+    for row in tree._up:  # row j: each node's 2**j-th ancestor, node 0 its own
+        live = sums[:, -1] <= t
+        climbing = np.count_nonzero(live)
+        if not climbing:
+            break
+        if anc.shape[1] >= _WIDE and 2 * climbing <= len(t):
+            out = ~live
+            done.append(passed(left[out], anc[out], sums[out], t[out]))
+            left, anc, lengths, sums, t = left[live], anc[live], lengths[live], sums[live], t[live]
+        more = np.asarray(row)[anc]
+        anc = np.concatenate((anc, more), axis=1)
+        lengths = np.concatenate((lengths, np.where(more > 0, length[up_edge[more]], np.inf)), axis=1)
+        sums = np.add.accumulate(lengths, axis=1)
+    done.append(passed(left, anc, sums, t))
+    return chain.from_iterable(done)
 
 
 def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:
@@ -309,7 +422,7 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     search over those candidates, since the greedy ball count is
     nonincreasing in the radius; the greedy reads the rows of one distance
     matrix, a block of them per pass, and centers are placed only for the
-    witness covers.
+    witness covers, all of them in one climb.
     """
     n_max = _count(n_max, "n_max")
     if not ps.points:
@@ -326,7 +439,15 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
         # the first candidate of at most n balls; profiles are nonincreasing in n
         hi = bisect_left(cands, True, 0, hi, key=lambda r: len(greedy(r)[0]) <= n)
         values.append(cands[hi])
-    witnesses = tuple(_placed(ps, r, *greedy(r)) for r in values)
+    # every witness's centers in one climb, as _placed places one cover's
+    covers = [greedy(r) for r in values]
+    centers = iter(_centers(ps, [i for seeds, _ in covers for i in seeds],
+                            [r for r, (seeds, _) in zip(values, covers) for _ in seeds]))
+    index = ps._distinct_index
+    witnesses = tuple(
+        BallCover(tuple(islice(centers, len(seeds))), r, tuple(assigned[i] for i in index))
+        for r, (seeds, assigned) in zip(values, covers)
+    )
     return CoverProfile("radius", tuple(values), witnesses)
 
 

@@ -67,11 +67,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _Columns, _count, _is_number_type
+from .core import (
+    MetricTree,
+    PointArray,
+    Tolerance,
+    TreePoint,
+    _Columns,
+    _count,
+    _is_number_type,
+    _raise_first_edge_fault,
+    _triples,
+)
 from .errors import (
     BadParams,
+    CycleDetected,
+    Disconnected,
+    DuplicateEdge,
     InvalidDistanceMatrix,
     MetricTreeError,
+    NonpositiveEdgeLength,
     NotAMetric,
     NotTreeMetric,
     ParameterOutOfRange,
@@ -658,18 +672,53 @@ def _id_error(text: str, at_fault, message: str) -> TreeParseError:
     return TreeParseError(message, 1, 1)
 
 
+def _edge_error(text: str, n_nodes: int, columns: _Columns, exc: MetricTreeError) -> MetricTreeError:
+    """``exc``, raised building the tree of the document ``text`` on its
+    edge ``columns``, again with the line and column of the edge at fault.
+
+    ``_raise_first_edge_fault`` raises ``Disconnected`` on a prefix of the
+    edges unless an edge in it is at fault, so a binary search over the
+    prefixes finds the first such edge.  Both readers take the edges in
+    document order from the lines whose first token is ``edge``."""
+    edges = _triples(columns.ends, columns.lengths)
+    clean, faulty = 0, len(edges)  # edge prefixes without and with a fault
+    while faulty - clean > 1:
+        mid = (clean + faulty) // 2
+        try:
+            _raise_first_edge_fault(n_nodes, edges[:mid])
+        except Disconnected:
+            clean = mid
+        except MetricTreeError:
+            faulty = mid
+    seen = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split("#", 1)[0].split()
+        seen += bool(words) and words[0] == "edge"
+        if seen == faulty:
+            column = _TOKEN.search(line).start() + 1
+            return type(exc)(f"line {lineno}, column {column}: {exc}")
+    return exc
+
+
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     """Parse a tree document; raises TreeParseError with line/column.
 
     The document is read once (``_read``), which names a malformed line at
     its line and column; its node ids are checked once to be exactly 0..n-1
     for n distinct ids (``_node_count``), which names the first id at fault
-    at its line and column; and the tree is built once, on n
-    nodes, and raises what ``MetricTree`` raises.  A point on a missing node
-    or edge, or off its edge, raises TreeParseError at its line.
+    at its line and column; and the tree is built once, on n nodes, and
+    raises what ``MetricTree`` raises.  An edge that repeats another, loops,
+    closes a cycle or has no positive length raises its error again with
+    its line and column in front (``_edge_error``, on the error path only).
+    A point on a missing node or edge, or off its edge, raises
+    TreeParseError at its line.
     """
     columns, node_ids, point_lines = _read(text)
-    tree = MetricTree(_node_count(columns.ends, node_ids, text), columns, tol=tol)
+    n_nodes = _node_count(columns.ends, node_ids, text)
+    try:
+        tree = MetricTree(n_nodes, columns, tol=tol)
+    except (CycleDetected, DuplicateEdge, NonpositiveEdgeLength) as exc:
+        raise _edge_error(text, n_nodes, columns, exc) from None
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:

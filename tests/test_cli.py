@@ -4,7 +4,10 @@ import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrictrees import format_matrix_csv, gallery, matrix_from_points, parse_tree
 from metrictrees import cli, structure
@@ -516,3 +519,50 @@ def test_report_envelope(case, fmt, tmp_path, capsys):
         top = [line.split(":", 1)[0] for line in out.splitlines() if not line.startswith(" ")]
         assert top == sorted(envelope | own)
         assert f"command: {argv[0]}" in out.splitlines()
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, "\u00e9t\u00e9 \"\\\n\x00", ""])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+        | st.dictionaries(st.integers(-5, 20), inner, max_size=4)
+        | st.dictionaries(st.floats(allow_nan=False), inner, max_size=3)
+        | st.dictionaries(st.booleans(), inner, max_size=2)
+        | st.dictionaries(st.none(), inner, max_size=1)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The report writer against ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_like_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [[set()], {(1, 2): 0}, {"a": object()}])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(want.value)
+
+    def test_reports_like_json_dumps(self, tmp_path, capsys):
+        tree = tmp_path / "star.tree"
+        main(["gallery", "star", "n=4", "--tree-out", str(tree)])
+        for argv in (["measure", str(tree)], ["cover", str(tree), "--radius", "0.5"]):
+            capsys.readouterr()
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -1725,3 +1725,28 @@ def test_numpy_node_count_builds():
     assert type(tree.n_nodes) is int and tree.n_nodes == 3
     assert tree.distance(tree.node_point(0), tree.node_point(2)) == 3.0
     assert _PATH3.segment(*_ENDS).sample(np.int64(0)) == list(_ENDS)
+
+
+# CPython 3.11's parser grows its token array in powers of two, so compiling
+# a module of more than 2**13 tokens takes about 0.5 MB more memory; the
+# benchmark compiles core.py at every import
+_CORE_TOKEN_STEP = 8192
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the compile-memory step was measured on Python 3.11")
+def test_core_stays_below_compile_memory_step():
+    """The tokens the parser reads from ``core.py``: tokenize's, less
+    comments and NL tokens, which never reach it."""
+    import io
+    import tokenize
+
+    import metrictrees.core
+
+    with open(metrictrees.core.__file__, encoding="utf-8") as fh:
+        tokens = tokenize.generate_tokens(io.StringIO(fh.read()).readline)
+        count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
+    assert count <= _CORE_TOKEN_STEP, (
+        f"core.py holds {count} parser tokens, above the {_CORE_TOKEN_STEP} at which "
+        "compiling it takes about 0.5 MB more; split it first (ROADMAP item 14)"
+    )

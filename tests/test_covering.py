@@ -746,3 +746,106 @@ class TestGreedyPasses:
                 cover = min_ball_cover(ps, r)
                 assert 1 <= len(calls) <= len(cover.centers)
                 assert all(rows == 1 or k * rows <= covering._PASS_FLOATS for k, rows in calls)
+
+
+def _bits(p):
+    return p.node, p.edge, float(p.offset).hex(), type(p.offset)
+
+
+def _walked(ps, i, r):
+    """The reference center of distinct point i at radius r: the walk."""
+    tree, depth = ps.tree, ps._depth[i]
+    return tree._point_along(ps.distinct[i], tree.node_point(0), depth, min(r, depth))
+
+
+def _leg_sums(ps, i):
+    """The running sums of the walk from distinct point i to node 0, in path
+    order, as ``_point_along`` adds its legs."""
+    sums, total = [], 0.0
+    for _e, cs, ct, _stop in ps.tree._legs(ps.distinct[i], ps.tree.node_point(0)):
+        total += abs(cs - ct)
+        sums.append(total)
+    return sums
+
+
+class TestCenterPlacement:
+    """Centers placed by one climb for all seeds against the walk they
+    replaced, ``_point_along(seed, node 0, depth, min(r, depth))``, by the
+    bits of (node, edge, offset): radii at exact leg sums and 1 ulp to
+    either side, 0, and at and above a seed's depth."""
+
+    @staticmethod
+    def radii(rng, ps, i):
+        sums = _leg_sums(ps, i)
+        depth = ps._depth[i]
+        picked = [sums[int(j)] for j in rng.integers(0, len(sums), 3)] if sums else []
+        out = [0.0, depth, math.nextafter(depth, 0.0), 2.0 * depth + 1.0]
+        for s in picked:
+            out += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+        return out + rng.uniform(0.0, depth + 1.0, 2).tolist()
+
+    def check(self, rng, ps):
+        seeds, radii = [], []
+        for i in range(len(ps.distinct)):
+            for r in self.radii(rng, ps, i):
+                seeds.append(i)
+                radii.append(max(r, 0.0))
+        got = covering._centers(ps, seeds, radii)
+        assert [_bits(c) for c in got] == [_bits(_walked(ps, i, r)) for i, r in zip(seeds, radii)]
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar", "path"])
+    def test_like_walk(self, shape, rng):
+        for _ in range(12):
+            tree = shaped_tree(rng, shape, int(rng.integers(2, 160)))
+            pts = random_points(rng, tree, int(rng.integers(1, 12)))
+            pts += [tree.node_point(int(j)) for j in rng.integers(0, tree.n_nodes, 3)]
+            # a point inside an edge at node 0
+            neighbor, e = tree.neighbors(0)[0]
+            pts.append(tree.edge_point(0, neighbor, 0.5 * tree.edge_length(e)))
+            self.check(rng, PointSet(tree, pts))
+
+    def test_long_edge_above_node_0(self, rng):
+        tree = MetricTree(4, [(0, 1, 1e8), (1, 2, 0.1), (1, 3, 0.2)])
+        pts = [tree.node_point(k) for k in range(4)]
+        pts += [tree.edge_point(1, 2, 0.05), tree.edge_point(0, 1, 3.0), tree.edge_point(1, 3, 0.1)]
+        self.check(rng, PointSet(tree, pts))
+
+    def test_wide_climb_drops_finished_rows(self, rng):
+        # seeds far down a path, most with short climbs and a few with long
+        # ones, so that rows finish while others climb on past _WIDE legs
+        n = 1200
+        tree = MetricTree(n, [(k, k + 1, float(rng.uniform(0.2, 2.5))) for k in range(n - 1)])
+        ps = PointSet(tree, [tree.node_point(int(k)) for k in rng.integers(n // 2, n, 40)]
+                      + random_points(rng, tree, 20))
+        k = len(ps.distinct)
+        seeds = list(range(k)) * 2
+        radii = rng.uniform(0.0, 3.0, 2 * k)
+        radii[rng.integers(0, 2 * k, 6)] = rng.uniform(200.0, 900.0, 6)
+        got = covering._centers(ps, seeds, radii.tolist())
+        want = [_walked(ps, i, r) for i, r in zip(seeds, radii.tolist())]
+        assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+    def test_cover_centers_like_walk(self, rng):
+        for shape in ("random", "caterpillar"):
+            tree = shaped_tree(rng, shape, 300)
+            ps = PointSet(tree, random_points(rng, tree, 40))
+            for r in (0.0, 0.4, 1.5, 6.0, 1e3):
+                cover = min_ball_cover(ps, r)
+                seeds = covering._greedy(ps, r, ps._array._span_rows)[0]
+                assert [_bits(c) for c in cover.centers] == [
+                    _bits(_walked(ps, i, r)) for i in seeds]
+
+    def test_no_walk(self, monkeypatch, rng):
+        """Covers and profiles place their centers without a walk."""
+        def refuse(*args):
+            raise AssertionError("walked a path")
+
+        monkeypatch.setattr(MetricTree, "_point_along", refuse)
+        monkeypatch.setattr(MetricTree, "_legs", refuse)
+        for shape in ("random", "caterpillar", "path"):
+            tree = shaped_tree(rng, shape, 400)
+            ps = PointSet(tree, random_points(rng, tree, 24))
+            for r in (0.0, 0.5, 2.0, 50.0):
+                min_ball_cover(ps, r)
+                min_diameter_partition(ps, 2.0 * r)
+            beta_profile(ps, 6)

@@ -16,9 +16,14 @@ from conftest import shaped_tree
 
 from metrictrees import (
     BadParams,
+    CycleDetected,
+    Disconnected,
     DistanceMatrix,
+    DuplicateEdge,
     InvalidDistanceMatrix,
     MetricTree,
+    MetricTreeError,
+    NonpositiveEdgeLength,
     NotAMetric,
     NotTreeMetric,
     ParameterOutOfRange,
@@ -1006,7 +1011,7 @@ def _parse_tree_reference(text, tol=None):
             if len(words) != 4:
                 raise TreeParseError("edge line takes: edge <u> <v> <length>", lineno, cols[0])
             u, v = want_int(1), want_int(2)
-            edge_lines.append((lineno, (u, v, want_float(3))))
+            edge_lines.append((lineno, cols[0], (u, v, want_float(3))))
             node_ids.update((u, v))
             id_tokens += [(u, lineno, cols[1]), (v, lineno, cols[2])]
         elif kind == "point":
@@ -1045,7 +1050,20 @@ def _parse_tree_reference(text, tol=None):
         raise TreeParseError(
             f"node ids must be 0..n-1 with none skipped; node {missing} is missing", *at
         )
-    tree = MetricTree(n_nodes, [e for _, e in edge_lines], tol=tol)
+    edges = [e for _, _, e in edge_lines]
+    try:
+        tree = MetricTree(n_nodes, edges, tol=tol)
+    except (CycleDetected, DuplicateEdge, NonpositiveEdgeLength) as exc:
+        # the edge at fault ends the shortest prefix that fails to build for
+        # a reason other than too few edges
+        for m, (lineno, col, _) in enumerate(edge_lines, start=1):
+            try:
+                MetricTree(n_nodes, edges[:m])
+            except Disconnected:
+                continue
+            except MetricTreeError:
+                raise type(exc)(f"line {lineno}, column {col}: {exc}") from None
+        raise
 
     points = {}
     for lineno, name, mode, ids in point_lines:
@@ -1419,6 +1437,84 @@ class TestReadAndBuildOnce:
         assert _parse_outcome(parse_tree, text) == want
         assert counts["builds"] <= 1
         assert counts["reads"] == (reads if ingest._BULK else 1)
+
+
+class TestBuildErrorLines:
+    """A build error names the line and column of the edge at fault, read
+    by the bulk pass and by the line reader alike."""
+
+    @pytest.fixture(params=["bulk", "lines"])
+    def reader(self, request, monkeypatch):
+        if request.param == "lines":
+            monkeypatch.setattr(ingest, "_BULK", False)
+        elif not ingest._BULK:
+            pytest.skip("numpy reads a fraction in an integer column")
+        else:
+            def fail(text):
+                raise AssertionError("the document left the bulk pass")
+
+            monkeypatch.setattr(ingest, "_read_document", fail)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("edge 0 1 1.0\nedge 1 2 1.0\nedge 2 1 2.0\n", DuplicateEdge,
+             "line 3, column 1: edge (2, 1) appears more than once"),
+            ("# c\nedge 0 1 1.0\nedge 1 1 1.0\nnode 2\nedge 1 2 1.0\n", CycleDetected,
+             "line 3, column 1: self-loop at node 1"),
+            ("edge 0 1 1.0\nedge 1 2 1.0\r\nedge 2 0 1.0 # back\r\n", CycleDetected,
+             "line 3, column 1: edge (2, 0) closes a cycle"),
+            ("edge 0 1 0.0\n", NonpositiveEdgeLength,
+             "line 1, column 1: edge (0, 1) has length 0.0; must be positive and finite"),
+            ("point a node 0\nedge 0 1 1.0\nedge 1 2 nan\n", NonpositiveEdgeLength,
+             "line 3, column 1: edge (1, 2) has length nan; must be positive and finite"),
+        ],
+    )
+    def test_error_names_its_edge(self, reader, text, error, message):
+        with pytest.raises(error) as info:
+            parse_tree(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+
+    def test_indented_edge_names_its_first_token(self):
+        text = "edge 0 1 1.0\n\t  edge 1 2 1.0\n  edge 2 1 1.0\n"
+        with pytest.raises(DuplicateEdge, match=r"^line 3, column 3: edge \(2, 1\)"):
+            parse_tree(text)
+
+    def test_missing_edge_names_no_line(self, reader):
+        # no edge is at fault, so there is no line to name
+        with pytest.raises(Disconnected, match="^3 nodes need 2 edges"):
+            parse_tree("node 0\nnode 1\nnode 2\nedge 0 1 1.0\n")
+
+    @pytest.mark.parametrize("fault", ["repeat", "reverse", "loop", "zero", "cycle"])
+    def test_random_documents_like_reference(self, reader, fault, rng):
+        ascii_seps = [sep for sep in _SEPS if sep.isascii()]
+        for _ in range(25):
+            n = int(rng.integers(3, 30))
+            lines = _doc_lines(rng, n, python_only=reader == "lines")
+            edges = [tokens for tokens in lines if tokens[0] == "edge"]
+            u, v = edges[int(rng.integers(0, len(edges)))][1:3]
+            bad = {"repeat": [u, v, "1.5"], "reverse": [v, u, "1.5"], "loop": [u, u, "1.5"],
+                   "zero": [u, v, "0.0"], "cycle": None}[fault]
+            if bad is None:  # any two nodes: a repeat if they are adjacent, else a cycle
+                a, b = (str(k) for k in rng.permutation(n)[:2])
+                bad = [a, b, "0.5"]
+            lines.insert(int(rng.integers(0, len(lines) + 1)), ["edge", *bad])
+            text = _bulk_text(rng, lines, _SEPS if reader == "lines" else ascii_seps)
+            got = _parse_outcome(parse_tree, text)
+            assert got == _parse_outcome(_parse_tree_reference, text)
+            assert got[0] in (DuplicateEdge, CycleDetected, NonpositiveEdgeLength)
+            assert got[1].startswith("line ")
+
+    def test_valid_documents_never_search(self, monkeypatch, rng):
+        def fail(*args):
+            raise AssertionError("searched for an edge at fault")
+
+        monkeypatch.setattr(ingest, "_edge_error", fail)
+        for n in (2, 50, 700):
+            assert parse_tree(_bench_text(rng, n)).tree.n_nodes == n
 
 
 class TestNodeCount:
