@@ -240,8 +240,9 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of ``path``, without a leading byte-order mark."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
 
 
 def _resolve_points(args, tol) -> tuple[PointSet, list]:

@@ -18,11 +18,17 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
     point <name> edge <u> <v> <offset>
 
 ``parse_tree`` reads a document, checks its node ids and builds the tree,
-each once.  One ``np.loadtxt`` pass converts the lines that start with
-``edge``, and a line reader reads the others; it reads the whole document
-only when the pass cannot convert the edge lines, and names every error at
-its line and column.  The n distinct node ids must be exactly 0..n-1; an
-id error names the first id at fault at its line and column.
+each once.  One ``np.loadtxt`` pass converts the edge lines, and a line
+reader reads the others.  The pass takes the block of lines up to the last
+one that starts with ``edge``, since every document this package writes
+lists its edges first: loadtxt reads an edge line in it, indented or not,
+to the values the line reader would, and skips its blank and comment
+lines, as the line reader does.  When a node or point line sits among the
+edges, the pass takes the lines that start with ``edge`` instead.  The line
+reader reads the whole document only when neither pass can convert the
+edge lines, or an edge line escapes both, and names every error at its line
+and column.  The n distinct node ids must be exactly 0..n-1; an id error
+names the first id at fault at its line and column.
 
 Recognition
 -----------
@@ -569,38 +575,71 @@ def _loadtxt_is_strict() -> bool:
 _BULK = _loadtxt_is_strict()  # else every document goes to the line reader
 
 
+def _edge_rows(lines: list[str], is_ascii: bool) -> np.ndarray | None:
+    """loadtxt's rows of ``lines`` when it converts every data line to an
+    edge row, else None."""
+    # loadtxt warns on no lines, and numpy 2.4's integer parser reads some
+    # non-ASCII letters as digits (U+01FE as 462), so it gets ASCII lines only
+    if not lines or not (is_ascii or "".join(lines).isascii()):
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=_EDGE_ROW, comments="#", ndmin=1)
+    except ValueError:
+        return None
+    return rows if (rows["kind"] == b"edge").all() else None
+
+
 def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]] | None:
-    """``_read`` by one ``np.loadtxt`` pass over the lines that start with
-    ``edge`` and the line reader over the others; None when the pass cannot
-    convert the edge lines, or when an indented edge line escapes it.
+    """``_read`` by one ``np.loadtxt`` pass over the edge lines and the line
+    reader over the others; None when the pass cannot convert the edge
+    lines, or when an edge line escapes it.
+
+    The pass first takes the block of lines up to the last one that starts
+    with ``edge``, as every document this package writes lists its edges
+    first.
+    When loadtxt converts the block to edge rows, each of its lines is an
+    edge line, indented or not, or holds no data (blank or a comment), and
+    the lines after it go to the line reader.  Else, as when a node or
+    point line sits among the edges, the pass takes the lines that start
+    with ``edge``, wherever they are, and the line reader the others.  An
+    edge line that neither takes, such as an indented one after the block,
+    sends the document to the line reader.
 
     On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
     and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
-    it to the same values, so the edges it converts are the ones the line
-    reader would read, and the first bad line among the others is the first
-    of the document.
+    it to the same values, and skips the lines that ``str.split`` finds
+    empty once comments are cut, so the edges it converts are the ones the
+    line reader would read, and the first bad line among the others is the
+    first of the document.  A NUL would end loadtxt's keyword field early
+    (``edge\\0`` reads as ``edge``), so such a document is not read in bulk.
     """
     lines = text.splitlines()
-    is_edge = list(map(str.startswith, lines, repeat("edge")))
-    edge_lines = list(compress(lines, is_edge))
-    # loadtxt warns on no lines, and numpy 2.4's integer parser reads some
-    # non-ASCII letters as digits (U+01FE as 462), so it gets ASCII lines only
-    if not edge_lines or not (text.isascii() or "".join(edge_lines).isascii()):
+    end = len(lines)  # one past the last line that starts with "edge"
+    while end and not lines[end - 1].startswith("edge"):
+        end -= 1
+    if not end or "\0" in text:
         return None
-    try:
-        rows = np.loadtxt(edge_lines, dtype=_EDGE_ROW, comments="#", ndmin=1)
-    except ValueError:
-        return None
-    if not (rows["kind"] == b"edge").all():
-        return None
-    numbers, at = [], -1  # the line numbers of the other lines
-    for _ in range(len(lines) - len(edge_lines)):
-        at = is_edge.index(False, at + 1)
-        numbers.append(at + 1)
-    other = [lines[k - 1].split("#", 1)[0] for k in numbers]
-    del lines, is_edge, edge_lines
+    is_ascii = text.isascii()
+    rows = _edge_rows(lines[:end], is_ascii)
+    if rows is not None:
+        numbers: Sequence[int] = range(end + 1, len(lines) + 1)
+        other = lines[end:]
+    else:
+        is_edge = list(map(str.startswith, lines, repeat("edge")))
+        edge_lines = list(compress(lines, is_edge))
+        rows = _edge_rows(edge_lines, is_ascii)
+        if rows is None:
+            return None
+        numbers, at = [], -1  # the line numbers of the other lines
+        for _ in range(len(lines) - len(edge_lines)):
+            at = is_edge.index(False, at + 1)
+            numbers.append(at + 1)
+        other = [lines[k - 1] for k in numbers]
+        del is_edge, edge_lines
+    other = [line.split("#", 1)[0] for line in other]
+    del lines
     (us, _, _), node_ids, point_lines = _read_lines(other, numbers)
-    if us:  # an indented edge line, which the pass did not read
+    if us:  # an edge line that the pass did not read
         return None
     # copies, since a field of loadtxt's rows may sit unaligned, which the
     # tree's memoryviews cannot index
@@ -843,7 +882,10 @@ def parse_matrix(text: str, tol: Tolerance | None = None) -> DistanceMatrix:
     if not stripped:
         raise InvalidDistanceMatrix("empty matrix document")
     if "," in stripped[0]:
-        rows = list(csv.reader(io.StringIO("\n".join(stripped))))
+        try:
+            rows = list(csv.reader(io.StringIO("\n".join(stripped))))
+        except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+            raise InvalidDistanceMatrix(f"unreadable CSV: {exc}") from None
         labels = [c.strip() for c in rows[0][1:]]
         n = len(labels)
         if len(rows) != n + 1:

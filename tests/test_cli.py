@@ -455,6 +455,54 @@ class TestGallery:
         assert json.loads(report_path.read_text())["command"] == "measure"
 
 
+class TestInputText:
+    """What the CLI makes of the bytes of its input file."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("m.tri", ["check", "{path}"]),
+            ("m.tri", ["build", "{path}", "--tree-out", "{path}.tree"]),
+            ("m.csv", ["check", "{path}"]),
+            ("m.csv", ["build", "{path}", "--tree-out", "{path}.tree"]),
+            ("t.tree", ["measure", "{path}"]),
+            ("t.tree", ["cover", "{path}", "--radius", "0.9"]),
+        ],
+    )
+    def test_byte_order_mark_is_stripped(self, name, argv, tmp_path, capsys):
+        text = {
+            "m.tri": "A\nB 2.0\nC 2.0 2.0\n",
+            "m.csv": ",A,B\nA,0,1.5\nB,1.5,0\n",
+            "t.tree": "edge 0 1 1.0\nedge 0 2 1.0\nedge 0 3 1.0\npoint A node 1\npoint B node 2\n",
+        }[name]
+        reports = []
+        for folder, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / folder / name
+            path.parent.mkdir()
+            path.write_text(prefix + text, encoding="utf-8")
+            code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report.pop("input") == str(path)
+            report.pop("tree_file", None)
+            tree_out = path.parent / (name + ".tree")
+            reports.append((report, tree_out.read_text() if tree_out.exists() else None))
+        assert reports[0] == reports[1]
+        assert "\ufeff" not in json.dumps(reports, ensure_ascii=False)
+
+    @pytest.mark.parametrize("command", ["check", "build"])
+    def test_oversized_csv_field_exits_one(self, command, tmp_path, capsys):
+        matrix = tmp_path / "big.csv"
+        matrix.write_text(",a\na," + "1" * 200_000 + "\n")
+        argv = [command, str(matrix)] + (["--tree-out", str(tmp_path / "big.tree")]
+                                         if command == "build" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "field limit" in err
+        assert not (tmp_path / "big.tree").exists()
+
+
 def test_parser_reused_across_calls(tmp_path, capsys):
     """One cached parser gives the bytes and exit codes of a fresh one per
     call, with common flags before and after the subcommand."""

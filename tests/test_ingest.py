@@ -6,6 +6,7 @@ import re
 import time
 import warnings
 from collections import deque
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -825,6 +826,11 @@ class TestMatrixText:
         with pytest.raises(InvalidDistanceMatrix):
             parse_matrix("a\nb x\n")
 
+    def test_oversized_csv_field_rejected(self):
+        # csv.reader's own error, beyond its field size limit, is typed too
+        with pytest.raises(InvalidDistanceMatrix, match=r"^unreadable CSV: .*field limit"):
+            parse_matrix(",a\na," + "1" * 200_000 + "\n")
+
     @pytest.mark.parametrize("text", ["", "\n  \n", "# a comment\n\n  # another\n"])
     def test_empty_document_rejected(self, text):
         with pytest.raises(InvalidDistanceMatrix, match="^empty matrix document$"):
@@ -1390,6 +1396,131 @@ class TestBulkParity:
             got = _parse_outcome(parse_tree, text)
         assert got[0] is TreeParseError
         assert got == _parse_outcome(_parse_tree_reference, text)
+
+
+def _block_text(rng, n, seps, tail=()):
+    """An edges-first document on n nodes: the edge lines, some indented,
+    with blank and comment-only lines and trailing comments among them, the
+    last one unindented; then node and point lines and the raw ``tail``."""
+    lines = _doc_lines(rng, n, python_only=False)
+    edges = [tokens for tokens in lines if tokens[0] == "edge"]
+    out = []
+    for k, tokens in enumerate(edges):
+        if rng.random() < 0.2:
+            out.append(str(rng.choice(["", "   ", "#", "# edge 0 1 x", "\t# point p node 0"])))
+        text = tokens[0] + "".join(str(rng.choice(seps)) + tok for tok in tokens[1:])
+        if k < len(edges) - 1 and rng.random() < 0.3:
+            text = str(rng.choice(seps)) + text
+        if rng.random() < 0.3:
+            text += str(rng.choice(seps)) + "# trailing edge 1 2 #x"
+        out.append(text)
+    out += [" ".join(tokens) for tokens in lines if tokens[0] != "edge"]
+    out += tail
+    ending = str(rng.choice(["\n", "\r\n"]))
+    return ending.join(out) + str(rng.choice(["", ending]))
+
+
+@pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
+class TestEdgeBlock:
+    """Documents that list their edges first are read by one loadtxt pass
+    over the block of lines up to the last edge line: neither the filter
+    that picks the edge lines out (``compress``) nor the line reader over
+    the whole document runs.  Other documents still take those paths."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """Counts of the filter's and the full line reader's runs."""
+        counts = {"filter": 0, "lines": 0}
+        read_document = ingest._read_document
+
+        def counted_compress(*args):
+            counts["filter"] += 1
+            return compress(*args)
+
+        def counted_read(text):
+            counts["lines"] += 1
+            return read_document(text)
+
+        monkeypatch.setattr(ingest, "compress", counted_compress)
+        monkeypatch.setattr(ingest, "_read_document", counted_read)
+        return counts
+
+    def test_edges_first_documents_read_in_the_block(self, paths, rng):
+        ascii_seps = [sep for sep in _SEPS if sep.isascii()]
+        for _ in range(80):
+            n = int(rng.integers(2, 40))
+            text = _block_text(rng, n, ascii_seps, ["point \u00e9t\u00e9 node 0 # \u00e9"])
+            got = _parse_outcome(parse_tree, text)
+            assert got[0] == n
+            assert got == _parse_outcome(_parse_tree_reference, text)
+        assert paths == {"filter": 0, "lines": 0}
+
+    @pytest.mark.parametrize("sep", ["\t", "\x1f", " \t\x1f"])
+    def test_separators(self, paths, sep):
+        text = f"edge{sep}0{sep}1{sep}1.5\n{sep}edge{sep}1{sep}2{sep}2.0{sep}# x\nedge 2 3 1\n"
+        got = _parse_outcome(parse_tree, text)
+        assert got == (4, ((0, 1, 1.5), (1, 2, 2.0), (2, 3, 1.0)), {})
+        assert got == _parse_outcome(_parse_tree_reference, text)
+        assert paths == {"filter": 0, "lines": 0}
+
+    def test_serialized_documents(self, paths, rng):
+        docs = [gallery("simple"), gallery("star", n=5, spoke_len=2.5),
+                gallery("comb_compact", n=6), gallery("comb_noncompact", n=6)]
+        for _ in range(20):
+            tree = random_tree(rng, max_nodes=300)
+            names = [f"p{k}" for k in range(int(rng.integers(0, 6)))]
+            docs.append(TreeDocument(tree, dict(zip(names, random_points(rng, tree, len(names))))))
+        for doc in docs:
+            if doc.tree.n_nodes == 1:
+                continue  # a single node is written as a node line, with no edge
+            text = serialize_tree(doc)
+            assert parse_tree(text) == doc
+            assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert paths == {"filter": 0, "lines": 0}
+
+    @pytest.mark.parametrize(
+        "line", ["node 0", "point q node 1", "point q edge {} {} 0.0", "  node 1 # x"]
+    )
+    def test_data_line_among_the_edges_takes_the_filter(self, paths, line, rng):
+        for _ in range(10):
+            text = _block_text(rng, int(rng.integers(3, 30)), [" ", "\t"])
+            lines = [ln.lstrip() for ln in text.splitlines()]  # the filter takes no indented edge
+            last = max(k for k, ln in enumerate(lines) if ln.startswith("edge"))
+            ends = lines[last].split()[1:3]  # an edge of the document
+            lines.insert(int(rng.integers(0, last)), line.format(*ends))
+            text = "\n".join(lines) + "\n"
+            got = _parse_outcome(parse_tree, text)
+            assert got == _parse_outcome(_parse_tree_reference, text)
+            assert got[0] == len(got[1]) + 1  # a valid document
+        assert paths == {"filter": 10, "lines": 0}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "edge 0 1 1.0\nedgex 1 2 1.0\nedge 1 2 1.0\n",
+            "edge 0 1 1.0\nedge 1 2 1.0 # \u00e9\npoint a node 0\n",
+            "edge 0 1 1.0\nedge 1 \u01fe 1.0\n",
+            "edge 0 1 1.0\nedge\u00a01 2 1.0\n",
+            "edge\x00 0 1 1.0\n",
+            "edge 0 1 1.0\nedge\x00 1 2 1.0\npoint a node 0\n",
+        ],
+    )
+    def test_documents_the_block_cannot_read_go_to_the_line_reader(self, paths, text):
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert paths["lines"] == 1
+
+    def test_edge_line_after_the_block_goes_to_the_line_reader(self, paths):
+        text = "edge 0 1 1.0\npoint a node 0\n  edge 1 2 1.0\n"
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert paths == {"filter": 0, "lines": 1}
+
+    def test_lines_after_the_block_are_numbered_in_the_document(self, paths):
+        text = "# c\nedge 0 1 1.0\n\nedge 1 2 1.0\npoint a node 0\npoint b nod 0\n"
+        with pytest.raises(TreeParseError) as info:
+            parse_tree(text)
+        assert (info.value.line, info.value.column) == (6, 1)
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert paths == {"filter": 0, "lines": 0}
 
 
 class TestReadAndBuildOnce:
