@@ -596,14 +596,13 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
 
     The pass first takes the block of lines up to the last one that starts
     with ``edge``, as every document this package writes lists its edges
-    first.
-    When loadtxt converts the block to edge rows, each of its lines is an
-    edge line, indented or not, or holds no data (blank or a comment), and
-    the lines after it go to the line reader.  Else, as when a node or
-    point line sits among the edges, the pass takes the lines that start
-    with ``edge``, wherever they are, and the line reader the others.  An
-    edge line that neither takes, such as an indented one after the block,
-    sends the document to the line reader.
+    first.  When loadtxt converts the block to edge rows, each of its lines
+    is an edge line, indented or not, or holds no data (blank or a
+    comment), and the lines after it go to the line reader.  Else, as when
+    a node or point line sits among the edges, the pass takes the lines
+    that start with ``edge``, wherever they are, and the line reader the
+    others.  An edge line that neither takes, such as an indented one after
+    the block, sends the document to the line reader.
 
     On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
     and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
