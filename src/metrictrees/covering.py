@@ -434,24 +434,10 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
     half = np.sort((0.5 * dist)[np.triu_indices(len(dist))])
     cands = half[np.r_[True, half[1:] != half[:-1]]].tolist()
     values: list[float] = []
-    balls: dict[int, int] = {}  # each probed candidate's index -> its ball count
-
-    def at_most(i: int, n: int) -> bool:
-        balls[i] = len(greedy(cands[i])[0])
-        return balls[i] <= n
-
     hi = len(cands) - 1
     for n in range(1, n_max + 1):
-        # the first candidate of at most n balls; profiles are nonincreasing
-        # in n.  The count is nonincreasing in the radius, so the probes so
-        # far answer every candidate below one of more than n balls (no) or
-        # at or above one of at most n (yes): the search takes the path it
-        # would take on fresh probes, and runs the greedy on no more of them
-        lo = max((i + 1 for i, count in balls.items() if count > n), default=0)
-        up = min((i for i, count in balls.items() if count <= n), default=hi)
-        hi = bisect_left(
-            range(hi), True, 0, hi, key=lambda i: i >= up or (i >= lo and at_most(i, n))
-        )
+        # the first candidate of at most n balls; profiles are nonincreasing in n
+        hi = bisect_left(cands, True, 0, hi, key=lambda r: len(greedy(r)[0]) <= n)
         values.append(cands[hi])
     # every witness's centers in one climb, as _placed places one cover's
     covers = [greedy(r) for r in values]

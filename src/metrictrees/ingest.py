@@ -24,7 +24,8 @@ one that starts with ``edge``, since every document this package writes
 lists its edges first: loadtxt reads an edge line in it, indented or not,
 to the values the line reader would, and skips its blank and comment
 lines, as the line reader does.  When a node or point line sits among the
-edges, the pass takes the lines that start with ``edge`` instead.  The line
+edges (an ``o`` before the last edge line), the pass takes the lines that
+start with ``edge`` instead, without trying the block first.  The line
 reader reads the whole document only when neither pass can convert the
 edge lines, or an edge line escapes both, and names every error at its line
 and column.  The n distinct node ids must be exactly 0..n-1; an id error
@@ -598,11 +599,15 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
     with ``edge``, as every document this package writes lists its edges
     first.  When loadtxt converts the block to edge rows, each of its lines
     is an edge line, indented or not, or holds no data (blank or a
-    comment), and the lines after it go to the line reader.  Else, as when
-    a node or point line sits among the edges, the pass takes the lines
-    that start with ``edge``, wherever they are, and the line reader the
-    others.  An edge line that neither takes, such as an indented one after
-    the block, sends the document to the line reader.
+    comment), and the lines after it go to the line reader.  Else the pass
+    takes the lines that start with ``edge``, wherever they are, and the
+    line reader the others.  A node or point line among the edges (any
+    ``o`` before the last edge line, comments included) skips the block
+    and goes to that filter at once, so such a document costs what it did
+    before the block; other lines that fail the block, such as an unknown
+    directive, cost one extra partial pass.  An edge line that neither
+    pass takes, such as an indented one after the block, sends the
+    document to the line reader.
 
     On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
     and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
@@ -619,7 +624,12 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
     if not end or "\0" in text:
         return None
     is_ascii = text.isascii()
-    rows = _edge_rows(lines[:end], is_ascii)
+    # "node" and "point" hold an "o" and no edge line does, so a document
+    # with an "o" before its last edge line goes straight to the filter
+    # rather than through a block pass that would fail
+    rows = None
+    if text.find("o", 0, max(text.rfind("\nedge"), 0)) < 0:
+        rows = _edge_rows(lines[:end], is_ascii)
     if rows is not None:
         numbers: Sequence[int] = range(end + 1, len(lines) + 1)
         other = lines[end:]

@@ -8,7 +8,6 @@ enumeration for cover counts and profiles.
 
 import itertools
 import math
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -706,62 +705,6 @@ class TestGreedyParity:
             # the value is the least half distance that n balls reach
             below = half[half.index(value) - 1] if value > 0.0 else None
             assert below is None or len(_reference_greedy(ps, below, dist.__getitem__)[0]) > n
-
-
-def _fresh_bisection_runs(ps, n_max):
-    """beta_profile's values by a bisection from candidate 0 for every n,
-    with the greedy run once per radius, and the number of radii it runs
-    on, the witnesses' included."""
-    dist = ps.tree._distance_matrix(ps._array)
-    half = np.unique(0.5 * dist).tolist()
-    balls = {}
-
-    def count(r):
-        if r not in balls:
-            balls[r] = len(covering._greedy(ps, r, dist.__getitem__)[0])
-        return balls[r]
-
-    values, hi = [], len(half) - 1
-    for n in range(1, n_max + 1):
-        hi = bisect_left(half, True, 0, hi, key=lambda r: count(r) <= n)
-        values.append(half[hi])
-    for r in values:
-        count(r)
-    return values, len(balls)
-
-
-class TestProfileProbes:
-    """beta_profile answers each bisection probe that earlier probes bound
-    without running the greedy: it gives the values and witnesses of fresh
-    bisections, with never more greedy runs."""
-
-    def test_fewer_greedy_runs_same_profile(self, monkeypatch):
-        runs, greedy = [0], covering._greedy
-
-        def counted(*args):
-            runs[0] += 1
-            return greedy(*args)
-
-        fewer = 0
-        for seed in range(120):
-            rng = np.random.default_rng(2900 + seed)
-            shape = ("random", "caterpillar", "path", "star")[seed % 4]
-            tree = shaped_tree(rng, shape, int(rng.integers(2, 60)))
-            ps = PointSet(tree, random_points(rng, tree, int(rng.integers(1, 40))))
-            n_max = int(rng.integers(1, 30))
-            want_values, want_runs = _fresh_bisection_runs(ps, n_max)
-            monkeypatch.setattr(covering, "_greedy", counted)
-            runs[0] = 0
-            prof = beta_profile(ps, n_max)
-            monkeypatch.setattr(covering, "_greedy", greedy)
-            assert list(prof.values) == want_values
-            dist = tree._distance_matrix(ps._array)
-            for value, witness in zip(prof.values, prof.witnesses):
-                want = _reference_greedy(ps, value, dist.__getitem__)
-                assert _records(witness) == _records(covering._placed(ps, value, *want))
-            assert runs[0] <= want_runs
-            fewer += runs[0] < want_runs
-        assert fewer > 20
 
 
 class TestGreedyPasses:

@@ -1401,13 +1401,14 @@ class TestBulkParity:
 def _block_text(rng, n, seps, tail=()):
     """An edges-first document on n nodes: the edge lines, some indented,
     with blank and comment-only lines and trailing comments among them, the
-    last one unindented; then node and point lines and the raw ``tail``."""
+    last one unindented and no "o" among them; then node and point lines and
+    the raw ``tail``."""
     lines = _doc_lines(rng, n, python_only=False)
     edges = [tokens for tokens in lines if tokens[0] == "edge"]
     out = []
     for k, tokens in enumerate(edges):
         if rng.random() < 0.2:
-            out.append(str(rng.choice(["", "   ", "#", "# edge 0 1 x", "\t# point p node 0"])))
+            out.append(str(rng.choice(["", "   ", "#", "# edge 0 1 x", "\t# a leaf: edge 2 1"])))
         text = tokens[0] + "".join(str(rng.choice(seps)) + tok for tok in tokens[1:])
         if k < len(edges) - 1 and rng.random() < 0.3:
             text = str(rng.choice(seps)) + text
@@ -1493,6 +1494,22 @@ class TestEdgeBlock:
             assert got == _parse_outcome(_parse_tree_reference, text)
             assert got[0] == len(got[1]) + 1  # a valid document
         assert paths == {"filter": 10, "lines": 0}
+
+    @pytest.mark.parametrize("line", ["node 0", "point q node 1", "# no block"])
+    def test_o_among_the_edges_skips_the_block_pass(self, monkeypatch, paths, line):
+        # a node or point line, or a comment, that holds an "o" before the
+        # last edge line: one loadtxt pass, over the lines the filter picks
+        loads, loadtxt = [], np.loadtxt
+
+        def counted_loadtxt(lines, **kwargs):
+            loads.append(list(lines))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        text = f"edge 0 1 1.0\n{line}\nedge 1 2 2.0\npoint a node 2\n"
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert loads == [["edge 0 1 1.0", "edge 1 2 2.0"]]
+        assert paths == {"filter": 1, "lines": 0}
 
     @pytest.mark.parametrize(
         "text",
