@@ -18,18 +18,17 @@ Line-oriented UTF-8 text.  ``#`` starts a comment.  Lines:
     point <name> edge <u> <v> <offset>
 
 ``parse_tree`` reads a document, checks its node ids and builds the tree,
-each once.  One ``np.loadtxt`` pass converts the edge lines, and a line
-reader reads the others.  The pass takes the block of lines up to the last
-one that starts with ``edge``, since every document this package writes
-lists its edges first: loadtxt reads an edge line in it, indented or not,
-to the values the line reader would, and skips its blank and comment
-lines, as the line reader does.  When a node or point line sits among the
-edges (an ``o`` before the last edge line), the pass takes the lines that
-start with ``edge`` instead, without trying the block first.  The line
-reader reads the whole document only when neither pass can convert the
-edge lines, or an edge line escapes both, and names every error at its line
-and column.  The n distinct node ids must be exactly 0..n-1; an id error
-names the first id at fault at its line and column.
+each once, by one of two paths.  When the document lists its edges first,
+as every document this package writes does, one ``np.loadtxt`` pass
+converts the block of lines up to the last one that starts with ``edge``:
+it reads an edge line in it, indented or not, to the values the line
+reader would, and skips its blank and comment lines, as the line reader
+does; the line reader reads the lines after the block.  Any other document
+(a node or point line among the edges, a line loadtxt cannot convert, an
+edge line after the block) goes to the line reader whole, which names
+every error at its line and column.  The n distinct node ids must be
+exactly 0..n-1; an id error names the first id at fault at its line and
+column.
 
 Recognition
 -----------
@@ -69,7 +68,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -591,29 +590,23 @@ def _edge_rows(lines: list[str], is_ascii: bool) -> np.ndarray | None:
 
 
 def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]] | None:
-    """``_read`` by one ``np.loadtxt`` pass over the edge lines and the line
-    reader over the others; None when the pass cannot convert the edge
-    lines, or when an edge line escapes it.
+    """``_read`` by one ``np.loadtxt`` pass over the edge block and the line
+    reader over the lines after it; None, for the line reader to read the
+    whole document, when the pass cannot convert the block or an edge line
+    escapes it.
 
-    The pass first takes the block of lines up to the last one that starts
-    with ``edge``, as every document this package writes lists its edges
-    first.  When loadtxt converts the block to edge rows, each of its lines
-    is an edge line, indented or not, or holds no data (blank or a
-    comment), and the lines after it go to the line reader.  Else the pass
-    takes the lines that start with ``edge``, wherever they are, and the
-    line reader the others.  A node or point line among the edges (any
-    ``o`` before the last edge line, comments included) skips the block
-    and goes to that filter at once, so such a document costs what it did
-    before the block; other lines that fail the block, such as an unknown
-    directive, cost one extra partial pass.  An edge line that neither
-    pass takes, such as an indented one after the block, sends the
-    document to the line reader.
+    The block is the lines up to the last one that starts with ``edge``, as
+    every document this package writes lists its edges first.  When
+    loadtxt converts it to edge rows, each of its lines is an edge line,
+    indented or not, or holds no data (blank or a comment).  Any other line
+    in it, such as a node or point line among the edges, fails the pass; an
+    indented edge line after the block escapes it.
 
     On ASCII lines numpy accepts a subset of what ``str.split``, ``int``
     and ``float`` accept (no ``_`` in numbers, no id beyond int64) and reads
     it to the same values, and skips the lines that ``str.split`` finds
     empty once comments are cut, so the edges it converts are the ones the
-    line reader would read, and the first bad line among the others is the
+    line reader would read, and the first bad line after the block is the
     first of the document.  A NUL would end loadtxt's keyword field early
     (``edge\\0`` reads as ``edge``), so such a document is not read in bulk.
     """
@@ -623,31 +616,12 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
         end -= 1
     if not end or "\0" in text:
         return None
-    is_ascii = text.isascii()
-    # "node" and "point" hold an "o" and no edge line does, so a document
-    # with an "o" before its last edge line goes straight to the filter
-    # rather than through a block pass that would fail
-    rows = None
-    if text.find("o", 0, max(text.rfind("\nedge"), 0)) < 0:
-        rows = _edge_rows(lines[:end], is_ascii)
-    if rows is not None:
-        numbers: Sequence[int] = range(end + 1, len(lines) + 1)
-        other = lines[end:]
-    else:
-        is_edge = list(map(str.startswith, lines, repeat("edge")))
-        edge_lines = list(compress(lines, is_edge))
-        rows = _edge_rows(edge_lines, is_ascii)
-        if rows is None:
-            return None
-        numbers, at = [], -1  # the line numbers of the other lines
-        for _ in range(len(lines) - len(edge_lines)):
-            at = is_edge.index(False, at + 1)
-            numbers.append(at + 1)
-        other = [lines[k - 1] for k in numbers]
-        del is_edge, edge_lines
-    other = [line.split("#", 1)[0] for line in other]
+    rows = _edge_rows(lines[:end], text.isascii())
+    if rows is None:
+        return None
+    other = [line.split("#", 1)[0] for line in lines[end:]]
     del lines
-    (us, _, _), node_ids, point_lines = _read_lines(other, numbers)
+    (us, _, _), node_ids, point_lines = _read_lines(other, range(end + 1, end + len(other) + 1))
     if us:  # an edge line that the pass did not read
         return None
     # copies, since a field of loadtxt's rows may sit unaligned, which the

@@ -6,7 +6,6 @@ import re
 import time
 import warnings
 from collections import deque
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -1303,17 +1302,38 @@ def _bulk_text(rng, lines, seps=_SEPS):
     return ending.join(out) + str(rng.choice(["", ending]))
 
 
+def _edges_first(text):
+    """Whether no data line comes before the last line of ``text`` that
+    starts with "edge": every line before it is an edge line, indented or
+    not, or blank or a comment."""
+    lines = text.splitlines()
+    edges = [k for k, line in enumerate(lines) if line.startswith("edge")]
+    return bool(edges) and all(
+        line.split("#", 1)[0].split()[:1] in ([], ["edge"]) for line in lines[: edges[-1]]
+    )
+
+
+def _bulk_only_when_edges_first(monkeypatch):
+    """Make the line reader over the whole document fail on a document that
+    lists its edges first; a document with a data line among its edges
+    still goes to it."""
+    read_document = ingest._read_document
+
+    def read(text):
+        assert not _edges_first(text), "an edges-first document left the bulk pass"
+        return read_document(text)
+
+    monkeypatch.setattr(ingest, "_read_document", read)
+
+
 @pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
 class TestBulkPass:
     """Valid documents of the shapes the CLI reads never reach the line
-    reader's path: it is made to fail."""
+    reader over the whole document when they list their edges first."""
 
     @pytest.fixture(autouse=True)
     def no_line_reader_path(self, monkeypatch):
-        def fail(text):
-            raise AssertionError("the document left the bulk pass")
-
-        monkeypatch.setattr(ingest, "_read_document", fail)
+        _bulk_only_when_edges_first(monkeypatch)
 
     def test_bench_documents(self, rng):
         for n in (2, 3, 50, 700):
@@ -1424,25 +1444,25 @@ def _block_text(rng, n, seps, tail=()):
 @pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
 class TestEdgeBlock:
     """Documents that list their edges first are read by one loadtxt pass
-    over the block of lines up to the last edge line: neither the filter
-    that picks the edge lines out (``compress``) nor the line reader over
-    the whole document runs.  Other documents still take those paths."""
+    over the block of lines up to the last edge line, and the line reader
+    over the whole document does not run.  Other documents go to it."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Counts of the filter's and the full line reader's runs."""
-        counts = {"filter": 0, "lines": 0}
-        read_document = ingest._read_document
+        """Counts of the ``np.loadtxt`` calls and of the full line reader's
+        runs."""
+        counts = {"loadtxt": 0, "lines": 0}
+        loadtxt, read_document = np.loadtxt, ingest._read_document
 
-        def counted_compress(*args):
-            counts["filter"] += 1
-            return compress(*args)
+        def counted_loadtxt(*args, **kwargs):
+            counts["loadtxt"] += 1
+            return loadtxt(*args, **kwargs)
 
         def counted_read(text):
             counts["lines"] += 1
             return read_document(text)
 
-        monkeypatch.setattr(ingest, "compress", counted_compress)
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
         monkeypatch.setattr(ingest, "_read_document", counted_read)
         return counts
 
@@ -1454,7 +1474,7 @@ class TestEdgeBlock:
             got = _parse_outcome(parse_tree, text)
             assert got[0] == n
             assert got == _parse_outcome(_parse_tree_reference, text)
-        assert paths == {"filter": 0, "lines": 0}
+        assert paths == {"loadtxt": 80, "lines": 0}
 
     @pytest.mark.parametrize("sep", ["\t", "\x1f", " \t\x1f"])
     def test_separators(self, paths, sep):
@@ -1462,7 +1482,7 @@ class TestEdgeBlock:
         got = _parse_outcome(parse_tree, text)
         assert got == (4, ((0, 1, 1.5), (1, 2, 2.0), (2, 3, 1.0)), {})
         assert got == _parse_outcome(_parse_tree_reference, text)
-        assert paths == {"filter": 0, "lines": 0}
+        assert paths == {"loadtxt": 1, "lines": 0}
 
     def test_serialized_documents(self, paths, rng):
         docs = [gallery("simple"), gallery("star", n=5, spoke_len=2.5),
@@ -1471,45 +1491,82 @@ class TestEdgeBlock:
             tree = random_tree(rng, max_nodes=300)
             names = [f"p{k}" for k in range(int(rng.integers(0, 6)))]
             docs.append(TreeDocument(tree, dict(zip(names, random_points(rng, tree, len(names))))))
+        docs = [doc for doc in docs if doc.tree.n_nodes > 1]  # one node has no edge line
         for doc in docs:
-            if doc.tree.n_nodes == 1:
-                continue  # a single node is written as a node line, with no edge
             text = serialize_tree(doc)
             assert parse_tree(text) == doc
             assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
-        assert paths == {"filter": 0, "lines": 0}
+        assert paths == {"loadtxt": 2 * len(docs), "lines": 0}  # two parses a document
 
-    @pytest.mark.parametrize(
-        "line", ["node 0", "point q node 1", "point q edge {} {} 0.0", "  node 1 # x"]
-    )
-    def test_data_line_among_the_edges_takes_the_filter(self, paths, line, rng):
+    _DATA_LINES = ["node 0", "point q node 1", "point q edge {} {} 0.0", "  node 1 # x"]
+
+    @staticmethod
+    def _data_line_among_the_edges(rng, line):
+        """A valid edges-first document with ``line`` (formatted with the
+        ends of an edge) inserted before its last edge line, and its edge
+        block: the lines up to that edge line."""
+        text = _block_text(rng, int(rng.integers(3, 30)), [" ", "\t"])
+        lines = [ln.lstrip() for ln in text.splitlines()]
+        last = max(k for k, ln in enumerate(lines) if ln.startswith("edge"))
+        ends = lines[last].split()[1:3]  # an edge of the document
+        lines.insert(int(rng.integers(0, last)), line.format(*ends))
+        return "\n".join(lines) + "\n", lines[: last + 2]
+
+    @pytest.mark.parametrize("line", _DATA_LINES)
+    def test_data_line_among_the_edges_takes_the_filter(self, line, rng):
+        # the edge block is the filter: a data line in it fails _edge_rows,
+        # and _read_bulk hands the document on to the line reader
         for _ in range(10):
-            text = _block_text(rng, int(rng.integers(3, 30)), [" ", "\t"])
-            lines = [ln.lstrip() for ln in text.splitlines()]  # the filter takes no indented edge
-            last = max(k for k, ln in enumerate(lines) if ln.startswith("edge"))
-            ends = lines[last].split()[1:3]  # an edge of the document
-            lines.insert(int(rng.integers(0, last)), line.format(*ends))
-            text = "\n".join(lines) + "\n"
+            text, block = self._data_line_among_the_edges(rng, line)
+            assert block[-1].startswith("edge") and line.format(*block[-1].split()[1:3]) in block
+            assert ingest._edge_rows(block, True) is None
+            assert ingest._read_bulk(text) is None
+
+    @pytest.mark.parametrize("line", _DATA_LINES)
+    def test_data_line_among_the_edges_goes_to_the_line_reader(self, paths, line, rng):
+        # the block pass fails at most once, and the line reader reads the
+        # document to the tree the reference reads
+        for _ in range(10):
+            text, _ = self._data_line_among_the_edges(rng, line)
+            before = dict(paths)
             got = _parse_outcome(parse_tree, text)
             assert got == _parse_outcome(_parse_tree_reference, text)
             assert got[0] == len(got[1]) + 1  # a valid document
-        assert paths == {"filter": 10, "lines": 0}
+            assert paths["loadtxt"] - before["loadtxt"] <= 1
+            assert paths["lines"] - before["lines"] == 1
 
-    @pytest.mark.parametrize("line", ["node 0", "point q node 1", "# no block"])
+    @pytest.mark.parametrize("line", ["node 0", "point q node 1"])
     def test_o_among_the_edges_skips_the_block_pass(self, monkeypatch, paths, line):
-        # a node or point line, or a comment, that holds an "o" before the
-        # last edge line: one loadtxt pass, over the lines the filter picks
+        # a node or point line (each holds an "o") before the last edge
+        # line: the one loadtxt attempt, over the whole block, fails, and
+        # the line reader reads the document in the block pass's stead
         loads, loadtxt = [], np.loadtxt
 
-        def counted_loadtxt(lines, **kwargs):
+        def recorded_loadtxt(lines, **kwargs):
             loads.append(list(lines))
             return loadtxt(lines, **kwargs)
 
-        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        monkeypatch.setattr(np, "loadtxt", recorded_loadtxt)
         text = f"edge 0 1 1.0\n{line}\nedge 1 2 2.0\npoint a node 2\n"
         assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
-        assert loads == [["edge 0 1 1.0", "edge 1 2 2.0"]]
-        assert paths == {"filter": 1, "lines": 0}
+        assert loads == [["edge 0 1 1.0", line, "edge 1 2 2.0"]]
+        assert paths["lines"] == 1
+
+    @pytest.mark.parametrize("line", ["# from the root node", "\t# node 3 hangs here"])
+    def test_o_comment_among_the_edges_stays_in_the_block(self, monkeypatch, paths, line):
+        # a comment is no data line, whatever it holds: one loadtxt pass
+        # over the whole block, and no line reader
+        loads, loadtxt = [], np.loadtxt
+
+        def recorded_loadtxt(lines, **kwargs):
+            loads.append(list(lines))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorded_loadtxt)
+        text = f"edge 0 1 1.0\n{line}\nedge 1 2 2.0\npoint a node 2\n"
+        assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+        assert loads == [["edge 0 1 1.0", line, "edge 1 2 2.0"]]
+        assert paths["lines"] == 0
 
     @pytest.mark.parametrize(
         "text",
@@ -1529,7 +1586,7 @@ class TestEdgeBlock:
     def test_edge_line_after_the_block_goes_to_the_line_reader(self, paths):
         text = "edge 0 1 1.0\npoint a node 0\n  edge 1 2 1.0\n"
         assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
-        assert paths == {"filter": 0, "lines": 1}
+        assert paths == {"loadtxt": 1, "lines": 1}
 
     def test_lines_after_the_block_are_numbered_in_the_document(self, paths):
         text = "# c\nedge 0 1 1.0\n\nedge 1 2 1.0\npoint a node 0\npoint b nod 0\n"
@@ -1537,13 +1594,14 @@ class TestEdgeBlock:
             parse_tree(text)
         assert (info.value.line, info.value.column) == (6, 1)
         assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
-        assert paths == {"filter": 0, "lines": 0}
+        assert paths == {"loadtxt": 2, "lines": 0}
 
 
 class TestReadAndBuildOnce:
-    """Every document is built at most once, and read a second time only when
-    the loadtxt pass cannot convert its edge lines: here only where an
-    indented edge line escapes it."""
+    """Every document is built at most once, and its lines are read a second
+    time only when an indented edge line after the edge block escapes the
+    loadtxt pass; a block the pass cannot convert goes to the line reader
+    with no line read before it."""
 
     @pytest.mark.parametrize(
         "text, reads",
@@ -1565,6 +1623,8 @@ class TestReadAndBuildOnce:
             ("edge 0 1 1_0.5\n", 1),
             ("edge 0 \u0661 1.0\n", 1),
             ("edge 0 1 1.0\xa0\n", 1),
+            ("edge 0 1 1.0\nnode 2\nedge 1 2 1.0\n", 1),  # a node line among the edges
+            ("edge 0 1 1.0\n# from the root node\nedge 1 2 1.0\n", 1),
         ],
     )
     def test_read_and_built_at_most_once(self, text, reads, monkeypatch):
@@ -1589,7 +1649,8 @@ class TestReadAndBuildOnce:
 
 class TestBuildErrorLines:
     """A build error names the line and column of the edge at fault, read
-    by the bulk pass and by the line reader alike."""
+    by the bulk pass and by the line reader alike.  With the bulk pass on,
+    a document with a data line among its edges goes to the line reader."""
 
     @pytest.fixture(params=["bulk", "lines"])
     def reader(self, request, monkeypatch):
@@ -1598,10 +1659,7 @@ class TestBuildErrorLines:
         elif not ingest._BULK:
             pytest.skip("numpy reads a fraction in an integer column")
         else:
-            def fail(text):
-                raise AssertionError("the document left the bulk pass")
-
-            monkeypatch.setattr(ingest, "_read_document", fail)
+            _bulk_only_when_edges_first(monkeypatch)
         return request.param
 
     @pytest.mark.parametrize(
