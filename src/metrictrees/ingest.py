@@ -66,7 +66,6 @@ import csv
 import io
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -554,25 +553,15 @@ def _read_lines(
     return (us, vs, lengths), node_ids, point_lines
 
 
+# the bulk pass needs loadtxt to reject a fraction in an integer column;
+# numpy 1.23-1.26 reads "1.5" there as 1, with only a DeprecationWarning
+if int(np.__version__.split(".", 1)[0]) < 2:
+    raise ImportError(f"metrictrees needs numpy >= 2.0, found {np.__version__}")
+
 # an edge line as the bulk pass reads it; the keyword field is one character
 # wider than "edge", so that a longer word such as "edgex" does not equal it,
 # and bytes, since the pass reads ASCII lines only
 _EDGE_ROW = np.dtype([("kind", "S5"), ("ends", np.intp, (2,)), ("length", np.float64)])
-
-
-def _loadtxt_is_strict() -> bool:
-    """Whether ``np.loadtxt`` rejects a fraction in an integer column.  numpy
-    1.23-1.26 reads ``1.5`` there as 1, with only a DeprecationWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            np.loadtxt(["1.5"], dtype=np.intp)
-        except ValueError:
-            return True
-    return False
-
-
-_BULK = _loadtxt_is_strict()  # else every document goes to the line reader
 
 
 def _edge_rows(lines: list[str], is_ascii: bool) -> np.ndarray | None:
@@ -590,9 +579,10 @@ def _edge_rows(lines: list[str], is_ascii: bool) -> np.ndarray | None:
 
 
 def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]] | None:
-    """``_read`` by one ``np.loadtxt`` pass over the edge block and the line
-    reader over the lines after it; None, for the line reader to read the
-    whole document, when the pass cannot convert the block or an edge line
+    """The edge columns, node ids and point lines of a document, by one
+    ``np.loadtxt`` pass over the edge block and the line reader over the
+    lines after it; None, for ``_read_document`` to read the whole
+    document, when the pass cannot convert the block or an edge line
     escapes it.
 
     The block is the lines up to the last one that starts with ``edge``, as
@@ -630,8 +620,9 @@ def _read_bulk(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tup
 
 
 def _read_document(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
-    """``_read`` by the line reader alone.  An endpoint beyond any index
-    leaves the columns as lists, which the id check rejects."""
+    """What ``_read_bulk`` reads, by the line reader alone, which names every
+    error at its line and column.  An endpoint beyond any index leaves the
+    columns as lists, which the id check rejects."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -641,15 +632,6 @@ def _read_document(text: str) -> tuple[_Columns, list[int], list[tuple[int, str,
         return _Columns.of(us, vs, lengths), node_ids, point_lines
     except OverflowError:
         return _Columns(us + vs, lengths), node_ids, point_lines
-
-
-def _read(text: str) -> tuple[_Columns, list[int], list[tuple[int, str, tuple]]]:
-    """The edge columns, node ids and point lines of a document: in bulk
-    (``_read_bulk``) where numpy can, else by the line reader over the whole
-    document, which names every error at its line and column.  Neither
-    holds the document's lines or loadtxt's rows when it returns."""
-    read = _read_bulk(text) if _BULK else None
-    return _read_document(text) if read is None else read
 
 
 def _node_count(ends: np.ndarray | list[int], node_ids: list[int], text: str = "") -> int:
@@ -725,17 +707,18 @@ def _edge_error(text: str, n_nodes: int, columns: _Columns, exc: MetricTreeError
 def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     """Parse a tree document; raises TreeParseError with line/column.
 
-    The document is read once (``_read``), which names a malformed line at
-    its line and column; its node ids are checked once to be exactly 0..n-1
-    for n distinct ids (``_node_count``), which names the first id at fault
-    at its line and column; and the tree is built once, on n nodes, and
-    raises what ``MetricTree`` raises.  An edge that repeats another, loops,
-    closes a cycle or has no positive length raises its error again with
-    its line and column in front (``_edge_error``, on the error path only).
-    A point on a missing node or edge, or off its edge, raises
-    TreeParseError at its line.
+    The document is read in bulk (``_read_bulk``) when its edge block
+    converts, else by the line reader (``_read_document``), which names a
+    malformed line at its line and column; its node ids are checked once
+    to be exactly 0..n-1 for n distinct ids (``_node_count``), which names
+    the first id at fault at its line and column; and the tree is built
+    once, on n nodes, and raises what ``MetricTree`` raises.  An edge that
+    repeats another, loops, closes a cycle or has no positive length raises
+    its error again with its line and column in front (``_edge_error``, on
+    the error path only).  A point on a missing node or edge, or off its
+    edge, raises TreeParseError at its line.
     """
-    columns, node_ids, point_lines = _read(text)
+    columns, node_ids, point_lines = _read_bulk(text) or _read_document(text)
     n_nodes = _node_count(columns.ends, node_ids, text)
     try:
         tree = MetricTree(n_nodes, columns, tol=tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metrictrees import MetricTree, gallery
+from metrictrees import MetricTree, gallery, ingest
 
 
 @pytest.fixture
@@ -50,3 +50,9 @@ def shaped_edges(rng, shape, n):
 
 def shaped_tree(rng, shape, n):
     return MetricTree(n, shaped_edges(rng, shape, n))
+
+
+def line_reader_only(monkeypatch):
+    """Send every tree document to the line reader over the whole document,
+    as when the bulk pass cannot convert its edge block."""
+    monkeypatch.setattr(ingest, "_read_bulk", lambda text: None)

@@ -53,12 +53,11 @@ from metrictrees import (
     tree_from_distances,
 )
 
-from metrictrees import ingest
 from metrictrees.core import _Columns
 from metrictrees.ingest import parse_tree
 from metrictrees.reports import report_obj
 
-from conftest import shaped_edges, shaped_tree, star_tips
+from conftest import line_reader_only, shaped_edges, shaped_tree, star_tips
 
 
 class TestValidation:
@@ -1503,7 +1502,7 @@ class TestBuildGarbage:
         text = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in shaped_edges(rng, shape, n))
         text += "".join(f"point p{k} node {k}\n" for k in range(24))
         if reader == "lines":
-            monkeypatch.setattr(ingest, "_BULK", False)
+            line_reader_only(monkeypatch)
         parse_tree(text)  # first-call caches, not the parse's own
         tracemalloc.start()
         try:
@@ -1518,15 +1517,14 @@ class TestBuildGarbage:
 
 def _every_build(rng):
     """(how, tree) for each way a tree is built: a document through the bulk
-    pass (where numpy has it; a one-edge document too) and through the line
-    reader alone, triples, ``_Columns.of`` and reconstruction's
-    ``_Builder``."""
+    pass (a one-edge document too) and through the line reader alone,
+    triples, ``_Columns.of`` and reconstruction's ``_Builder``."""
     edges = shaped_edges(rng, "random", 12)
     doc = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in edges)
     yield "bulk", parse_tree(doc).tree
     yield "bulk, one edge", parse_tree("edge 1 0 2.5\n").tree
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_BULK", False)
+        line_reader_only(mp)
         lines = parse_tree(doc).tree
     yield "lines", lines
     yield "triples", MetricTree(12, edges)

@@ -2,17 +2,21 @@
 the gallery."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shaped_tree
+from conftest import line_reader_only, shaped_tree
 
 from metrictrees import (
     BadParams,
@@ -1283,14 +1287,19 @@ def _bench_text(rng, n):
     return "\n".join(lines) + "\n"
 
 
-def _bulk_text(rng, lines, seps=_SEPS):
+def _bulk_text(rng, lines, seps=_SEPS, edges_first=False):
     """Document text whose token lists (or raw strings) start their lines:
     separators from ``seps``, comments, blank lines, node lines between
-    them, and "\\n" or "\\r\\n" line endings."""
+    them, and "\\n" or "\\r\\n" line endings.  With ``edges_first`` the
+    edge lines come first, in their order, with no node line among them."""
+    if edges_first:
+        lines = sorted(lines, key=lambda tokens: tokens[0] != "edge")
     out = []
     for tokens in lines:
         if rng.random() < 0.2:
-            out.append(str(rng.choice(["", "# edge 0 1 x", "   ", "#", "\tnode 0 # x"])))
+            fills = ["", "# edge 0 1 x", "   ", "#", "\tnode 0 # x"]
+            in_block = edges_first and tokens[0] == "edge"
+            out.append(str(rng.choice(fills[:-1] if in_block else fills)))
         if isinstance(tokens, str):
             text = tokens
         else:
@@ -1326,7 +1335,6 @@ def _bulk_only_when_edges_first(monkeypatch):
     monkeypatch.setattr(ingest, "_read_document", read)
 
 
-@pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
 class TestBulkPass:
     """Valid documents of the shapes the CLI reads never reach the line
     reader over the whole document when they list their edges first."""
@@ -1343,15 +1351,20 @@ class TestBulkPass:
             assert got == _parse_outcome(_parse_tree_reference, text)
 
     def test_comments_nodes_crlf_and_interleaved_points(self, rng):
+        # each document in both forms: edges first, which the block pass
+        # reads, and with data lines among the edges, which go to the line
+        # reader
         ascii_seps = [sep for sep in _SEPS if sep.isascii()]
         for _ in range(60):
             n = int(rng.integers(2, 40))
             lines = _doc_lines(rng, n, python_only=False)
             lines.append("point \u00e9t\u00e9 node 0")
-            text = _bulk_text(rng, lines, ascii_seps)
-            got = _parse_outcome(parse_tree, text)
-            assert got[0] == n
-            assert got == _parse_outcome(_parse_tree_reference, text)
+            for edges_first in (False, True):
+                text = _bulk_text(rng, lines, ascii_seps, edges_first)
+                assert _edges_first(text) or not edges_first
+                got = _parse_outcome(parse_tree, text)
+                assert got[0] == n
+                assert got == _parse_outcome(_parse_tree_reference, text)
 
 
 class TestBulkParity:
@@ -1409,13 +1422,31 @@ class TestBulkParity:
 
     @pytest.mark.parametrize("text", ["edge 0 1.5 1.0\n", "edge 0 1.0 2.0\n"])
     def test_fractional_id_raises_with_warnings_ignored(self, text):
-        # numpy 1.23-1.26 reads "1.5" in an integer column as 1 and only
-        # warns; read as (0, 1), each document would be a valid tree
+        # the bulk pass relies on loadtxt rejecting a fraction in an integer
+        # column, as numpy 2 does; numpy 1.23-1.26 reads "1.5" as 1 and only
+        # warns, and read as (0, 1), each document would be a valid tree
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = _parse_outcome(parse_tree, text)
         assert got[0] is TreeParseError
         assert got == _parse_outcome(_parse_tree_reference, text)
+
+
+@pytest.mark.parametrize("version, refused", [("1.26.4", True), ("2.0.0", False)])
+def test_numpy_floor(version, refused):
+    """Under a numpy older than 2.0, whose loadtxt the bulk pass cannot
+    trust, the package refuses to import, naming the floor."""
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = f"import numpy; numpy.__version__ = {version!r}; import metrictrees"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    if refused:
+        assert proc.returncode == 1
+        assert f"ImportError: metrictrees needs numpy >= 2.0, found {version}" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
 
 
 def _block_text(rng, n, seps, tail=()):
@@ -1441,7 +1472,6 @@ def _block_text(rng, n, seps, tail=()):
     return ending.join(out) + str(rng.choice(["", ending]))
 
 
-@pytest.mark.skipif(not ingest._BULK, reason="numpy reads a fraction in an integer column")
 class TestEdgeBlock:
     """Documents that list their edges first are read by one loadtxt pass
     over the block of lines up to the last edge line, and the line reader
@@ -1644,20 +1674,19 @@ class TestReadAndBuildOnce:
         monkeypatch.setattr(MetricTree, "__init__", counted_init)
         assert _parse_outcome(parse_tree, text) == want
         assert counts["builds"] <= 1
-        assert counts["reads"] == (reads if ingest._BULK else 1)
+        assert counts["reads"] == reads
 
 
 class TestBuildErrorLines:
     """A build error names the line and column of the edge at fault, read
-    by the bulk pass and by the line reader alike.  With the bulk pass on,
-    a document with a data line among its edges goes to the line reader."""
+    by the bulk pass and by the line reader alike.  Unless the line reader
+    is forced, a document with a data line among its edges goes to it, and
+    an edges-first one never does."""
 
     @pytest.fixture(params=["bulk", "lines"])
     def reader(self, request, monkeypatch):
         if request.param == "lines":
-            monkeypatch.setattr(ingest, "_BULK", False)
-        elif not ingest._BULK:
-            pytest.skip("numpy reads a fraction in an integer column")
+            line_reader_only(monkeypatch)
         else:
             _bulk_only_when_edges_first(monkeypatch)
         return request.param
@@ -1708,11 +1737,14 @@ class TestBuildErrorLines:
                 a, b = (str(k) for k in rng.permutation(n)[:2])
                 bad = [a, b, "0.5"]
             lines.insert(int(rng.integers(0, len(lines) + 1)), ["edge", *bad])
-            text = _bulk_text(rng, lines, _SEPS if reader == "lines" else ascii_seps)
-            got = _parse_outcome(parse_tree, text)
-            assert got == _parse_outcome(_parse_tree_reference, text)
-            assert got[0] in (DuplicateEdge, CycleDetected, NonpositiveEdgeLength)
-            assert got[1].startswith("line ")
+            for edges_first in (False, True):  # as in TestBulkPass
+                text = _bulk_text(rng, lines, _SEPS if reader == "lines" else ascii_seps,
+                                  edges_first)
+                assert _edges_first(text) or not edges_first
+                got = _parse_outcome(parse_tree, text)
+                assert got == _parse_outcome(_parse_tree_reference, text)
+                assert got[0] in (DuplicateEdge, CycleDetected, NonpositiveEdgeLength)
+                assert got[1].startswith("line ")
 
     def test_valid_documents_never_search(self, monkeypatch, rng):
         def fail(*args):
