@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quoted
 
 from . import reports
 from .core import Tolerance
@@ -115,7 +113,7 @@ def _build_parser() -> _Parser:
 
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        text = _json_text(report) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_text(report)
     if args.out:
@@ -123,92 +121,6 @@ def _emit(report: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.  With
-    an indent, CPython 3.11 serves dumps with its pure-Python encoder; this
-    writer takes the encoder's steps without its generators."""
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append ``value``'s JSON to ``out``, ``newline`` starting its lines.
-    The type tests run in ``json.encoder``'s order; a plain str, int or
-    float is spelled at once, as none of them passes an earlier test."""
-    plain = _PLAIN.get(type(value))
-    if plain is not None:
-        out.append(plain(value))
-    elif isinstance(value, str):
-        out.append(_quoted(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[")
-        for item in value:
-            out.append(inner)
-            _write_json(item, inner, out)
-            out.append(",")
-        out[-1] = newline + "]"
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{")
-        for key, item in sorted(value.items()):
-            out.append(inner)
-            out.append(_quoted(key if isinstance(key, str) else _key_text(key)))
-            out.append(": ")
-            _write_json(item, inner, out)
-            out.append(",")
-        out[-1] = newline + "}"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value: float) -> str:
-    """A float as ``json`` spells it: ``float.__repr__``, so a subclass such
-    as ``np.float64`` reads as a float, and NaN and the infinities by name."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-_PLAIN = {str: _quoted, int: int.__repr__, float: _float_text}
-
-
-def _key_text(key) -> str:
-    """A key that is no ``str`` as ``json`` converts it."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -240,9 +152,13 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of ``path``, without a leading byte-order mark."""
+    """The UTF-8 text of ``path``, without a leading byte-order mark; bytes
+    that are not UTF-8 are an I/O error naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().removeprefix("\ufeff")
+        try:
+            return fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _resolve_points(args, tol) -> tuple[PointSet, list]:

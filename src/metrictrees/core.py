@@ -969,7 +969,8 @@ def _typed_columns(n_nodes: int, edges: Iterable) -> _Columns:
     try:
         raw = [list(map(itemgetter(k), edges)) for k in range(3)]
         us, vs, lengths = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
-        if all(map(_is_number_type, set(map(type, chain(*raw))))) and [us, vs] == raw[:2]:
+        typed = all(map(_is_number_type, set(map(type, chain(*raw)))))
+        if typed and [us, vs] == raw[:2] and {*map(len, edges)} <= {3}:
             return _Columns.of(us, vs, lengths)
     except (LookupError, TypeError, ValueError, OverflowError):
         pass
@@ -993,15 +994,15 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
             x = uf[x]
         return x
 
-    count = 0
     for raw in edges:
         try:
-            u, v, length = int(raw[0]), int(raw[1]), float(raw[2])
-            for x in (raw[0], raw[1], raw[2]):
+            a, b, c = raw
+            u, v, length = int(a), int(b), float(c)
+            for x in (a, b, c):
                 if not _is_number_type(type(x)):
                     raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
-            if (u, v) != (raw[0], raw[1]):
-                raise ValueError(f"endpoint {raw[0] if u != raw[0] else raw[1]!r} is not an integer")
+            if (u, v) != (a, b):
+                raise ValueError(f"endpoint {a if u != a else b!r} is not an integer")
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
         if not (0 <= u < n_nodes and 0 <= v < n_nodes):
@@ -1020,9 +1021,8 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
         if ru == rv:
             raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
         uf[ru] = rv
-        count += 1
     # a forest with n - 1 edges spans all n nodes, so the count is off
-    raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {count}")
+    raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {len(edges)}")
 
 
 def is_metric_segment(points: Sequence[TreePoint]) -> bool:

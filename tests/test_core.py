@@ -98,6 +98,7 @@ class TestValidation:
     @pytest.mark.parametrize("edge", [
         (0, 1, "x"), (0, 1), (0, None, 1.0),
         (0, 1.7, 1.0), (0, True, 1.0), ("0", 1, 1.0), (0, 1, "1.0"), (0, 1, True), (0, 1, np.True_),
+        (0, 1, 1.0, "junk"),
     ])
     def test_malformed_edge_is_bad_params(self, edge):
         # the first three used to escape as ValueError, IndexError and
