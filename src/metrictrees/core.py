@@ -39,6 +39,7 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     ForeignPoint,
+    MetricTreeError,
     NonpositiveEdgeLength,
     ParameterOutOfRange,
     TooFewPoints,
@@ -202,9 +203,6 @@ class PointArray(Sequence[TreePoint]):
         if node >= 0:
             return TreePoint(self.tree, node, None, 0.0)
         return TreePoint(self.tree, None, int(self.edge[i]), float(self.offset[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
         return f"PointArray({len(self)} points)"
@@ -982,45 +980,52 @@ def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
     ``edges`` from being a tree on ``n_nodes`` nodes.
 
     ``MetricTree`` calls this only after its linear check has failed, so
-    the sequential scan below only names the error.  Its union-find holds
-    only the nodes the edges name, so a huge ``n_nodes`` costs nothing.
+    the sequential scan below only names the error.  An error that an edge
+    causes carries that edge's index in ``edges`` as its ``edge``;
+    ``Disconnected``, the error of the edges together, carries none.  The
+    union-find holds only the nodes the edges name, so a huge ``n_nodes``
+    costs nothing.
     """
     seen: set[tuple[int, int]] = set()
     uf: dict[int, int] = {}  # a node absent from uf is its own root
 
     def find(x: int) -> int:
-        while uf.get(x, x) != x:
+        while x in uf:
             uf[x] = uf.get(uf[x], uf[x])
             x = uf[x]
         return x
 
-    for raw in edges:
+    for at, raw in enumerate(edges):
         try:
-            a, b, c = raw
-            u, v, length = int(a), int(b), float(c)
-            for x in (a, b, c):
-                if not _is_number_type(type(x)):
-                    raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
-            if (u, v) != (a, b):
-                raise ValueError(f"endpoint {a if u != a else b!r} is not an integer")
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
-        if not (math.isfinite(length) and length > 0.0):
-            raise NonpositiveEdgeLength(
-                f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
-            )
-        if u == v:
-            raise CycleDetected(f"self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-        seen.add(key)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
-        uf[ru] = rv
+            try:
+                a, b, c = raw
+                u, v, length = int(a), int(b), float(c)
+                for x in (a, b, c):
+                    if not _is_number_type(type(x)):
+                        raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
+                if (u, v) != (a, b):
+                    raise ValueError(f"endpoint {a if u != a else b!r} is not an integer")
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
+            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+                raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
+            if not (math.isfinite(length) and length > 0.0):
+                raise NonpositiveEdgeLength(
+                    f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
+                )
+            if u == v:
+                raise CycleDetected(f"self-loop at node {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
+            seen.add(key)
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
+            uf[ru] = rv
+        except MetricTreeError as exc:
+            exc.edge = at
+            raise
     # a forest with n - 1 edges spans all n nodes, so the count is off
     raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {len(edges)}")
 

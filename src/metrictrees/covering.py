@@ -241,7 +241,7 @@ def min_ball_cover(ps: PointSet, radius: float) -> BallCover:
     if not ps.points:
         raise EmptySet("cover of an empty point set")
     radius = _nonnegative(radius, ps.tree.tol, NegativeRadius, "radius")
-    return _placed(ps, radius, *_greedy(ps, radius, ps._array._span_rows))
+    return _placed(ps, [(radius, *_greedy(ps, radius, ps._array._span_rows))])[0]
 
 
 def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], list[int]]:
@@ -284,13 +284,17 @@ def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], lis
     return seeds, np.unpackbits(bits, axis=1, count=k, bitorder="little").argmax(axis=0).tolist()
 
 
-def _placed(ps: PointSet, radius: float, seeds: list[int], assigned: list[int]) -> BallCover:
-    """The greedy's cover: a center ``min(radius, depth)`` from each seed
-    toward node 0 (``_centers``), and the seed numbers as the assignment of
+def _placed(ps: PointSet, covers: list[tuple[float, list[int], list[int]]]) -> list[BallCover]:
+    """The greedy's covers, one per ``(radius, seeds, assigned)``: a center
+    ``min(radius, depth)`` from each seed toward node 0, every cover's in
+    one climb (``_centers``), and the seed numbers as the assignment of
     every point.  A seed's depth is its distance to node 0, so no center
     re-measures it."""
-    centers = _centers(ps, seeds, [radius] * len(seeds))
-    return BallCover(tuple(centers), radius, tuple(assigned[i] for i in ps._distinct_index))
+    centers = iter(_centers(ps, [i for _, seeds, _ in covers for i in seeds],
+                            [r for r, seeds, _ in covers for _ in seeds]))
+    index = ps._distinct_index
+    return [BallCover(tuple(islice(centers, len(seeds))), r, tuple(assigned[i] for i in index))
+            for r, seeds, assigned in covers]
 
 
 def _centers(ps: PointSet, seeds: list[int], radii: list[float]) -> list[TreePoint]:
@@ -439,15 +443,7 @@ def beta_profile(ps: PointSet, n_max: int) -> CoverProfile:
         # the first candidate of at most n balls; profiles are nonincreasing in n
         hi = bisect_left(cands, True, 0, hi, key=lambda r: len(greedy(r)[0]) <= n)
         values.append(cands[hi])
-    # every witness's centers in one climb, as _placed places one cover's
-    covers = [greedy(r) for r in values]
-    centers = iter(_centers(ps, [i for seeds, _ in covers for i in seeds],
-                            [r for r, (seeds, _) in zip(values, covers) for _ in seeds]))
-    index = ps._distinct_index
-    witnesses = tuple(
-        BallCover(tuple(islice(centers, len(seeds))), r, tuple(assigned[i] for i in index))
-        for r, (seeds, assigned) in zip(values, covers)
-    )
+    witnesses = tuple(_placed(ps, [(r, *greedy(r)) for r in values]))
     return CoverProfile("radius", tuple(values), witnesses)
 
 

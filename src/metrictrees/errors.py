@@ -1,8 +1,8 @@
 """Exception taxonomy for the metrictrees package.
 
 Every library error derives from MetricTreeError.  Validation errors carry
-enough payload (violating triple/quadruple, parse position) for callers to
-render a useful diagnostic without string scraping.
+enough payload (violating triple/quadruple, edge index, parse position) for
+callers to render a useful diagnostic without string scraping.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ __all__ = [
 
 
 class MetricTreeError(Exception):
-    """Base class for all metrictrees errors."""
+    """Base class for all metrictrees errors.  `edge` is the input-order
+    index of the edge at fault when ``MetricTree``'s edge check raised the
+    error for one edge, else None (``Disconnected`` names no edge)."""
+
+    edge: int | None = None
 
 
 class TreeValidationError(MetricTreeError):

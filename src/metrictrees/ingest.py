@@ -28,7 +28,9 @@ does; the line reader reads the lines after the block.  Any other document
 edge line after the block) goes to the line reader whole, which names
 every error at its line and column.  The n distinct node ids must be
 exactly 0..n-1; an id error names the first id at fault at its line and
-column.
+column.  An edge that repeats another, loops, closes a cycle or has no
+positive length names the line and column of its first token, found from
+the edge index its error carries; too few edges name no line.
 
 Recognition
 -----------
@@ -80,13 +82,10 @@ from .core import (
     _Columns,
     _count,
     _is_number_type,
-    _raise_first_edge_fault,
-    _triples,
 )
 from .errors import (
     BadParams,
     CycleDetected,
-    Disconnected,
     DuplicateEdge,
     InvalidDistanceMatrix,
     MetricTreeError,
@@ -676,29 +675,18 @@ def _id_error(text: str, at_fault, message: str) -> TreeParseError:
     return TreeParseError(message, 1, 1)
 
 
-def _edge_error(text: str, n_nodes: int, columns: _Columns, exc: MetricTreeError) -> MetricTreeError:
-    """``exc``, raised building the tree of the document ``text`` on its
-    edge ``columns``, again with the line and column of the edge at fault.
+def _edge_error(text: str, exc: MetricTreeError) -> MetricTreeError:
+    """``exc``, raised building the tree of the document ``text``, again
+    with the line and column of the edge at fault in front.
 
-    ``_raise_first_edge_fault`` raises ``Disconnected`` on a prefix of the
-    edges unless an edge in it is at fault, so a binary search over the
-    prefixes finds the first such edge.  Both readers take the edges in
-    document order from the lines whose first token is ``edge``."""
-    edges = _triples(columns.ends, columns.lengths)
-    clean, faulty = 0, len(edges)  # edge prefixes without and with a fault
-    while faulty - clean > 1:
-        mid = (clean + faulty) // 2
-        try:
-            _raise_first_edge_fault(n_nodes, edges[:mid])
-        except Disconnected:
-            clean = mid
-        except MetricTreeError:
-            faulty = mid
+    ``exc.edge`` is that edge's index in input order, and both readers take
+    the edges in document order from the lines whose first token is
+    ``edge``."""
     seen = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         words = line.split("#", 1)[0].split()
         seen += bool(words) and words[0] == "edge"
-        if seen == faulty:
+        if seen > exc.edge:
             column = _TOKEN.search(line).start() + 1
             return type(exc)(f"line {lineno}, column {column}: {exc}")
     return exc
@@ -714,16 +702,17 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     the first id at fault at its line and column; and the tree is built
     once, on n nodes, and raises what ``MetricTree`` raises.  An edge that
     repeats another, loops, closes a cycle or has no positive length raises
-    its error again with its line and column in front (``_edge_error``, on
-    the error path only).  A point on a missing node or edge, or off its
-    edge, raises TreeParseError at its line.
+    its error again with its line and column in front, found from the edge
+    index the error carries (``_edge_error``, on the error path only).  A
+    point on a missing node or edge, or off its edge, raises TreeParseError
+    at its line.
     """
     columns, node_ids, point_lines = _read_bulk(text) or _read_document(text)
     n_nodes = _node_count(columns.ends, node_ids, text)
     try:
         tree = MetricTree(n_nodes, columns, tol=tol)
     except (CycleDetected, DuplicateEdge, NonpositiveEdgeLength) as exc:
-        raise _edge_error(text, n_nodes, columns, exc) from None
+        raise _edge_error(text, exc) from None
 
     points: dict[str, TreePoint] = {}
     for lineno, name, where in point_lines:

@@ -86,6 +86,20 @@ class TestValidation:
         with pytest.raises(Disconnected):
             MetricTree(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    @pytest.mark.parametrize("edges, error, index", [
+        ([(0, 1, 1.0), (1, 1, 1.0)], CycleDetected, 1),
+        ([(0, 1, 1.0), (1, 2)], BadParams, 1),
+        ([(0, 7, 1.0), (1, 2, 1.0)], BadParams, 0),
+        ([(1, 2, 1.0), (0, 1, 0.0)], NonpositiveEdgeLength, 1),
+        ([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], DuplicateEdge, 2),
+        ([(0, 1, 1.0)], Disconnected, None),
+    ])
+    def test_error_carries_its_edge_index(self, edges, error, index):
+        # the input-order index of the edge the check stopped at
+        with pytest.raises(error) as exc:
+            MetricTree(3, edges)
+        assert exc.value.edge == index
+
     def test_single_node_tree_is_legal(self):
         tree = MetricTree(1, [])
         p = tree.node_point(0)

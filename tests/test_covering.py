@@ -695,12 +695,12 @@ class TestGreedyParity:
             assert _reference_greedy(ps, r0, dist.__getitem__) == want
             assert covering._greedy(ps, r0, arr._span_rows) == want
             assert covering._greedy(ps, r0, dist.__getitem__) == want
-            assert _records(min_ball_cover(ps, r)) == _records(covering._placed(ps, r0, *want))
+            assert _records(min_ball_cover(ps, r)) == _records(covering._placed(ps, [(r0, *want)])[0])
         prof = beta_profile(ps, 5)
         half = np.unique(0.5 * dist).tolist()
         for n, value, witness in zip(range(1, 6), prof.values, prof.witnesses):
             want = _reference_greedy(ps, value, dist.__getitem__)
-            assert _records(witness) == _records(covering._placed(ps, value, *want))
+            assert _records(witness) == _records(covering._placed(ps, [(value, *want)])[0])
             assert len(want[0]) <= n
             # the value is the least half distance that n balls reach
             below = half[half.index(value) - 1] if value > 0.0 else None

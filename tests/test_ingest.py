@@ -46,7 +46,7 @@ from metrictrees import (
     serialize_tree,
     tree_from_distances,
 )
-from metrictrees import ingest
+from metrictrees import core, ingest
 
 
 def _matrix(labels, rows):
@@ -1745,6 +1745,21 @@ class TestBuildErrorLines:
                 assert got == _parse_outcome(_parse_tree_reference, text)
                 assert got[0] in (DuplicateEdge, CycleDetected, NonpositiveEdgeLength)
                 assert got[1].startswith("line ")
+
+    def test_failed_build_scans_once(self, reader, rng):
+        # the one fault scan MetricTree runs names the edge; the line lookup
+        # runs none
+        edges = [ln for ln in _bench_text(rng, 2000).splitlines() if ln.startswith("edge")]
+        text = "\n".join(edges + [edges[0]]) + "\n"
+        scan, calls = core._raise_first_edge_fault.__code__, []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is scan
+                       and calls.append(event))
+        try:
+            with pytest.raises(DuplicateEdge, match="^line 2000, column 1: edge "):
+                parse_tree(text)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
 
     def test_valid_documents_never_search(self, monkeypatch, rng):
         def fail(*args):
