@@ -27,23 +27,22 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import index, itemgetter
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from operator import index
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    CycleDetected,
-    Disconnected,
-    DuplicateEdge,
-    ForeignPoint,
-    MetricTreeError,
-    NonpositiveEdgeLength,
-    ParameterOutOfRange,
-    TooFewPoints,
+from ._build import (
+    _Columns,
+    _is_number_type,
+    _raise_first_edge_fault,
+    _root_distances,
+    _table,
+    _tour,
+    _triples,
+    _typed_columns,
 )
+from .errors import BadParams, ForeignPoint, ParameterOutOfRange, TooFewPoints
 
 _ROW_BLOCK = 64  # span rows per numpy pass of _distance_matrix
 
@@ -55,12 +54,6 @@ __all__ = [
     "Segment",
     "is_metric_segment",
 ]
-
-
-def _is_number_type(kind: type) -> bool:
-    """Whether values of ``kind`` may be edge values: real numbers, numpy's
-    included, but not bools, which would read as 0 and 1."""
-    return issubclass(kind, numbers.Real) and kind is not bool
 
 
 @dataclass(frozen=True)
@@ -825,209 +818,6 @@ def _count(value, what: str, least: int = 1) -> int:
     if count < least:
         raise BadParams(f"{what} must be an integer >= {least}, got {value!r}")
     return count
-
-
-def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray,
-          deg: np.ndarray) -> tuple | None:
-    """The rooted structure, root = node 0, from an Euler tour over the rows,
-    or None when the edges are not a tree.
-
-    Per node its parent (-1 at the root), parent edge, preorder position and
-    subtree end; the preorder; and the largest hop count.  The tour leaves
-    each half-edge's head by the half-edge after its twin in that node's
-    row, cut before it leaves node 0 again; pointer jumping (Wyllie's list
-    ranking) counts the steps to the cut.  With n - 1 edges, a tour over
-    every half-edge that touches every node proves a tree.  Of an edge's two
-    half-edges, the first on the tour leads away from the root, and half
-    the steps between them are the nodes below it.
-
-    The ranking runs in three arrays over the half-edges, each jump
-    gathering into the one it does not read.  Two of them are then reused:
-    ``dist`` holds the tour ranks, then the tour's steps; ``succ`` each
-    half-edge's row position, then running sums.  Every other temporary is
-    dropped once spent, so the build's peak stays near what it keeps.
-    """
-    n, two_m = len(deg), len(order)
-    # arrays one by one: unpacking a 2-D block costs more on a small tree
-    succ = np.empty(two_m, dtype=np.intp)
-    dist, work = np.empty_like(succ), np.empty_like(succ)
-    row_last = start[1:] - 1  # per node, the last position of its row
-    if two_m:
-        if deg.min() == 0:
-            return None
-        # succ[order[p] ^ 1] = order[p + 1], each row wrapping round
-        dist[:-1] = order[1:]
-        dist[row_last] = order[start[:-1]]
-        np.bitwise_xor(order, 1, out=work)
-        succ[work] = dist
-        last = order[row_last[0]] ^ 1
-        succ[last] = last
-        dist.fill(1)  # steps to the cut
-        dist[last] = 0
-        # the method form with mode="clip" skips np.take's index check and
-        # its buffered copy of the output; the indices are in range
-        for _ in range((two_m - 2).bit_length() - 1):
-            dist.take(succ, None, work, "clip")
-            dist += work
-            succ.take(succ, None, work, "clip")
-            succ, work = work, succ
-        # the last jump, whose pointers would never be read
-        dist.take(succ, None, work, "clip")
-        dist += work
-        if dist[order[0]] != two_m - 1:
-            return None
-    del work
-    rank = np.subtract(two_m - 1, dist, out=dist)
-    r0, r1 = rank[0::2], rank[1::2]
-    h = np.arange(two_m)
-    pos = succ
-    pos[order] = h
-    down = h[0::2] + (r1 < r0)  # per edge, the half-edge away from the root
-    descend, ascend = np.minimum(r0, r1), np.maximum(r0, r1)
-    size = ascend - descend
-    size += 1
-    size >>= 1
-    tail, child, at = ends[down], ends[down ^ 1], pos[down]
-    del down
-    parent = np.empty(n, dtype=np.intp)
-    parent_edge, subtree, tin = np.empty_like(parent), np.empty_like(parent), np.empty_like(parent)
-    parent[0], parent_edge[0], subtree[0], tin[0] = -1, -1, n, 0
-    parent[child], parent_edge[child], subtree[child] = tail, h[: two_m // 2], size
-    del h
-    # a child's preorder position is its parent's, plus one, plus the sizes
-    # of its siblings on higher edges, which a depth-first walk takes first
-    later = pos
-    later.fill(0)
-    later[at] = size
-    del size
-    later.cumsum(out=later)
-    skip = later[row_last[tail]]
-    skip -= later[at]
-    skip += 1
-    del tail, at
-    steps = rank  # every rank is a descend or an ascend
-    steps[descend], steps[ascend] = skip, -skip
-    tin[child] = steps.cumsum(out=later)[descend]
-    steps[descend], steps[ascend] = 1, -1
-    height = int(steps.cumsum(out=later).max(initial=0))  # hop counts are its values at descend
-    preorder = np.empty(n, dtype=np.intp)
-    preorder[tin] = np.arange(n)
-    leave = np.add(tin, subtree, out=subtree)
-    return parent, parent_edge, tin, leave, preorder, height
-
-
-def _root_distances(parent: np.ndarray, parent_edge: np.ndarray, tin: np.ndarray,
-                    preorder: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node its root distance, and per preorder position its parent's
-    (+inf at the root).  Each is its parent's plus the edge's length, summed
-    in preorder, parent first; the fold reads memoryviews, whose items are
-    the plain ``int``s and ``float``s it adds."""
-    below_root = preorder[1:]
-    above = tin[parent[below_root]]
-    by_position = [0.0]
-    for at_parent, length in zip(memoryview(above), memoryview(lens[parent_edge[below_root]])):
-        by_position.append(by_position[at_parent] + length)
-    by_position = np.fromiter(by_position, np.float64, len(preorder))
-    return by_position[tin], np.concatenate(([math.inf], by_position[above]))
-
-
-def _table(column: np.ndarray) -> memoryview:
-    """A read-only view of a 1-D array for the scalar queries: made in O(1),
-    and its items index as plain ``int``s or ``float``s, bit for bit."""
-    return memoryview(column).toreadonly()
-
-
-def _triples(ends: np.ndarray, lens: np.ndarray) -> list[tuple[int, int, float]]:
-    """The edges of the columns as (u, v, length) triples."""
-    return list(zip(ends[0::2].tolist(), ends[1::2].tolist(), lens.tolist()))
-
-
-class _Columns(NamedTuple):
-    """An edge list as arrays, which ``MetricTree`` builds from without
-    checking their types again: edge e runs from ``ends[2e]`` to
-    ``ends[2e + 1]`` (``intp``) and has length ``lengths[e]`` (``float64``),
-    both aligned, since the tree's memoryviews index them; the tree makes
-    both read-only."""
-
-    ends: np.ndarray
-    lengths: np.ndarray
-
-    @classmethod
-    def of(cls, us: list[int], vs: list[int], lengths: list[float]) -> "_Columns":
-        """Columns from lists of endpoints and lengths; OverflowError for an
-        endpoint beyond any index."""
-        ends = np.fromiter(chain.from_iterable(zip(us, vs)), np.intp, 2 * len(us))
-        return cls(ends, np.array(lengths, dtype=np.float64))
-
-
-def _typed_columns(n_nodes: int, edges: Iterable) -> _Columns:
-    """The columns of (u, v, length) triples of numbers, ints not changed by
-    ``int``; otherwise the error of the first edge at fault."""
-    edges = list(edges)
-    try:
-        raw = [list(map(itemgetter(k), edges)) for k in range(3)]
-        us, vs, lengths = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
-        typed = all(map(_is_number_type, set(map(type, chain(*raw)))))
-        if typed and [us, vs] == raw[:2] and {*map(len, edges)} <= {3}:
-            return _Columns.of(us, vs, lengths)
-    except (LookupError, TypeError, ValueError, OverflowError):
-        pass
-    _raise_first_edge_fault(n_nodes, edges)  # an earlier edge's fault wins
-
-
-def _raise_first_edge_fault(n_nodes: int, edges: list) -> NoReturn:
-    """Raise the error for the first edge, in input order, that keeps
-    ``edges`` from being a tree on ``n_nodes`` nodes.
-
-    ``MetricTree`` calls this only after its linear check has failed, so
-    the sequential scan below only names the error.  An error that an edge
-    causes carries that edge's index in ``edges`` as its ``edge``;
-    ``Disconnected``, the error of the edges together, carries none.  The
-    union-find holds only the nodes the edges name, so a huge ``n_nodes``
-    costs nothing.
-    """
-    seen: set[tuple[int, int]] = set()
-    uf: dict[int, int] = {}  # a node absent from uf is its own root
-
-    def find(x: int) -> int:
-        while x in uf:
-            uf[x] = uf.get(uf[x], uf[x])
-            x = uf[x]
-        return x
-
-    for at, raw in enumerate(edges):
-        try:
-            try:
-                a, b, c = raw
-                u, v, length = int(a), int(b), float(c)
-                for x in (a, b, c):
-                    if not _is_number_type(type(x)):
-                        raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
-                if (u, v) != (a, b):
-                    raise ValueError(f"endpoint {a if u != a else b!r} is not an integer")
-            except (LookupError, TypeError, ValueError, OverflowError) as exc:
-                raise BadParams(f"edge {raw!r} is not a (u, v, length) triple: {exc}") from None
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise BadParams(f"edge ({u}, {v}) references a node outside 0..{n_nodes - 1}")
-            if not (math.isfinite(length) and length > 0.0):
-                raise NonpositiveEdgeLength(
-                    f"edge ({u}, {v}) has length {length!r}; must be positive and finite"
-                )
-            if u == v:
-                raise CycleDetected(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"edge ({u}, {v}) appears more than once")
-            seen.add(key)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
-            uf[ru] = rv
-        except MetricTreeError as exc:
-            exc.edge = at
-            raise
-    # a forest with n - 1 edges spans all n nodes, so the count is off
-    raise Disconnected(f"{n_nodes} nodes need {n_nodes - 1} edges to be connected, got {len(edges)}")
 
 
 def is_metric_segment(points: Sequence[TreePoint]) -> bool:

@@ -60,7 +60,8 @@ from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .core import MetricTree, PointArray, Tolerance, TreePoint, _count, _is_number_type
+from ._build import _is_number_type
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _count
 from .errors import (
     EmptySet,
     BadParams,

@@ -74,15 +74,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MetricTree,
-    PointArray,
-    Tolerance,
-    TreePoint,
-    _Columns,
-    _count,
-    _is_number_type,
-)
+from ._build import _Columns, _is_number_type
+from .core import MetricTree, PointArray, Tolerance, TreePoint, _count
 from .errors import (
     BadParams,
     CycleDetected,

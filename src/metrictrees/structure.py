@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MetricTree, TreePoint, _count, _is_number_type
+from ._build import _is_number_type
+from .core import MetricTree, TreePoint, _count
 from .errors import BadParams, PreconditionViolation
 from .sampling import random_point
 

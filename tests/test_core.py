@@ -53,7 +53,7 @@ from metrictrees import (
     tree_from_distances,
 )
 
-from metrictrees.core import _Columns
+from metrictrees._build import _Columns
 from metrictrees.ingest import parse_tree
 from metrictrees.reports import report_obj
 
@@ -1669,7 +1669,7 @@ _RULES = "n_nodes must be an integer >= 1", "tolerance components must be finite
 
 
 # each input is refused by its owner: counts by core._count, reals by a
-# range check that tests core._is_number_type first
+# range check that tests _build._is_number_type first
 @pytest.mark.parametrize("call, error, message", [
     (lambda: MetricTree(True, []), BadParams, f"{_RULES[0]}, got True"),
     (lambda: MetricTree(2.0, [(0, 1, 1.0)]), BadParams, f"{_RULES[0]}, got 2.0"),
@@ -1702,7 +1702,7 @@ def test_inputs_refused_by_their_owner(call, error, message):
         call()
 
 
-# offsets and arc lengths are reals by core._is_number_type, tested inside
+# offsets and arc lengths are reals by _build._is_number_type, tested inside
 # each range check; before, "0.5" and True were read as 0.5 and 1.0, "1" as
 # an arc length raised a bare TypeError and 10**400 an OverflowError
 @pytest.mark.parametrize("call", [
@@ -1742,24 +1742,28 @@ def test_numpy_node_count_builds():
 
 # CPython 3.11's parser grows its token array in powers of two, so compiling
 # a module of more than 2**13 tokens takes about 0.5 MB more memory; the
-# benchmark compiles core.py at every import
+# benchmark compiles core.py and _build.py at every import
 _CORE_TOKEN_STEP = 8192
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the compile-memory step was measured on Python 3.11")
 def test_core_stays_below_compile_memory_step():
-    """The tokens the parser reads from ``core.py``: tokenize's, less
-    comments and NL tokens, which never reach it."""
+    """The tokens the parser reads from ``core.py`` and from ``_build.py``,
+    split off it: tokenize's, less comments and NL tokens, which never
+    reach it."""
     import io
     import tokenize
 
+    import metrictrees._build
     import metrictrees.core
 
-    with open(metrictrees.core.__file__, encoding="utf-8") as fh:
-        tokens = tokenize.generate_tokens(io.StringIO(fh.read()).readline)
-        count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
-    assert count <= _CORE_TOKEN_STEP, (
-        f"core.py holds {count} parser tokens, above the {_CORE_TOKEN_STEP} at which "
-        "compiling it takes about 0.5 MB more; split it first (ROADMAP item 14)"
-    )
+    for module in (metrictrees.core, metrictrees._build):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tokens = tokenize.generate_tokens(io.StringIO(fh.read()).readline)
+            count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
+        name = module.__name__.rpartition(".")[2]
+        assert count <= _CORE_TOKEN_STEP, (
+            f"{name}.py holds {count} parser tokens, above the {_CORE_TOKEN_STEP} at "
+            "which compiling it takes about 0.5 MB more; split it first"
+        )

@@ -46,7 +46,7 @@ from metrictrees import (
     serialize_tree,
     tree_from_distances,
 )
-from metrictrees import core, ingest
+from metrictrees import _build, ingest
 
 
 def _matrix(labels, rows):
@@ -1751,7 +1751,7 @@ class TestBuildErrorLines:
         # runs none
         edges = [ln for ln in _bench_text(rng, 2000).splitlines() if ln.startswith("edge")]
         text = "\n".join(edges + [edges[0]]) + "\n"
-        scan, calls = core._raise_first_edge_fault.__code__, []
+        scan, calls = _build._raise_first_edge_fault.__code__, []
         sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is scan
                        and calls.append(event))
         try:
