@@ -4,8 +4,11 @@
 interleaved, and the lengths), typing a list of triples into them with
 ``_typed_columns``.  ``_tour`` roots the tree at node 0 by an Euler tour
 ranked by pointer jumping and rejects an edge list that is not a tree;
-``_root_distances`` sums the root distances, parent first; ``_table``
-makes the read-only memoryviews the scalar queries read.  When the linear
+``_root_distances`` sums the root distances, parent first; ``_id_type``
+picks the integer type of the id tables the tree keeps (int32 unless the
+tree is too large for it), and ``_table`` makes the read-only memoryviews
+the scalar queries read.  The tour ranks in intp work arrays; the tree
+casts the tables it keeps once, at the end of its build.  When the linear
 check fails, ``_raise_first_edge_fault`` scans the edges in input order and
 raises the error of the first at fault.
 
@@ -143,6 +146,13 @@ def _root_distances(parent: np.ndarray, parent_edge: np.ndarray, tin: np.ndarray
     return by_position[tin], np.concatenate(([math.inf], by_position[above]))
 
 
+def _id_type(n_nodes: int) -> type:
+    """The integer type of the id tables a tree on ``n_nodes`` nodes keeps:
+    int32 while its largest id, the half-edge row end ``2 * n_nodes - 2``,
+    fits one, else intp."""
+    return np.int32 if 2 * n_nodes - 2 < 2**31 else np.intp
+
+
 def _table(column: np.ndarray) -> memoryview:
     """A read-only view of a 1-D array for the scalar queries: made in O(1),
     and its items index as plain ``int``s or ``float``s, bit for bit."""
@@ -177,10 +187,11 @@ def _typed_columns(n_nodes: int, edges: Iterable) -> _Columns:
     ``int``; otherwise the error of the first edge at fault."""
     edges = list(edges)
     try:
-        raw = [list(map(itemgetter(k), edges)) for k in range(3)]
+        triples = [(u, v, length) for u, v, length in edges]  # unpacked, as the scan reads one
+        raw = [list(map(itemgetter(k), triples)) for k in range(3)]
         us, vs, lengths = (list(map(conv, col)) for conv, col in zip((int, int, float), raw))
         typed = all(map(_is_number_type, set(map(type, chain(*raw)))))
-        if typed and [us, vs] == raw[:2] and {*map(len, edges)} <= {3}:
+        if typed and [us, vs] == raw[:2]:
             return _Columns.of(us, vs, lengths)
     except (LookupError, TypeError, ValueError, OverflowError):
         pass

@@ -36,9 +36,14 @@ __all__ = [
 class MetricTreeError(Exception):
     """Base class for all metrictrees errors.  `edge` is the input-order
     index of the edge at fault when ``MetricTree``'s edge check raised the
-    error for one edge, else None (``Disconnected`` names no edge)."""
+    error for one edge, else None (``Disconnected`` names no edge).  `line`
+    and `column` are the 1-based position in a document of the text at
+    fault, when the error came from one (``TreeParseError``, or a tree
+    error that ``parse_tree`` raises at its edge's line), else None."""
 
     edge: int | None = None
+    line: int | None = None
+    column: int | None = None
 
 
 class TreeValidationError(MetricTreeError):

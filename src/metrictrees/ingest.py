@@ -670,7 +670,8 @@ def _id_error(text: str, at_fault, message: str) -> TreeParseError:
 
 def _edge_error(text: str, exc: MetricTreeError) -> MetricTreeError:
     """``exc``, raised building the tree of the document ``text``, again
-    with the line and column of the edge at fault in front.
+    with the line and column of the edge at fault in front of its message
+    and as its ``line`` and ``column``, and ``exc.edge`` as its ``edge``.
 
     ``exc.edge`` is that edge's index in input order, and both readers take
     the edges in document order from the lines whose first token is
@@ -681,7 +682,9 @@ def _edge_error(text: str, exc: MetricTreeError) -> MetricTreeError:
         seen += bool(words) and words[0] == "edge"
         if seen > exc.edge:
             column = _TOKEN.search(line).start() + 1
-            return type(exc)(f"line {lineno}, column {column}: {exc}")
+            error = type(exc)(f"line {lineno}, column {column}: {exc}")
+            error.line, error.column, error.edge = lineno, column, exc.edge
+            return error
     return exc
 
 
@@ -695,10 +698,10 @@ def parse_tree(text: str, tol: Tolerance | None = None) -> TreeDocument:
     the first id at fault at its line and column; and the tree is built
     once, on n nodes, and raises what ``MetricTree`` raises.  An edge that
     repeats another, loops, closes a cycle or has no positive length raises
-    its error again with its line and column in front, found from the edge
-    index the error carries (``_edge_error``, on the error path only).  A
-    point on a missing node or edge, or off its edge, raises TreeParseError
-    at its line.
+    its error again with its line and column in front and as its ``line``
+    and ``column``, found from the edge index the error carries
+    (``_edge_error``, on the error path only).  A point on a missing node
+    or edge, or off its edge, raises TreeParseError at its line.
     """
     columns, node_ids, point_lines = _read_bulk(text) or _read_document(text)
     n_nodes = _node_count(columns.ends, node_ids, text)

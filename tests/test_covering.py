@@ -285,6 +285,13 @@ class TestProfiles:
         assert alpha_profile(ps, 5).values == (2.0, 2.0, 2.0, 0.0, 0.0)
         assert beta_star_profile(ps, 4).values == (2.0, 2.0, 2.0, 0.0)
 
+    def test_value_of_n_and_set_size(self, star_doc):
+        doc = star_doc(4)
+        ps = PointSet(doc.tree, star_tips(doc) + star_tips(doc)[:1])
+        assert len(ps) == 5 and len(ps.distinct) == 4
+        profile = beta_profile(ps, 4)
+        assert [profile.value(n) for n in range(1, 5)] == [1.0, 1.0, 1.0, 0.0]
+
     def test_singleton_profiles_zero(self, simple_doc):
         ps = PointSet(simple_doc.tree, [simple_doc.points["A"]])
         assert beta_profile(ps, 3).values == (0.0, 0.0, 0.0)

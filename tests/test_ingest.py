@@ -698,6 +698,15 @@ class TestDocuments:
             assert doc1 == doc
             assert parse_tree(serialize_tree(doc1)) == doc1
 
+    def test_unequal_documents(self):
+        doc = parse_tree("edge 0 1 1.0\nedge 1 2 1.0\npoint a node 1\n")
+        assert doc.__eq__(doc.tree) is NotImplemented and doc != "doc"
+        for other in ("edge 0 1 1.0\nedge 1 2 2.0\npoint a node 1\n",  # another tree
+                      "edge 0 1 1.0\nedge 1 2 1.0\npoint b node 1\n",  # another name
+                      "edge 0 1 1.0\nedge 1 2 1.0\npoint a node 2\n"):  # another place
+            assert doc != parse_tree(other)
+        assert doc == parse_tree("edge 2 1 1.0\nedge 1 0 1.0\npoint a edge 0 1 1.0\n")
+
 
 class TestGallery:
     def test_simple_matches_expected_shape(self, simple_doc):
@@ -1712,6 +1721,15 @@ class TestBuildErrorLines:
         assert type(info.value) is error
         assert str(info.value) == message
         assert _parse_outcome(parse_tree, text) == _parse_outcome(_parse_tree_reference, text)
+
+    def test_error_carries_its_place(self, reader):
+        # the line and column were only in the message before, and edge None
+        with pytest.raises(DuplicateEdge) as info:
+            parse_tree("edge 0 1 1.0\nedge 1 2 1.0\nedge 0 1 1.0\n")
+        assert (info.value.line, info.value.column, info.value.edge) == (3, 1, 2)
+        with pytest.raises(DuplicateEdge) as info:  # no document, no place
+            MetricTree(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)])
+        assert (info.value.line, info.value.column, info.value.edge) == (None, None, 2)
 
     def test_indented_edge_names_its_first_token(self):
         text = "edge 0 1 1.0\n\t  edge 1 2 1.0\n  edge 2 1 1.0\n"

@@ -131,6 +131,7 @@ class TestContraction:
         doc = star_doc(4)
         tips = star_tips(doc)
         pm = PointMap(doc.tree, doc.tree, [(p, p) for p in tips])
+        assert len(pm) == 4
         rep = contraction_constants(pm)
         assert rep.set_ratios == (1.0, 1.0, 1.0)
         assert rep.ball_ratios == (1.0, 1.0, 1.0)
