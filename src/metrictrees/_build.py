@@ -4,13 +4,15 @@
 interleaved, and the lengths), typing a list of triples into them with
 ``_typed_columns``.  ``_tour`` roots the tree at node 0 by an Euler tour
 ranked by pointer jumping and rejects an edge list that is not a tree;
-``_root_distances`` sums the root distances, parent first; ``_id_type``
-picks the integer type of the id tables the tree keeps (int32 unless the
-tree is too large for it), and ``_table`` makes the read-only memoryviews
-the scalar queries read.  The tour ranks in intp work arrays; the tree
-casts the tables it keeps once, at the end of its build.  When the linear
-check fails, ``_raise_first_edge_fault`` scans the edges in input order and
-raises the error of the first at fault.
+``_root_distances`` sums the root distances, parent first, folding in
+Python over the nodes with a child only; ``_id_type`` picks the integer
+type of the id tables the tree keeps (int32 unless the tree is too large
+for it), and ``_table`` makes the read-only memoryviews the scalar queries
+read.  The tour works in intp arrays, which it drops as soon as they are
+spent, and returns intp tables; the tree casts the ones it keeps once, at
+the end of its build.  When the linear check fails,
+``_raise_first_edge_fault`` scans the edges in input order and raises the
+error of the first at fault.
 
 This module imports nothing from ``core``; ``_is_number_type``, the rule
 for what may be an edge value, lives here for both.
@@ -56,78 +58,105 @@ def _tour(ends: np.ndarray, order: np.ndarray, start: np.ndarray,
     half-edges, the first on the tour leads away from the root, and half
     the steps between them are the nodes below it.
 
-    The ranking runs in three arrays over the half-edges, each jump
-    gathering into the one it does not read.  Two of them are then reused:
-    ``dist`` holds the tour ranks, then the tour's steps; ``succ`` each
-    half-edge's row position, then running sums.  Every other temporary is
-    dropped once spent, so the build's peak stays near what it keeps.
+    Every array is intp, the index arrays that ``take`` reads or a scatter
+    writes through (successors, tour steps, half-edges, children,
+    positions) and the data arrays alike (steps to the cut, ranks, sizes,
+    running sums), since a gather or an add that mixes int32 with intp
+    costs numpy a cast, about a microsecond per call on a small tree.  The
+    bytes are kept down by lifetime instead: no array over the half-edges
+    is built but the successors, the steps to the cut and one spare; the
+    ranks, then the sizes below each half-edge, then the tour's steps reuse
+    the steps' array, and the per-edge tour steps ``descend`` and
+    ``ascend`` the successors'; the row positions are never built, as the
+    running sums of a row are gathered through ``order`` and scattered
+    back; each array is dropped once spent, and the outputs are allocated
+    last, one by one.  At 8000 nodes the tour holds about 80 bytes per node
+    above its inputs, outputs included.
     """
     n, two_m = len(deg), len(order)
-    # arrays one by one: unpacking a 2-D block costs more on a small tree
-    succ = np.empty(two_m, dtype=np.intp)
-    dist, work = np.empty_like(succ), np.empty_like(succ)
-    row_last = start[1:] - 1  # per node, the last position of its row
-    if two_m:
-        if deg.min() == 0:
-            return None
-        # succ[order[p] ^ 1] = order[p + 1], each row wrapping round
-        dist[:-1] = order[1:]
-        dist[row_last] = order[start[:-1]]
-        np.bitwise_xor(order, 1, out=work)
-        succ[work] = dist
-        last = order[row_last[0]] ^ 1
-        succ[last] = last
-        dist.fill(1)  # steps to the cut
-        dist[last] = 0
-        # the method form with mode="clip" skips np.take's index check and
-        # its buffered copy of the output; the indices are in range
-        for _ in range((two_m - 2).bit_length() - 1):
-            dist.take(succ, None, work, "clip")
-            dist += work
-            succ.take(succ, None, work, "clip")
-            succ, work = work, succ
-        # the last jump, whose pointers would never be read
+    if not two_m:  # one node, the root
+        root = np.zeros(1, dtype=np.intp)
+        return root - 1, root - 1, root, root + 1, root, 0
+    if np.count_nonzero(deg) < n:
+        return None
+    m, row_last = two_m // 2, start[1:] - 1
+    # succ[order[p] ^ 1] = order[p + 1], each row wrapping round
+    succ, work = np.empty(two_m, dtype=np.intp), order ^ 1
+    succ[work[:-1]] = order[1:]
+    last = work[row_last]
+    succ[last] = order[start[:-1]]
+    last = last[0]  # the tour's last half-edge, into node 0: its own successor
+    succ[last] = last
+    dist = np.empty_like(succ)
+    dist.fill(1)  # steps to the cut
+    dist[last] = 0
+    # the method form with mode="clip" skips np.take's index check and
+    # its buffered copy of the output; the indices are in range
+    for _ in range((two_m - 2).bit_length() - 1):
         dist.take(succ, None, work, "clip")
         dist += work
-        if dist[order[0]] != two_m - 1:
-            return None
-    del work
+        succ.take(succ, None, work, "clip")
+        succ, work = work, succ
+    # the last jump, whose pointers would never be read
+    dist.take(succ, None, work, "clip")
+    dist += work
+    if dist[order[0]] != two_m - 1:
+        return None
     rank = np.subtract(two_m - 1, dist, out=dist)
     r0, r1 = rank[0::2], rank[1::2]
-    h = np.arange(two_m)
-    pos = succ
-    pos[order] = h
-    down = h[0::2] + (r1 < r0)  # per edge, the half-edge away from the root
-    descend, ascend = np.minimum(r0, r1), np.maximum(r0, r1)
+    down = np.arange(0, two_m, 2)
+    down += r1 < r0  # per edge, its half-edge away from the root
+    descend, ascend = np.minimum(r0, r1, out=succ[:m]), np.maximum(r0, r1, out=succ[m:])
     size = ascend - descend
     size += 1
     size >>= 1
-    tail, child, at = ends[down], ends[down ^ 1], pos[down]
-    del down
-    parent = np.empty(n, dtype=np.intp)
-    parent_edge, subtree, tin = np.empty_like(parent), np.empty_like(parent), np.empty_like(parent)
-    parent[0], parent_edge[0], subtree[0], tin[0] = -1, -1, n, 0
-    parent[child], parent_edge[child], subtree[child] = tail, h[: two_m // 2], size
-    del h
     # a child's preorder position is its parent's, plus one, plus the sizes
     # of its siblings on higher edges, which a depth-first walk takes first
-    later = pos
-    later.fill(0)
-    later[at] = size
-    del size
-    later.cumsum(out=later)
-    skip = later[row_last[tail]]
-    skip -= later[at]
+    below = rank  # per half-edge the size below it, 0 toward the root
+    below.fill(0)
+    below[down] = size
+    later = below.take(order, None, work, "clip")  # summed along the rows
+    np.add.accumulate(later, out=later)
+    below[order] = later
+    skip = later.take(row_last)
+    del later, work
+    tail = ends.take(down)
+    skip = skip.take(tail)
+    skip -= below.take(down)
     skip += 1
-    del tail, at
-    steps = rank  # every rank is a descend or an ascend
-    steps[descend], steps[ascend] = skip, -skip
-    tin[child] = steps.cumsum(out=later)[descend]
-    steps[descend], steps[ascend] = 1, -1
-    height = int(steps.cumsum(out=later).max(initial=0))  # hop counts are its values at descend
-    preorder = np.empty(n, dtype=np.intp)
-    preorder[tin] = np.arange(n)
-    leave = np.add(tin, subtree, out=subtree)
+    steps = below  # every rank is a descend or an ascend
+    steps[descend] = skip
+    np.negative(skip, out=skip)
+    steps[ascend] = skip
+    del skip
+    np.add.accumulate(steps, out=steps)
+    pos = steps.take(descend)  # per edge, its child's preorder position
+    steps[descend] = 1
+    steps[ascend] = -1
+    np.add.accumulate(steps, out=steps)  # hop counts, at descend
+    height = int(steps[steps.argmax()])
+    del steps, below, rank, dist, descend, ascend, succ, row_last
+    down ^= 1
+    child = ends.take(down)
+    del down
+    parent = np.empty(n, dtype=np.intp)
+    parent[0] = -1
+    parent[child] = tail
+    del tail
+    parent_edge = np.empty_like(parent)
+    parent_edge[0] = -1
+    parent_edge[child] = np.arange(m)
+    leave = np.empty_like(parent)
+    leave[0] = n
+    leave[child] = size
+    del size
+    tin = np.empty_like(parent)
+    tin[0] = 0
+    tin[child] = pos
+    leave += tin
+    preorder = np.empty_like(parent)
+    preorder[0] = 0
+    preorder[pos] = child
     return parent, parent_edge, tin, leave, preorder, height
 
 
@@ -135,15 +164,34 @@ def _root_distances(parent: np.ndarray, parent_edge: np.ndarray, tin: np.ndarray
                     preorder: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node its root distance, and per preorder position its parent's
     (+inf at the root).  Each is its parent's plus the edge's length, summed
-    in preorder, parent first; the fold reads memoryviews, whose items are
-    the plain ``int``s and ``float``s it adds."""
+    parent first.
+
+    Only inner positions, those with a child, are a parent, and position p
+    has one exactly when p + 1's parent is p.  So the sequential fold runs
+    over the inner positions in preorder, through a memoryview of the
+    result, whose items are the plain ``float``s it adds; then one gather
+    and one add give every position ``rd[parent] + length`` from the same
+    operands, leaves and inner positions alike, bit for bit."""
+    n = len(preorder)
     below_root = preorder[1:]
-    above = tin[parent[below_root]]
-    by_position = [0.0]
-    for at_parent, length in zip(memoryview(above), memoryview(lens[parent_edge[below_root]])):
-        by_position.append(by_position[at_parent] + length)
-    by_position = np.fromiter(by_position, np.float64, len(preorder))
-    return by_position[tin], np.concatenate(([math.inf], by_position[above]))
+    above = tin.take(parent.take(below_root))  # at p - 1, position p's parent
+    length = lens.take(parent_edge.take(below_root))
+    inner = (above[1:] == np.arange(1, n - 1)).nonzero()[0]  # at p - 1, inner p > 0
+    by_position = np.empty(n)
+    by_position[0] = 0.0
+    rd = memoryview(by_position)
+    after_root = rd[1:]
+    for at, q, x in zip(memoryview(inner), memoryview(above.take(inner)),
+                        memoryview(length.take(inner))):
+        after_root[at] = rd[q] + x
+    parent_rd = np.empty(n)
+    parent_rd[0] = math.inf
+    by_position.take(above, None, parent_rd[1:], "clip")
+    del above, inner
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in the fold
+        np.add(parent_rd[1:], length, out=by_position[1:])
+    del length
+    return by_position.take(tin), parent_rd
 
 
 def _id_type(n_nodes: int) -> type:

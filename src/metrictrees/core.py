@@ -227,11 +227,18 @@ class PointArray(Sequence[TreePoint]):
         if span is None:
             tree = self.tree
             a1, c1, a2, c2 = self._anchors()
-            at, slot = np.unique(tree._tin[np.concatenate((a1, a2))], return_inverse=True)
+            # the slots are the used preorder positions, marked, in order
+            tin = tree._tin.take(np.concatenate((a1, a2)))
+            used = np.zeros(tree.n_nodes, dtype=bool)
+            used[tin] = True
+            at = used.nonzero()[0]
+            slot_at = np.empty(tree.n_nodes, dtype=np.intp)
+            slot_at[at] = np.arange(len(at))
+            slot = slot_at.take(tin)
             bounds = np.full(len(at) + 1, np.inf)
             if len(at) > 1:
                 bounds[1:-1] = np.minimum.reduceat(tree._parent_rd[: at[-1] + 1], at[:-1] + 1)
-            rd = tree._root_dist_arr[tree._preorder[at]]
+            rd = tree._root_dist_arr.take(tree._preorder.take(at))
             span = self._span_index = (slot.reshape(2, -1), np.array((c1, c2)), rd, bounds)
         return span
 
@@ -417,11 +424,13 @@ class MetricTree:
         order = ends.astype(np.min_scalar_type(n)).argsort(kind="stable")
         deg = np.bincount(ends, minlength=n)
         start = np.zeros(n + 1, dtype=np.intp)
-        deg.cumsum(out=start[1:])
+        np.add.accumulate(deg, out=start[1:])
         rooted = _tour(ends, order, start, deg)
+        del deg
         if rooted is None:
             _raise_first_edge_fault(n, _triples(ends, lens))
         parent, parent_edge, tin, leave, preorder, height = rooted
+        del rooted  # so that each intp table goes at its cast below
         self._root_dist_arr, self._parent_rd = _root_distances(
             parent, parent_edge, tin, preorder, lens
         )
@@ -431,12 +440,13 @@ class MetricTree:
             raise BadParams(f"node {far} lies {self._root_dist[far]!r} from node 0; sums overflow")
         # the kept id tables in 32 bits where every id fits; the tour ran in intp
         ids = _id_type(n)
-        parent, parent_edge, self._tin, leave, self._preorder, start, order = (
+        parent, parent_edge, tin, leave, preorder, start, order = (
             table.astype(ids, copy=False)
             for table in (parent, parent_edge, tin, leave, preorder, start, order)
         )
+        self._tin, self._preorder = tin, preorder
         self._parent, self._parent_edge, self._enter, self._leave = map(
-            _table, (parent, parent_edge, self._tin, leave)
+            _table, (parent, parent_edge, tin, leave)
         )
         row = parent.copy()
         row[0] = 0

@@ -384,9 +384,11 @@ def _climb(tree: MetricTree, lows: tuple, firsts: tuple, ts: tuple) -> Iterable[
             out = ~live
             done.append(passed(left[out], anc[out], sums[out], t[out]))
             left, anc, lengths, sums, t = left[live], anc[live], lengths[live], sums[live], t[live]
-        more = np.asarray(row)[anc]
+        more = np.asarray(row).take(anc)
         anc = np.concatenate((anc, more), axis=1)
-        lengths = np.concatenate((lengths, np.where(more > 0, length[up_edge[more]], np.inf)), axis=1)
+        lengths = np.concatenate(
+            (lengths, np.where(more > 0, length.take(up_edge.take(more)), np.inf)), axis=1
+        )
         sums = np.add.accumulate(lengths, axis=1)
     done.append(passed(left, anc, sums, t))
     return chain.from_iterable(done)

@@ -53,7 +53,8 @@ from metrictrees import (
     tree_from_distances,
 )
 
-from metrictrees._build import _Columns, _id_type
+from metrictrees import core
+from metrictrees._build import _Columns, _id_type, _root_distances
 from metrictrees.ingest import parse_tree
 from metrictrees.reports import report_obj
 
@@ -703,6 +704,19 @@ def _assert_span_bits(tree, pts):
     assert arr._depths().tobytes() == depths.tobytes()
 
 
+def _unique_span(arr):
+    """``PointArray._span`` as it was built by ``np.unique``, kept as the
+    reference for the marked slots."""
+    tree = arr.tree
+    a1, c1, a2, c2 = arr._anchors()
+    at, slot = np.unique(tree._tin[np.concatenate((a1, a2))], return_inverse=True)
+    bounds = np.full(len(at) + 1, np.inf)
+    if len(at) > 1:
+        bounds[1:-1] = np.minimum.reduceat(tree._parent_rd[: at[-1] + 1], at[:-1] + 1)
+    rd = tree._root_dist_arr[tree._preorder[at]]
+    return slot.reshape(2, -1), np.array((c1, c2)), rd, bounds
+
+
 class TestDistancesKernel:
     """``distances``, span rows, depths and ``_distance_matrix`` against the
     scalar ``distance`` they must equal bit for bit, in either order of the
@@ -762,6 +776,23 @@ class TestDistancesKernel:
                             for x, f in tree.neighbors(w)]
                 pts += [pts[int(j)] for j in rng.integers(0, len(pts), 6)]
                 _assert_span_bits(tree, [pts[int(j)] for j in rng.permutation(len(pts))])
+
+    def test_span_index_like_unique(self):
+        """The span index marks the used preorder positions; its slots,
+        costs, root distances and bounds equal, by bytes and type, those of
+        the ``np.unique`` and ``[]`` gathers it replaced."""
+        rng = np.random.default_rng(11)
+        for shape in ("random", "path", "caterpillar", "star"):
+            for n in (1, 2, 40, 900):
+                tree = shaped_tree(rng, shape, n)
+                for k in (1, 5, 48):
+                    pts = random_points(rng, tree, k)
+                    pts += [tree.node_point(int(v)) for v in rng.integers(0, n, 3)]
+                    got = PointArray.of(tree, pts)._span()
+                    expected = _unique_span(PointArray.of(tree, pts))
+                    for a, b in zip(got, expected):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
 
     def test_small_sets(self, simple_doc):
         t, p = simple_doc.tree, simple_doc.points
@@ -1515,6 +1546,72 @@ class TestConstructionParity:
         assert got == _reference_outcome(n, edges)
 
 
+def _sequential_root_distances(parent, parent_edge, tin, preorder, lens):
+    """The root-distance fold over every preorder position, parent first,
+    as the build ran it before it folded inner positions only; kept as the
+    reference for ``_root_distances``."""
+    below_root = preorder[1:]
+    above = tin[parent[below_root]]
+    by_position = [0.0]
+    for at_parent, length in zip(memoryview(above), memoryview(lens[parent_edge[below_root]])):
+        by_position.append(by_position[at_parent] + length)
+    by_position = np.fromiter(by_position, np.float64, len(preorder))
+    return by_position[tin], np.concatenate(([math.inf], by_position[above]))
+
+
+def _fold_trees(rng, n):
+    """(name, edges, inner nodes or None) of n-node trees, n > 2, whose sets
+    of inner nodes, those with a child, are extreme: one, or all but one."""
+    lengths = rng.uniform(0.2, 2.5, n - 1).tolist()
+    middle = list(range(1, n // 2 + 1)) + [0] + list(range(n // 2 + 1, n))
+    spread = shaped_edges(rng, "random", n - 1)  # on nodes 0..n-2, moved up to 1..n-1
+    yield "star, node 0 at the center", [(0, v, x) for v, x in zip(range(1, n), lengths)], 1
+    yield "star, node 0 at a tip", [(1, v, x) for v, x in zip([0, *range(2, n)], lengths)], 2
+    yield "path, node 0 at an end", [(v - 1, v, x) for v, x in zip(range(1, n), lengths)], n - 1
+    yield ("path, node 0 in the middle",
+           [(u, v, x) for u, v, x in zip(middle, middle[1:], lengths)], n - 2)
+    yield "caterpillar", shaped_edges(rng, "caterpillar", n), None
+    yield "random", shaped_edges(rng, "random", n), None
+    yield "a 1e8 edge above node 0", [(0, 1, 1e8)] + [(u + 1, v + 1, x) for u, v, x in spread], None
+
+
+class TestRootDistanceFold:
+    """``_root_distances`` folds inner positions only and gathers the rest;
+    both of its tables equal the sequential fold's by bytes."""
+
+    def _assert_like_sequential(self, tree):
+        tables = (np.asarray(tree._parent), np.asarray(tree._parent_edge), tree._tin,
+                  tree._preorder, tree._edge_len)
+        expected = _sequential_root_distances(*tables)
+        for got in (_root_distances(*tables), (tree._root_dist_arr, tree._parent_rd)):
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 8000])
+    def test_extreme_inner_sets(self, n):
+        rng = np.random.default_rng(n)
+        for name, edges, inner in _fold_trees(rng, n):
+            tree = MetricTree(n, edges)
+            if inner is not None:
+                sizes = np.asarray(tree._leave) - tree._tin
+                assert np.count_nonzero(sizes > 1) == inner, name
+            self._assert_like_sequential(tree)
+
+    def test_long_edge_above_node_0(self):
+        self._assert_like_sequential(MetricTree(4, [(0, 1, 1e8), (1, 2, 0.1), (1, 3, 0.2)]))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["random", "path", "caterpillar", "star"]),
+        n=st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_trees(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        self._assert_like_sequential(shaped_tree(rng, shape, n))
+
+
 class TestBuildGarbage:
     """A build leaves O(log n) objects for the cyclic garbage collector to
     track (the memoryviews of its tables and lifting rows), not one or more
@@ -1556,11 +1653,13 @@ class TestBuildGarbage:
     @pytest.mark.parametrize("reader", ["bulk", "lines"])
     @pytest.mark.parametrize("shape", ["random", "caterpillar"])
     def test_document_peak_bytes_per_node(self, shape, reader, rng, monkeypatch):
-        """Loading an 8000-node document through either reader peaks at no
-        more than 250 bytes per node above the text, of which the tree keeps
-        90-125: the document's lines and the reader's rows or lists are
-        dropped before the build, and the tour's temporaries before the root
-        distances and lifting rows."""
+        """Loading an 8000-node document peaks at no more than 150 bytes per
+        node above the text through the bulk pass (about 137; 193 while the
+        tour held 136 per node), of which the tree keeps 90-125, and at no
+        more than 250 through the line reader, whose own lists peak at about
+        194 before the build: the document's lines and the reader's rows or
+        lists are dropped before the build, and the tour's temporaries
+        before the root distances and lifting rows."""
         n = 8000
         text = "".join(f"edge {u} {v} {x!r}\n" for u, v, x in shaped_edges(rng, shape, n))
         text += "".join(f"point p{k} node {k}\n" for k in range(24))
@@ -1575,7 +1674,33 @@ class TestBuildGarbage:
         finally:
             tracemalloc.stop()
         assert doc.tree.n_nodes == n and len(doc.points) == 24
-        assert peak <= 250 * n
+        assert peak <= {"bulk": 150, "lines": 250}[reader] * n
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    def test_tour_transient_bytes_per_node(self, shape, rng, monkeypatch):
+        """The Euler tour of an 8000-node build holds at most 90 bytes per
+        node above its inputs, its outputs included: about 80, against 136
+        when it built an arange and the row positions over the half-edges and
+        held its per-edge arrays to its end."""
+        n = 8000
+        edges = shaped_edges(rng, shape, n)
+        tour, peaks = core._tour, []
+
+        def traced(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rooted = tour(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return rooted
+
+        monkeypatch.setattr(core, "_tour", traced)
+        MetricTree(n, edges)  # first-call caches, not the tour's own
+        tracemalloc.start()
+        try:
+            MetricTree(n, edges)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2 and peaks[1] <= 90 * n
 
 
 def _every_build(rng):
