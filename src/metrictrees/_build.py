@@ -187,7 +187,7 @@ def _root_distances(parent: np.ndarray, parent_edge: np.ndarray, tin: np.ndarray
     parent_rd = np.empty(n)
     parent_rd[0] = math.inf
     by_position.take(above, None, parent_rd[1:], "clip")
-    del above, inner
+    del above, inner  # spent, as is length below: the last gather holds less
     with np.errstate(over="ignore"):  # a sum past the largest float is inf, as in the fold
         np.add(parent_rd[1:], length, out=by_position[1:])
     del length
