@@ -68,12 +68,10 @@ from .ingest import (
     tree_from_distances,
 )
 from .noncompactness import (
-    BoundCheckReport,
     ContractionReport,
     EmbeddingReport,
     MeasureReport,
     PointMap,
-    contraction_bound_check,
     contraction_constants,
     embedding_invariance_check,
     measure_report,

@@ -4,8 +4,9 @@ contraction constants of sampled maps between metric trees.
 The per-n covering profiles stand in for the classical Kuratowski (set) and
 Hausdorff (ball) measures of noncompactness at finite scale.  On metric
 trees the set measure is exactly twice the ball measure, so the two notions
-of a k-contractive map coincide; ``measure_report`` and
-``contraction_constants`` make those identities checkable on concrete data.
+of a k-contractive map coincide: ``contraction_constants`` reports the ball
+ratios, which are the set ratios too, and ``measure_report`` shows the
+identities on concrete data.
 
 Every report reads its profiles from ``measure_report``, which runs one
 beta search per point set and takes alpha and beta* from it (see
@@ -37,11 +38,9 @@ __all__ = [
     "MeasureReport",
     "EmbeddingReport",
     "ContractionReport",
-    "BoundCheckReport",
     "measure_report",
     "embedding_invariance_check",
     "contraction_constants",
-    "contraction_bound_check",
 ]
 
 
@@ -206,16 +205,16 @@ def embedding_invariance_check(
 class ContractionReport:
     """Per-n contraction ratios of a sampled map on a chosen subsample.
 
-    ``set_ratios[k]``/``ball_ratios[k]`` compare the image profiles with the
-    source profiles at n = ns[k]; indices with alpha_n = 0 are reported in
-    ``skipped`` rather than divided through.
+    ``ball_ratios[k]`` compares the image's ball profile with the source's
+    at n = ns[k]; indices with alpha_n = 0 are reported in ``skipped``
+    rather than divided through.  On trees alpha_n = 2 * beta_n, so the set
+    ratio alpha_n(T(A)) / alpha_n(A) is the ball ratio and ``k_ball`` is
+    both contraction constants.
     """
 
     ns: tuple[int, ...]
-    set_ratios: tuple[float, ...]
     ball_ratios: tuple[float, ...]
     skipped: tuple[int, ...]
-    k_set: float | None
     k_ball: float | None
 
 
@@ -224,13 +223,12 @@ def contraction_constants(
     subset: Sequence[int] | None = None,
     n_max: int | None = None,
 ) -> ContractionReport:
-    """Set- and ball-contraction ratios of a sampled map.
+    """Ball-contraction ratios of a sampled map.
 
-    For each n with alpha_n(A) > 0, the set ratio is
-    alpha_n(T(A)) / alpha_n(A) and the ball ratio is
-    beta_n(T(A)) / beta_n(A).  On trees the two coincide exactly because
-    both measures halve together; alpha is taken as 2 * beta, so one beta
-    search runs per point set.
+    For each n with alpha_n(A) > 0, the ball ratio is
+    beta_n(T(A)) / beta_n(A).  On trees it is also the set ratio
+    alpha_n(T(A)) / alpha_n(A), because both measures halve together; one
+    beta search runs per point set.
     """
     idx = list(range(len(pm.pairs))) if subset is None else list(subset)
     if not idx:
@@ -241,53 +239,14 @@ def contraction_constants(
     src = measure_report(PointSet(pm.source, [pm.pairs[k][0] for k in idx]), n_max)
     img = measure_report(PointSet(pm.target, [pm.pairs[k][1] for k in idx]), src.n_max)
     tol = pm.source.tol
-    a_src, b_src = src.alpha.values, src.beta.values
-    a_img, b_img = img.alpha.values, img.beta.values
-    ns, set_ratios, ball_ratios, skipped = [], [], [], []
+    a_src, b_src, b_img = src.alpha.values, src.beta.values, img.beta.values
+    ns, ball_ratios, skipped = [], [], []
     for k in range(src.n_max):
         if a_src[k] <= tol.abs_eps:
             skipped.append(k + 1)
             continue
         ns.append(k + 1)
-        set_ratios.append(a_img[k] / a_src[k])
         ball_ratios.append(b_img[k] / b_src[k])
     return ContractionReport(
-        tuple(ns),
-        tuple(set_ratios),
-        tuple(ball_ratios),
-        tuple(skipped),
-        max(set_ratios, default=None),
-        max(ball_ratios, default=None),
+        tuple(ns), tuple(ball_ratios), tuple(skipped), max(ball_ratios, default=None)
     )
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Cross-measure contraction bounds checked on a sampled map.
-
-    A k-set-contractive map is always 2k-ball-contractive and vice versa
-    (in any metric space); on trees the ratios agree outright, so both
-    inequalities hold with slack.
-    """
-
-    ns: tuple[int, ...]
-    ball_le_2set: tuple[bool, ...]
-    set_le_2ball: tuple[bool, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.ball_le_2set) and all(self.set_le_2ball)
-
-
-def contraction_bound_check(
-    pm: PointMap,
-    subset: Sequence[int] | None = None,
-    n_max: int | None = None,
-) -> BoundCheckReport:
-    """Check ball_ratio <= 2*set_ratio and set_ratio <= 2*ball_ratio per n."""
-    rep = contraction_constants(pm, subset=subset, n_max=n_max)
-    tol = pm.source.tol
-    pairs = list(zip(rep.ball_ratios, rep.set_ratios))
-    ball_le = tuple(tol.leq(ball, 2.0 * set_) for ball, set_ in pairs)
-    set_le = tuple(tol.leq(set_, 2.0 * ball) for ball, set_ in pairs)
-    return BoundCheckReport(rep.ns, ball_le, set_le)

@@ -251,11 +251,11 @@ def test_criterion_08_leaf_decomposition():
 
 
 def test_criterion_09_contraction_equivalence():
-    """Set ratio = ball ratio exactly at every valid n, and both follow the
-    exhaustive oracle.  With alpha taken as 2*beta the equality holds by
-    construction; the oracle profiles of the source and image sets are the
-    independent check: ``ns``/``skipped`` must follow the oracle's
-    alpha_n > abs_eps, and each ratio must match the oracle's within TOL."""
+    """k-set = k-ball on trees: each reported ball ratio matches both the
+    set ratio and the ball ratio of the exhaustive oracle within TOL.  The
+    oracle's partition and cover searches share no code with the profile
+    search, so the equality is checked, not copied; ``ns``/``skipped`` must
+    follow the oracle's alpha_n > abs_eps."""
     rng = np.random.default_rng(1039)
     failures = checks = 0
     for _ in range(100):
@@ -272,15 +272,13 @@ def test_criterion_09_contraction_equivalence():
         if list(rep.ns) != valid or sorted(rep.skipped + rep.ns) != list(range(1, n_max + 1)):
             failures += 1
             continue
-        for n, rs, rb in zip(rep.ns, rep.set_ratios, rep.ball_ratios):
-            checks += 3
-            if rs != rb:  # exact equality demanded
-                failures += 1
-            if abs(rs - ia[n - 1] / sa[n - 1]) > TOL:
+        for n, rb in zip(rep.ns, rep.ball_ratios):
+            checks += 2
+            if abs(rb - ia[n - 1] / sa[n - 1]) > TOL:
                 failures += 1
             if abs(rb - ib[n - 1] / sb[n - 1]) > TOL:
                 failures += 1
-    _report(9, "set ratio = ball ratio exactly, both = oracle ratios", failures, checks)
+    _report(9, "ball ratio = oracle set ratio = oracle ball ratio", failures, checks)
 
 
 def test_criterion_10_star_fixture_regression():

@@ -12,12 +12,13 @@ MODULES = ("cli", "core", "covering", "errors", "ingest", "noncompactness", "rep
 
 # pass-through wrappers and per-report builders that were folded into
 # ``MetricTree``, ``Segment.intersect`` and ``reports.report_obj``, the
-# ``LeafSet`` tuple wrapper, and the sample counts of the Lifschitz checks,
-# which are exact
+# ``LeafSet`` tuple wrapper, the sample counts of the Lifschitz checks,
+# which are exact, and the contraction bound check, which tested x <= 2x
 REMOVED = ("validate_tree", "segment_intersection", "point_obj", "profile_obj",
            "ball_cover_obj", "partition_obj", "measure_obj", "embedding_obj",
            "contraction_obj", "bound_check_obj", "witness_obj", "counterexample_obj",
-           "kappa_obj", "LeafSet", "COUNTEREXAMPLE_SAMPLES", "PROBE_SAMPLES_PER_EDGE")
+           "kappa_obj", "LeafSet", "COUNTEREXAMPLE_SAMPLES", "PROBE_SAMPLES_PER_EDGE",
+           "contraction_bound_check", "BoundCheckReport")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,9 +37,9 @@ def test_reports_exports_one_serializer():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
-    from metrictrees import core, reports, structure
+    from metrictrees import core, noncompactness, reports, structure
 
-    for module in (metrictrees, core, reports, structure):
+    for module in (metrictrees, core, noncompactness, reports, structure):
         assert not hasattr(module, name)
 
 

@@ -18,7 +18,6 @@ from metrictrees import (
     alpha_profile,
     beta_profile,
     beta_star_profile,
-    contraction_bound_check,
     contraction_constants,
     diameter,
     embedding_invariance_check,
@@ -95,20 +94,9 @@ def embedding_obj(report):
 def contraction_obj(report):
     return {
         "ns": list(report.ns),
-        "set_ratios": list(report.set_ratios),
         "ball_ratios": list(report.ball_ratios),
         "skipped": list(report.skipped),
-        "k_set": report.k_set,
         "k_ball": report.k_ball,
-    }
-
-
-def bound_check_obj(report):
-    return {
-        "ns": list(report.ns),
-        "ball_le_2set": list(report.ball_le_2set),
-        "set_le_2ball": list(report.set_le_2ball),
-        "passed": report.passed,
     }
 
 
@@ -195,8 +183,6 @@ def _reports(seed):
     pm = PointMap(tree, tree, list(zip(sources, random_points(rng, tree, len(sources)))))
     rep = contraction_constants(pm)
     yield "contraction", report_obj(rep), contraction_obj(rep)
-    rep = contraction_bound_check(pm)
-    yield "bound_check", report_obj(rep), bound_check_obj(rep)
 
     rep = kappa_probe(tree, 2, rng=seed)
     yield "kappa", report_obj(rep), kappa_obj(rep)
@@ -213,7 +199,7 @@ def _reports(seed):
 
 
 KINDS = ("measure", "ball_cover", "partition", "profile", "embedding", "contraction",
-         "bound_check", "kappa", "counterexample", "witness", "points")
+         "kappa", "counterexample", "witness", "points")
 
 
 @pytest.fixture(scope="module")
