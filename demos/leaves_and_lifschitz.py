@@ -50,16 +50,17 @@ print("  edges the two balls meet on:", verification.applicable, "of", verificat
       " failures:", len(verification.failures))
 
 # b = 2: on a path of length 4r, the segment [u, v] sits inside both
-# B(x; a*r) and B(y; 2r) yet has diameter > 2r, so no radius-r ball holds it.
-rec = lifschitz_counterexample(r=1.0, a=1.5)
-print("\ncounterexample at b = 2 (r=1, a=1.5):")
-print("  u =", rec.u, " v =", rec.v, " diam[u,v] =", rec.uv_diameter)
-print("  inside both balls:", rec.containment_ok,
-      " exceeds 2r:", rec.diameter_exceeds_2r,
-      " no small ball:", rec.no_small_ball_ok)
-
-rec = lifschitz_counterexample(r=1.0, a=3.8)
-print("large a clamps u to the path end:", rec.clamped, "-> still verified:", rec.passed)
+# B(x; a*r) and B(y; 2r) yet has diameter > 2r, so no radius-r ball holds it:
+# its midpoint, the best center, lies farther than r from u.  A large a
+# clamps u to the path's end.
+for a in (1.5, 3.8):
+    rec = lifschitz_counterexample(r=1.0, a=a)
+    t = rec.tree
+    print(f"\ncounterexample at b = 2 (r=1, a={a}), u clamped: {rec.clamped}")
+    print("  u =", rec.u, " v =", rec.v, " diam[u,v] =", rec.uv_diameter)
+    print("  inside both balls:", rec.containment_ok,
+          " d(u, v) > 2r:", t.distance(rec.u, rec.v) > 2.0 * rec.r,
+          " d(midpoint, u) > r:", t.distance(t.midpoint(rec.u, rec.v), rec.u) > rec.r)
 
 # Randomized two-sided probe on an arbitrary tree.
 rng_tree = random_tree(np.random.default_rng(5), n_nodes=15)

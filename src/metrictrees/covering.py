@@ -583,7 +583,7 @@ def oracle_profiles(ps: PointSet, n_max: int) -> tuple[tuple[float, ...], tuple[
                     if cand < row[c]:
                         row[c] = cand
             sub = (sub - 1) & mask
-        row[0] = diam[mask] if row[0] == inf else min(row[0], diam[mask])
+        row[0] = diam[mask]  # c = 0: one block, the whole mask
     alpha = tuple(g[full][min(n, k) - 1] for n in range(1, n_max + 1))
     beta = tuple(0.5 * a for a in alpha)
     return alpha, beta

@@ -130,19 +130,21 @@ def measure_report(ps: PointSet, n_max: int | None = None) -> MeasureReport:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Intrinsic vs ambient profiles of an isometrically embedded set."""
+    """Intrinsic vs ambient set profiles of an isometrically embedded set.
+
+    On a tree the ball profile is exactly half the set profile, so
+    ``alpha_invariant`` carries the ball statement too, at the stricter
+    slack: twice the values against at most twice the slack.
+    """
 
     n_max: int
     source_alpha: tuple[float, ...]
-    source_beta: tuple[float, ...]
     host_alpha: tuple[float, ...]
-    host_beta: tuple[float, ...]
     alpha_invariant: tuple[bool, ...]
-    beta_invariant: tuple[bool, ...]
 
     @property
     def passed(self) -> bool:
-        return all(self.alpha_invariant) and all(self.beta_invariant)
+        return all(self.alpha_invariant)
 
 
 def embedding_invariance_check(
@@ -155,10 +157,11 @@ def embedding_invariance_check(
 
     ``images`` gives, for each point of ``ps``, its copy in the host tree.
     The mapping must preserve pairwise distances (NotIsometric otherwise);
-    the report then compares alpha and beta profiles computed intrinsically
-    and in the host.  Ball centers range over the ambient tree in each case,
-    so the beta comparison is a genuine invariance statement, not bookkeeping.
-    One beta search runs per tree; alpha is 2 * beta, exact on trees.
+    the report then compares the alpha profiles computed intrinsically and
+    in the host.  One beta search runs per tree, with ball centers ranging
+    over that whole tree, and alpha is 2 * beta, exact on trees; so the
+    alpha comparison is a genuine invariance statement for the ball
+    profile as well, not bookkeeping.
     """
     if len(images) != len(ps.points):
         raise BadParams(
@@ -188,17 +191,8 @@ def embedding_invariance_check(
     # the host set may merge points closer than the tolerance, so it takes
     # the source's n_max rather than its own default
     dst = measure_report(host_ps, src.n_max)
-    sa, sb = src.alpha.values, src.beta.values
-    ha, hb = dst.alpha.values, dst.beta.values
-    return EmbeddingReport(
-        src.n_max,
-        sa,
-        sb,
-        ha,
-        hb,
-        tuple(map(tol.close, sa, ha)),
-        tuple(map(tol.close, sb, hb)),
-    )
+    sa, ha = src.alpha.values, dst.alpha.values
+    return EmbeddingReport(src.n_max, sa, ha, tuple(map(tol.close, sa, ha)))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,8 @@ class CounterexampleRecord:
     distance a*r from x (clamped to w when the path is too short).  The
     segment [u, v] then lies inside both B(x; a*r) and B(y; 2*r) but has
     diameter > 2r, so no closed ball of radius r contains it.
+    Only ``containment_ok`` is a check: ``lifschitz_counterexample`` rejects
+    an r or a whose d(u, v) does not clear 2r by twice the slack.
     """
 
     tree: MetricTree = field(repr=False)
@@ -190,12 +192,6 @@ class CounterexampleRecord:
     clamped: bool
     uv_diameter: float
     containment_ok: bool
-    diameter_exceeds_2r: bool
-    no_small_ball_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.containment_ok and self.diameter_exceeds_2r and self.no_small_ball_ok
 
 
 def lifschitz_counterexample(r: float, a: float) -> CounterexampleRecord:
@@ -206,10 +202,11 @@ def lifschitz_counterexample(r: float, a: float) -> CounterexampleRecord:
     at most ``_MAX_R``, so that a tree takes the path (BadParams).  An r too
     small for the tolerance to tell d(u, v) from 2r, that is one where
     ``d(u, v) - 2r`` is at most twice the slack at 2r, raises BadParams too.
-    The checks are exact: balls are convex, so [u, v] lies in both when u
-    and v do, and no center does better than ``midpoint(u, v)``, since
-    max(d(z, u), d(z, v)) >= d(u, v)/2 for every z.  They read coordinates
-    on the path.
+    So a returned record has d(u, v) > 2r + slack, and no radius-r ball
+    holds [u, v]: no center does better than ``midpoint(u, v)``, since
+    max(d(z, u), d(z, v)) >= d(u, v)/2 for every z.  The containment check
+    is exact: balls are convex, so [u, v] lies in both when u and v do.  It
+    reads coordinates on the path.
     """
     if not (_is_number_type(type(r)) and 0 < _to_float(r) <= _MAX_R):
         raise BadParams(f"r must be positive and at most {_MAX_R!r}, got {r!r}")
@@ -252,8 +249,6 @@ def lifschitz_counterexample(r: float, a: float) -> CounterexampleRecord:
         clamped,
         uv_diameter,
         containment_ok,
-        True,  # past the guard d(u, v) > 2r + 2*slack, so d(u, v) > 2r + slack and,
-        True,  # at midpoint(u, v), the best center, d(u, v)/2 > r + slack
     )
 
 
@@ -296,13 +291,14 @@ def kappa_probe(
 
     Each trial draws x, y, r with d(x, y) > r and eps in (0, 1) (or the
     fixed ``eps``), runs the exact ``lifschitz_witness`` over the whole
-    tree, and verifies one ``lifschitz_counterexample`` template, a path
-    apart from the tree, at the default tolerance.  A tree with no pair at
-    positive distance (a single node) yields a vacuous pass.  A fixed
-    ``eps`` that is not a real in (0, 1) raises PreconditionViolation
-    before the first trial, on any tree.  ``rng`` is anything ``np.random.default_rng``
-    takes: a non-negative seed of any integer type, None, or a Generator,
-    which is used as is; a seed it rejects raises BadParams.
+    tree, and builds one ``lifschitz_counterexample`` template, a path
+    apart from the tree, at the default tolerance, which fails when its
+    ``containment_ok`` is False.  A tree with no pair at positive distance
+    (a single node) yields a vacuous pass.  A fixed ``eps`` that is not a
+    real in (0, 1) raises PreconditionViolation before the first trial,
+    on any tree.  ``rng`` is anything ``np.random.default_rng`` takes: a
+    non-negative seed of any integer type, None, or a Generator, which is
+    used as is; a seed it rejects raises BadParams.
     """
     trials = _count(trials, "trials")
     if eps is not None:
@@ -337,7 +333,7 @@ def kappa_probe(
             r=float(rng.uniform(0.1, 5.0)),
             a=float(rng.uniform(1.05, 4.0)),
         )
-        if not cex.passed:
+        if not cex.containment_ok:
             cex_failures += 1
     return KappaReport(
         trials,

@@ -222,7 +222,13 @@ def test_criterion_07_lifschitz_sandwich():
         rec = lifschitz_counterexample(
             r=float(rng.uniform(0.1, 8.0)), a=float(rng.uniform(1.05, 4.0))
         )
-        if not (rec.containment_ok and rec.diameter_exceeds_2r and rec.no_small_ball_ok):
+        # [u, v] is longer than 2r, and its midpoint, the best center for
+        # it, lies farther than r from u: no radius-r ball holds it
+        tree, u, v = rec.tree, rec.u, rec.v
+        slack = tree.tol.slack(2.0 * rec.r)
+        long_enough = tree.distance(u, v) > 2.0 * rec.r + slack
+        no_small_ball = tree.distance(tree.midpoint(u, v), u) > rec.r + slack
+        if not (rec.containment_ok and long_enough and no_small_ball):
             failures += 1
     _report(
         7,

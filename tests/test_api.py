@@ -1,5 +1,6 @@
 """The public names: every ``__all__`` entry resolves, removed names stay gone."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -19,6 +20,16 @@ REMOVED = ("validate_tree", "segment_intersection", "point_obj", "profile_obj",
            "contraction_obj", "bound_check_obj", "witness_obj", "counterexample_obj",
            "kappa_obj", "LeafSet", "COUNTEREXAMPLE_SAMPLES", "PROBE_SAMPLES_PER_EDGE",
            "contraction_bound_check", "BoundCheckReport")
+
+
+# report fields that restated another verdict: the embedding report's beta
+# half, which its alpha half implies, and the counterexample's literal-True
+# flags with the ``passed`` that restated ``containment_ok``
+REMOVED_FIELDS = (("EmbeddingReport", "source_beta"), ("EmbeddingReport", "host_beta"),
+                  ("EmbeddingReport", "beta_invariant"),
+                  ("CounterexampleRecord", "diameter_exceeds_2r"),
+                  ("CounterexampleRecord", "no_small_ball_ok"),
+                  ("CounterexampleRecord", "passed"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,6 +52,13 @@ def test_removed_names_are_gone(name):
 
     for module in (metrictrees, core, noncompactness, reports, structure):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(("cls", "name"), REMOVED_FIELDS)
+def test_removed_fields_are_gone(cls, name):
+    report = getattr(metrictrees, cls)
+    assert name not in {f.name for f in dataclasses.fields(report)}
+    assert not hasattr(report, name)
 
 
 def test_unused_knobs_are_gone():

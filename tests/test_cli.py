@@ -321,7 +321,7 @@ class TestKappa:
         assert code == 1
 
     def test_failures_exit_two_with_report(self, tree_file, capsys, monkeypatch):
-        failed = SimpleNamespace(passed=False)
+        failed = SimpleNamespace(passed=False, containment_ok=False)
         monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
         monkeypatch.setattr(structure, "lifschitz_counterexample", lambda **kwargs: failed)
         code, out, _ = run(capsys, "kappa", str(tree_file), "--trials", "4")

@@ -6,7 +6,8 @@ exports.  Each verdict either has a case here that makes it False, an
 input or a mutant patched in for the one test, or sits on
 ``BY_CONSTRUCTION``: verdicts that hold by the way they are computed,
 each with the ROADMAP item that will certify it.  That list may only
-shrink.
+shrink.  ``leaf_cover_check``, whose verdict is a plain tuple, has its
+own mutant case at the end.
 """
 
 import dataclasses
@@ -22,9 +23,11 @@ from metrictrees import (
     embedding_invariance_check,
     gallery,
     kappa_probe,
+    leaf_cover_check,
     lifschitz_counterexample,
     lifschitz_witness,
     noncompactness,
+    structure,
 )
 
 VERDICT_PROPERTIES = ("passed", "consistent")
@@ -36,10 +39,6 @@ BY_CONSTRUCTION = {
     "MeasureReport.alpha_twice_beta": 6,
     "MeasureReport.beta_star_twice_beta": 6,
     "MeasureReport.passed": 6,
-    # literal True past the guard that d(u, v) - 2r exceeds twice the slack
-    "CounterexampleRecord.diameter_exceeds_2r": 12,
-    "CounterexampleRecord.no_small_ball_ok": 12,
-    "CounterexampleRecord.passed": 12,
 }
 
 
@@ -97,7 +96,6 @@ def _kappa(monkeypatch):
 
 CASES = {
     "EmbeddingReport.alpha_invariant": lambda mp: _embedding(mp).alpha_invariant,
-    "EmbeddingReport.beta_invariant": lambda mp: _embedding(mp).beta_invariant,
     "EmbeddingReport.passed": lambda mp: _embedding(mp).passed,
     "WitnessVerification.passed": lambda mp: _witness(mp).passed,
     # a = 1.5 puts u at 1.75 r from w, on the path
@@ -121,9 +119,6 @@ def test_the_list_only_shrinks():
         "MeasureReport.alpha_twice_beta",
         "MeasureReport.beta_star_twice_beta",
         "MeasureReport.passed",
-        "CounterexampleRecord.diameter_exceeds_2r",
-        "CounterexampleRecord.no_small_ball_ok",
-        "CounterexampleRecord.passed",
     }
 
 
@@ -134,3 +129,13 @@ def test_verdict_can_be_false(verdict, monkeypatch):
         assert value and not all(value)
     else:
         assert value is False
+
+
+def test_leaf_cover_check_can_fail(monkeypatch):
+    """Mutant: every leaf witness is the base point a itself, a leaf of
+    the simple tree that lies beyond no other point."""
+    monkeypatch.setattr(structure, "leaf_through", lambda a, m: a)
+    doc = gallery("simple")
+    tree = doc.tree
+    nodes = [tree.node_point(i) for i in range(tree.n_nodes)]
+    assert leaf_cover_check(tree, nodes[0], nodes) == (False, nodes[1])

@@ -150,6 +150,13 @@ class TestFourPoint:
 
 
 class TestReconstruction:
+    def test_no_labels(self):
+        # an empty matrix is a tree metric, realized by one node with no points
+        m = DistanceMatrix((), np.zeros((0, 0)))
+        assert check_four_point(m) == (True, None)
+        tree, pts = tree_from_distances(m)
+        assert (tree.n_nodes, tree.edges, pts) == (1, (), {})
+
     def test_two_labels_single_edge(self):
         tree, pts = tree_from_distances(_matrix("ab", [[0, 5], [5, 0]]))
         assert tree.n_nodes == 2

@@ -238,19 +238,9 @@ def _reference_embedding_invariance_check(ps, host, images, n_max=None):
     host_ps = PointSet(host, [images[index[p]] for p in ps.distinct])
     if n_max is None:
         n_max = len(ps.distinct)
-    sb = beta_profile(ps, n_max).values
-    hb = beta_profile(host_ps, n_max).values
-    sa = tuple(2.0 * v for v in sb)
-    ha = tuple(2.0 * v for v in hb)
-    return EmbeddingReport(
-        n_max,
-        sa,
-        sb,
-        ha,
-        hb,
-        tuple(tol.close(sa[k], ha[k]) for k in range(n_max)),
-        tuple(tol.close(sb[k], hb[k]) for k in range(n_max)),
-    )
+    sa = tuple(2.0 * v for v in beta_profile(ps, n_max).values)
+    ha = tuple(2.0 * v for v in beta_profile(host_ps, n_max).values)
+    return EmbeddingReport(n_max, sa, ha, tuple(tol.close(sa[k], ha[k]) for k in range(n_max)))
 
 
 def _reference_contraction_constants(pm, subset=None, n_max=None):

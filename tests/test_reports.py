@@ -82,11 +82,8 @@ def embedding_obj(report):
     return {
         "n_max": report.n_max,
         "source_alpha": list(report.source_alpha),
-        "source_beta": list(report.source_beta),
         "host_alpha": list(report.host_alpha),
-        "host_beta": list(report.host_beta),
         "alpha_invariant": list(report.alpha_invariant),
-        "beta_invariant": list(report.beta_invariant),
         "passed": report.passed,
     }
 
@@ -128,9 +125,6 @@ def counterexample_obj(rec):
         "clamped": rec.clamped,
         "uv_diameter": rec.uv_diameter,
         "containment_ok": rec.containment_ok,
-        "diameter_exceeds_2r": rec.diameter_exceeds_2r,
-        "no_small_ball_ok": rec.no_small_ball_ok,
-        "passed": rec.passed,
     }
 
 

@@ -100,6 +100,13 @@ class TestLeafThrough:
         m = t.edge_point(1, 2, 0.5)  # interior of B--C
         assert leaf_through(p["A"], m) == p["C"]
 
+    def test_smallest_id_branch(self, star_doc):
+        # from tip1 through the hub, every other spoke leads to a leaf;
+        # the walk takes the smallest node id
+        doc = star_doc(4)
+        assert leaf_through(doc.points["tip1"], doc.points["hub"]) == doc.points["tip2"]
+        assert leaf_through(doc.points["tip2"], doc.points["hub"]) == doc.points["tip1"]
+
     def test_m_already_a_leaf(self, simple_doc):
         t, p = simple_doc.tree, simple_doc.points
         assert leaf_through(p["A"], p["C"]) == p["C"]
@@ -137,6 +144,14 @@ class TestLeafCover:
         ok, _ = leaf_cover_check(doc.tree, doc.points["origin"], pts)
         assert ok
 
+    def test_witness_that_is_no_leaf_is_reported(self, simple_doc, monkeypatch):
+        # mutant: B (node 1) is its own witness, on the geodesic from A but
+        # no leaf; tests/test_falsifiable.py holds a leaf that is off it
+        monkeypatch.setattr(structure, "leaf_through", lambda a, m: m)
+        t = simple_doc.tree
+        nodes = [t.node_point(i) for i in range(t.n_nodes)]
+        assert leaf_cover_check(t, nodes[0], nodes) == (False, nodes[1])
+
     def test_random_trees_dense(self, rng):
         for _ in range(25):
             tree = random_tree(rng, max_nodes=10)
@@ -151,7 +166,9 @@ class TestLifschitzWitness:
         x, y = t.node_point(0), t.node_point(10)
         w, verification = lifschitz_witness(t, x, y, 4.0, 0.25)
         assert verification.passed
-        assert verification.applicable > 0
+        # B(x; 5) and B(y; 6) meet in [4, 5], which touches edges 3-4, 4-5
+        # and 5-6
+        assert (verification.checked, verification.applicable) == (10, 3)
         assert w.a == 1.25 and w.b == 1.5
         assert t.distance(x, w.z) == pytest.approx(1.0)
 
@@ -175,6 +192,10 @@ class TestLifschitzWitness:
             lifschitz_witness(t, x, y, 1.0, 1.5)
         with pytest.raises(PreconditionViolation):
             lifschitz_witness(t, x, y, -1.0, 0.5)
+        with pytest.raises(PreconditionViolation, match="^r must be positive"):
+            lifschitz_witness(t, x, y, True, 0.5)  # d(x, y) = 2 > 1
+        with pytest.raises(PreconditionViolation, match="^eps must lie"):
+            lifschitz_witness(t, x, y, 1.0, "0.5")
 
     def test_random_trees(self, rng):
         done = 0
@@ -194,7 +215,7 @@ class TestLifschitzWitness:
 class TestLifschitzCounterexample:
     def test_moderate_a(self):
         rec = lifschitz_counterexample(1.0, 1.5)
-        assert rec.passed
+        assert rec.containment_ok
         assert rec.uv_diameter > 2.0
         assert not rec.clamped
 
@@ -202,19 +223,19 @@ class TestLifschitzCounterexample:
         rec = lifschitz_counterexample(1.0, 3.8)
         assert rec.clamped
         assert rec.u == rec.w
-        assert rec.passed
+        assert rec.containment_ok
         assert rec.uv_diameter == pytest.approx(4.0)
 
     def test_a_three(self):
         # d(y, x) lives in (r, min(a,2)r), so u = x - a*r stays inside the
         # path for a = 3; the construction verifies without clamping
         rec = lifschitz_counterexample(1.0, 3.0)
-        assert rec.passed
+        assert rec.containment_ok
 
     def test_scales_with_r(self):
         for r in (0.25, 2.0, 7.5):
             rec = lifschitz_counterexample(r, 1.8)
-            assert rec.passed
+            assert rec.containment_ok
             assert rec.uv_diameter > 2.0 * r
 
     def test_bad_params(self):
@@ -224,6 +245,10 @@ class TestLifschitzCounterexample:
             lifschitz_counterexample(-1.0, 1.5)
         with pytest.raises(BadParams):
             lifschitz_counterexample(1.0, 1.0)
+        with pytest.raises(BadParams, match="^r must be"):
+            lifschitz_counterexample("1", 1.5)
+        with pytest.raises(BadParams, match="^a must"):
+            lifschitz_counterexample(1.0, "2")
 
     def test_non_finite_params_name_themselves(self):
         # an infinite r once surfaced as the internal path edge's
@@ -243,19 +268,20 @@ class TestLifschitzCounterexample:
         for r in (1e305, _MAX_R):  # the path, 4*r, and its distance sums stay finite
             for a in (1.5, 3.8):
                 rec = lifschitz_counterexample(r, a)
-                assert rec.passed
+                assert rec.containment_ok
                 assert math.isfinite(rec.tree.distance(rec.u, rec.v))
 
     def test_r_below_the_tolerance_is_rejected(self):
         # d(u, v) - 2r must exceed twice the slack at 2r, which is at least
-        # abs_eps = 1e-9; here it is 1.25e-9 and 5e-13
-        for r, a in ((5e-9, 1.5), (1.0, 1 + 1e-12)):
+        # abs_eps = 1e-9; here it is 1.25e-9, 5e-13 and 3e-6, the last above
+        # twice the slack at r = 1000 (1e-6) but not at 2r
+        for r, a in ((5e-9, 1.5), (1.0, 1 + 1e-12), (1000.0, 1 + 6e-9)):
             with pytest.raises(BadParams, match="^r = .* a = .* too small"):
                 lifschitz_counterexample(r, a)
-        assert lifschitz_counterexample(1e-8, 1.5).passed
+        assert lifschitz_counterexample(1e-8, 1.5).containment_ok
 
     def test_numpy_numbers_accepted(self):
-        assert lifschitz_counterexample(np.float32(1.0), np.int64(2)).passed
+        assert lifschitz_counterexample(np.float32(1.0), np.int64(2)).containment_ok
 
     def test_bools_rejected(self):
         with pytest.raises(BadParams):
@@ -263,12 +289,24 @@ class TestLifschitzCounterexample:
         with pytest.raises(BadParams):
             lifschitz_counterexample(1.0, np.True_)
 
+    def test_containment_compares_both_ends_with_both_radii(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(Tolerance, "leq", lambda self, a, b: seen.append((a, b)) or True)
+        rec = lifschitz_counterexample(1.0, 1.5)
+        t = rec.tree
+        expected = [(t.distance(p, c), radius)
+                    for p in (rec.u, rec.v) for c, radius in ((rec.x, 1.5), (rec.y, 2.0))]
+        assert np.allclose(seen, expected, rtol=0.0, atol=1e-12)
+
     def test_same_record_as_reference(self):
-        """A 20 x 15 grid of r and a, clamped and unclamped."""
+        """A 20 x 15 grid of r and a, clamped and unclamped; on every
+        record the dense sample confirms d(u, v) > 2r and that no sampled
+        center holds [u, v] in a radius-r ball."""
         for r in np.geomspace(0.01, 100.0, 20).tolist():
             for a in np.linspace(1.01, 4.5, 15).tolist():
                 rec = lifschitz_counterexample(r, a)
-                ref = _reference_lifschitz_counterexample(r, a)
+                ref, diameter_exceeds, no_small_ball = _reference_lifschitz_counterexample(r, a)
+                assert diameter_exceeds and no_small_ball
                 assert rec.tree.edges == ref.tree.edges
                 assert json.dumps(report_obj(rec), sort_keys=True) == json.dumps(
                     report_obj(ref), sort_keys=True
@@ -277,7 +315,9 @@ class TestLifschitzCounterexample:
 
 def _reference_lifschitz_counterexample(r, a, samples=64):
     """``lifschitz_counterexample`` as it was, with nodes listed twice
-    among the small-ball candidates, for valid r and a."""
+    among the small-ball candidates, for valid r and a: the record and its
+    two sampled facts, d(u, v) > 2r + slack and no candidate center within
+    r + slack of both ends."""
     tree = MetricTree(2, [(0, 1, 4.0 * r)])
     w = tree.node_point(0)
     v = tree.node_point(1)
@@ -304,8 +344,9 @@ def _reference_lifschitz_counterexample(r, a, samples=64):
         max(tree.distance(z, p) for p in (pts[0], pts[-1])) > r + slack
         for z in candidates
     )
-    return CounterexampleRecord(tree, r, a, w, v, y, x, u, clamped, uv_diameter,
-                                containment_ok, diameter_exceeds, no_small_ball)
+    record = CounterexampleRecord(tree, r, a, w, v, y, x, u, clamped, uv_diameter,
+                                  containment_ok)
+    return record, diameter_exceeds, no_small_ball
 
 
 class TestKappaProbe:
@@ -364,12 +405,22 @@ class TestKappaProbe:
                 kappa_probe(tree, trials=3, rng=0, eps=eps)
 
     def test_failures_are_counted(self, star_doc, monkeypatch):
-        failed = SimpleNamespace(passed=False)
+        failed = SimpleNamespace(passed=False, containment_ok=False)
         monkeypatch.setattr(structure, "lifschitz_witness", lambda *args: (None, failed))
         monkeypatch.setattr(structure, "lifschitz_counterexample", lambda **kwargs: failed)
         rep = kappa_probe(star_doc(3).tree, trials=7, rng=0)
         assert (rep.witness_trials, rep.witness_failures) == (7, 7)
         assert (rep.counterexample_trials, rep.counterexample_failures) == (7, 7)
+        assert not rep.consistent
+
+    @pytest.mark.parametrize("half", ["lifschitz_witness", "lifschitz_counterexample"])
+    def test_either_half_failing_alone_is_inconsistent(self, star_doc, monkeypatch, half):
+        failed = SimpleNamespace(passed=False, containment_ok=False)
+        mutant = (lambda *args: (None, failed)) if half == "lifschitz_witness" else (
+            lambda **kwargs: failed)
+        monkeypatch.setattr(structure, half, mutant)
+        rep = kappa_probe(star_doc(3).tree, trials=7, rng=0)
+        assert rep.witness_failures + rep.counterexample_failures == 7
         assert not rep.consistent
 
     def test_coarse_tolerance(self):
