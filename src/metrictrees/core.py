@@ -11,6 +11,9 @@ points, parameterized by arc length: ``Segment.point_at`` is an isometry from
 ``[0, total_length]`` onto the segment.  Every arc-length query walks the
 path from its start and stops once it passes the arc length asked for; it
 steers by the rooted tables, never by comparing rounded sums of distances.
+Beside the walk, one climb toward node 0 places a batch of points at once,
+each the point the walk gives, bit for bit: the walk and the climb sum their
+legs in the same order and end in one statement of the stop rules.
 
 ``MetricTree`` is immutable after validation, its tables read-only.  All
 queries are read-only and safe to call from concurrent threads.  The
@@ -389,7 +392,11 @@ class MetricTree:
     themselves, a row in O(k), the matrix in O(n + k^2) and the depths in
     O(k); and ``distances`` a point outside a set against all of it, in
     O(n + len(qs)).  The last two read the lca root distance of two
-    preorder positions by the span rule (see ``PointArray``).
+    preorder positions by the span rule (see ``PointArray``).  Two codes
+    find a point by arc length, with one set of stop rules (``_on_leg``):
+    ``_point_along`` walks ``_legs`` from x toward y, and ``_toward_root``
+    climbs from many points toward node 0 at once, by doubling over the
+    lifting rows, with the walk's bits.
 
     A node or edge id given to a query must be an integer in range, or
     the query raises ``BadParams``; the walks inside take their ids from
@@ -793,12 +800,85 @@ class MetricTree:
             if end > t or (after := next(legs, None)) is None:
                 break
             start, before, leg = end, stop, after
-        if t == start:  # never on the first leg, where start is 0.0 < t
+        # before is None only on the first leg, where start is 0.0 < t
+        return self._on_leg(t, start, end, before, y if stop is None else stop, e, cs, ct)
+
+    def _on_leg(self, t: float, start: float, end: float, before: int | None,
+                stop: int | TreePoint, e: int, cs: float, ct: float) -> TreePoint:
+        """The stop rules of a walk that ends on the leg of edge e from tail
+        coordinate cs to ct, whose sums run from ``start`` to ``end``: t at
+        the start gives the node ``before``, t at the end gives ``stop`` (a
+        node, or the point the leg ends at), and any other t the point
+        ``t - start`` along the leg from cs.  ``_point_along`` and
+        ``_toward_root`` both place their points here."""
+        if t == start:
             return TreePoint(self, before, None, 0.0)
         if t == end:
-            return y if stop is None else TreePoint(self, stop, None, 0.0)
+            return stop if isinstance(stop, TreePoint) else TreePoint(self, stop, None, 0.0)
         delta = t - start
         return self._edge_point_at(e, cs + delta if ct > cs else cs - delta)
+
+    def _toward_root(self, points: Sequence[TreePoint], depths: Sequence[float],
+                     ts: Sequence[float]) -> list[TreePoint]:
+        """Per point p, the point ``_point_along(p, node 0, depth, t)``
+        gives, bit for bit, without its walk: p at t = 0, node 0 at t =
+        depth, and any other point from one climb for all of them.
+
+        Each row of the climb holds a point's legs toward node 0 in path
+        order: the first, up from the lower end of p's edge (from p inside
+        it), then the edge above each ancestor.  The ancestors come by
+        doubling over the ``_up`` rows (Bender & Farach-Colton, "The level
+        ancestor problem simplified", TCS 2004), only while some row's sums
+        have not passed its t; node 0's own leg is infinite, so a row that
+        reaches node 0 passes t there.  One sequential
+        ``np.add.accumulate`` per row sums the legs in the walk's order, so
+        the sums are the walk's, and the row's leg is the walk's last: the
+        first whose sum passes t, or the leg into node 0 when the sums fall
+        short of t.  ``_on_leg`` then places the point on it."""
+        tail, length, parent, up_edge = self._edge_u, self._lengths, self._parent, self._parent_edge
+        root, out, climbs = TreePoint(self, 0, None, 0.0), [], []
+        for p, depth, t in zip(points, depths, ts):
+            if 0.0 < t < depth:
+                if p.node is None:  # its first leg runs from p to its edge's upper end
+                    e, cs = p.edge, p.offset
+                    u, v = tail[e], self._edge_v[e]
+                    low = v if parent[v] == u else u
+                else:  # its first leg is its parent edge
+                    low = p.node
+                    e = up_edge[low]
+                    cs = 0.0 if tail[e] == low else length[e]
+                # |coordinate - the upper end's|, as _point_along sums a leg
+                first = abs(cs - (length[e] if tail[e] == low else 0.0))
+                climbs.append((len(out), t, cs, low, first))
+            out.append(p if t <= 0.0 else root)
+        if not climbs:
+            return out
+        rows, ts, starts_cs, lows, firsts = zip(*climbs)
+        t = np.array(ts)
+        anc, lengths = np.array(lows)[:, None], np.array(firsts)[:, None]
+        sums = lengths  # sums[:, q] ends the leg up from anc[:, q]
+        up_edges = np.asarray(up_edge)
+        for row in self._up:  # row j: each node's 2**j-th ancestor, node 0 its own
+            if not (sums[:, -1] <= t).any():
+                break
+            more = np.asarray(row).take(anc)
+            anc = np.concatenate((anc, more), axis=1)
+            lengths = np.concatenate(
+                (lengths, np.where(more > 0, self._edge_len.take(up_edges.take(more)), np.inf)), axis=1
+            )
+            sums = np.add.accumulate(lengths, axis=1)
+        leg = (sums > t[:, None]).argmax(axis=1)
+        r = np.arange(len(leg))
+        leg -= anc[r, leg] == 0  # past node 0: its leg in
+        legs = zip(rows, ts, starts_cs, leg.tolist(), anc[r, leg].tolist(),
+                   sums[r, leg - 1].tolist(), sums[r, leg].tolist())
+        for k, tk, first_cs, j, a, start, end in legs:
+            e = up_edge[a]
+            c = 0.0 if tail[e] == a else length[e]
+            # the first leg starts at the point itself, 0.0 along the walk
+            cs, start = (c, start) if j else (first_cs, 0.0)
+            out[k] = self._on_leg(tk, start, end, a, parent[a], e, cs, length[e] - c)
+        return out
 
     def segment(self, x: TreePoint, y: TreePoint) -> Segment:
         """The unique geodesic from x to y."""

@@ -37,16 +37,13 @@ pass reads the rows of the next unclaimed points in depth order in one
 call, as many as ``_PASS_FLOATS`` distances hold and at least one, and then
 settles them in order.  A 24-point set reads all its rows in one pass, a
 set of more than 1024 points one row per pass, and no cover holds more than
-one pass of rows.  Claims are Python-int bitsets: a new seed claims its
-packed row less the points already claimed in one ``int`` operation, and
-one unpack at the end gives every point its seed.
-
-The centers come last: those of one cover, or of all a profile's witness
-covers, from one climb toward node 0 that finds every seed's ancestors by
-doubling over the tree's ``_up`` rows and sums each seed's legs in path
-order with one sequential ``np.add.accumulate``.  The sums are those of a
-walk along the path, bit for bit, so each center is the point that
-``MetricTree._point_along`` would reach, and no center walks.
+one pass of rows.  Claims are Python-int bitsets: a new seed ORs its
+packed row into them in one ``int`` operation, and one unpack of the
+seeds' rows at the end gives every point the first seed whose row holds
+it.  The centers come last, those of one cover or of all a profile's
+witness covers from one climb toward node 0
+(``MetricTree._toward_root``), each the point a walk along its path would
+reach.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -90,7 +87,6 @@ __all__ = [
 
 ORACLE_LIMIT = 10
 _PASS_FLOATS = 2048  # distances per pass of the greedy's rows, unless one row is more
-_WIDE = 64  # legs per row from which a climb drops its finished rows
 
 
 @dataclass(frozen=True)
@@ -255,17 +251,17 @@ def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], lis
     at most ``_PASS_FLOATS`` distances and at least one row, and settles
     them in order on bitsets: a point still unclaimed becomes a seed and
     claims every unclaimed point within ``2 * radius`` by its row, as one
-    ``int`` operation on its packed row (bit j for distinct point j).  The
-    seeds claim disjoint sets, so one unpack of their claims at the end, k
-    bits per seed, gives each point its seed's number.  Every verdict is
-    the one a row per seed gives.  A point claimed earlier in its own pass
-    wastes its row, so a pass holds few rows on a large set, where each row
-    costs most."""
+    ``int`` operation on its packed row (bit j for distinct point j).  A
+    point's seed is the first whose row holds it, so one unpack of the
+    seeds' rows at the end, k bits per seed, gives each point its seed's
+    number.  Every verdict is the one a row per seed gives.  A point
+    claimed earlier in its own pass wastes its row, so a pass holds few
+    rows on a large set, where each row costs most."""
     leq = ps.tree.tol.leq_array
     k = len(ps.distinct)
     step, width = max(1, _PASS_FLOATS // k), (k + 7) // 8
     seeds: list[int] = []
-    claims: list[bytes] = []  # per seed, the points it claims, packed
+    claims: list[bytes] = []  # per seed, its packed row
     claimed = 0  # bit j set: distinct point j is claimed
     # lazy, so each point is tested once, after the passes before it settled
     unclaimed = (i for i in ps._order if not claimed & (1 << i))
@@ -275,12 +271,12 @@ def _greedy(ps: PointSet, radius: float, rows: Callable) -> tuple[list[int], lis
         close = np.packbits(leq(rows(picked) - radius, radius), axis=1, bitorder="little").tobytes()
         for at, i in enumerate(block):
             if not claimed & (1 << i):
-                claim = int.from_bytes(close[at * width : (at + 1) * width], "little") & ~claimed
-                claimed |= claim
-                claims.append(claim.to_bytes(width, "little"))
+                claim = close[at * width : (at + 1) * width]
+                claimed |= int.from_bytes(claim, "little")
+                claims.append(claim)
                 seeds.append(i)
-    # the claims are disjoint and every point has one, so a point's seed is
-    # the first (and only) row that holds its bit
+    # a point is claimed by the first seed whose row holds its bit, and every
+    # point is in some seed's row, so argmax gives that seed's number
     bits = np.frombuffer(b"".join(claims), np.uint8).reshape(len(seeds), width)
     return seeds, np.unpackbits(bits, axis=1, count=k, bitorder="little").argmax(axis=0).tolist()
 
@@ -299,99 +295,12 @@ def _placed(ps: PointSet, covers: list[tuple[float, list[int], list[int]]]) -> l
 
 
 def _centers(ps: PointSet, seeds: list[int], radii: list[float]) -> list[TreePoint]:
-    """Per seed, the point ``t = min(radius, depth)`` from it toward node 0:
-    the one ``MetricTree._point_along(seed, node 0, depth, t)`` gives, bit
-    for bit, without its walk.  That is the seed itself at t = 0, node 0 at
-    the seed's depth, and any other center from one climb for all seeds
-    (``_climb``), which ends on the leg that holds the center.  The walk's
-    own stop rules then place it: t at the leg's end gives the node it stops
-    at, and any other t the point ``t - start`` along it (t at its start,
-    the node before it)."""
-    tree, pts, depth = ps.tree, ps.distinct, ps._depth
-    tail, length, parent, up_edge = tree._edge_u, tree._lengths, tree._parent, tree._parent_edge
-    root = tree.node_point(0)
-    centers, climbs = [], []
-    for i, r in zip(seeds, radii):
-        t = min(r, depth[i])
-        if 0.0 < t < depth[i]:
-            p = pts[i]
-            if p.node is None:  # its first leg runs to its edge's upper end
-                e, u, v = p.edge, tail[p.edge], tree._edge_v[p.edge]
-                low, at = (v if parent[v] == u else u), p.offset
-            else:  # its first leg is its parent edge
-                low = p.node
-                e = up_edge[low]
-                at = 0.0 if tail[e] == low else length[e]
-            # |coordinate - the upper end's|, as _point_along sums a leg
-            first = abs(at - (length[e] if tail[e] == low else 0.0))
-            climbs.append((len(centers), t, at, low, first))
-        centers.append(pts[i] if t <= 0.0 else root)
-    if not climbs:
-        return centers
-    rows, ts, seed_at, lows, firsts = zip(*climbs)
-    for k, j, a, start, end in _climb(tree, lows, firsts, ts):
-        t = ts[k]
-        if t == end:
-            centers[rows[k]] = TreePoint(tree, parent[a], None, 0.0)
-            continue
-        # coordinates from the edge's tail, cs at the leg's start; a t at the
-        # start of a later leg moves 0.0 from node a, so it gives node a, as
-        # the walk's rule for it does
-        e = up_edge[a]
-        c = 0.0 if tail[e] == a else length[e]
-        cs, delta = (c, t - start) if j else (seed_at[k], t)
-        centers[rows[k]] = tree._edge_point_at(e, cs + delta if length[e] - c > cs else cs - delta)
-    return centers
-
-
-def _climb(tree: MetricTree, lows: tuple, firsts: tuple, ts: tuple) -> Iterable[tuple]:
-    """Per row k, the leg that holds the point ``ts[k]`` along a climb
-    toward node 0 whose first leg, of length ``firsts[k]``, ends at node
-    ``lows[k]`` or runs up from it: (k, j, a, start, end), j the leg's
-    number, a the node below it, and start and end the sums of the legs
-    before it and up to it.  That is the first leg whose sum passes t, or
-    the leg into node 0 when the sums fall short of t.
-
-    Each row holds its legs in path order: the first, then the edge above
-    each ancestor of ``lows[k]``.  The ancestors come by doubling over the
-    ``_up`` rows (Bender & Farach-Colton, "The level ancestor problem
-    simplified", TCS 2004), only while some row's sums have not passed its
-    t; node 0's own leg is infinite, so a row that reaches node 0 passes t
-    there.  Once rows hold ``_WIDE`` legs, a climb with half its rows done
-    carries on with the others only.  One sequential ``np.add.accumulate``
-    per row sums the legs in the walk's order, so the sums are the walk's.
-    """
-    t = np.array(ts)
-    left = np.arange(len(t))  # the row number of each row still climbing
-    anc, lengths = np.array(lows)[:, None], np.array(firsts)[:, None]
-    sums = lengths  # sums[:, q] ends the leg up from anc[:, q]
-    up_edge, length = np.asarray(tree._parent_edge), tree._edge_len
-
-    def passed(k, anc, sums, t):
-        leg = (sums > t[:, None]).argmax(axis=1)
-        r = np.arange(len(leg))
-        leg -= anc[r, leg] == 0  # past node 0: its leg in
-        return zip(k.tolist(), leg.tolist(), anc[r, leg].tolist(),
-                   sums[r, leg - 1].tolist(), sums[r, leg].tolist())
-
-    done = []
-    for row in tree._up:  # row j: each node's 2**j-th ancestor, node 0 its own
-        live = sums[:, -1] <= t
-        climbing = np.count_nonzero(live)
-        if not climbing:
-            break
-        if anc.shape[1] >= _WIDE and 2 * climbing <= len(t):
-            out = ~live
-            done.append(passed(left[out], anc[out], sums[out], t[out]))
-            left, anc, lengths, sums, t = left[live], anc[live], lengths[live], sums[live], t[live]
-        more = np.asarray(row).take(anc)
-        anc = np.concatenate((anc, more), axis=1)
-        lengths = np.concatenate(
-            (lengths, np.where(more > 0, length.take(up_edge.take(more)), np.inf)), axis=1
-        )
-        sums = np.add.accumulate(lengths, axis=1)
-    done.append(passed(left, anc, sums, t))
-    return chain.from_iterable(done)
+    """Per seed, the point ``t = min(radius, depth)`` from it toward node 0,
+    all of them from one climb (``MetricTree._toward_root``): the point
+    ``MetricTree._point_along(seed, node 0, depth, t)`` gives, bit for bit."""
+    depth = ps._depth
+    return ps.tree._toward_root([ps.distinct[i] for i in seeds], [depth[i] for i in seeds],
+                                [min(r, depth[i]) for i, r in zip(seeds, radii)])
 
 
 def min_diameter_partition(ps: PointSet, bound: float) -> DiameterPartition:

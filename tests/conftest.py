@@ -52,6 +52,25 @@ def shaped_tree(rng, shape, n):
     return MetricTree(n, shaped_edges(rng, shape, n))
 
 
+def sub_tolerance_trees(rng, count=6):
+    """Trees with edges of 1e-10 and 5e-10, shorter than the default
+    ``abs_eps``: paths whose short edge has its child at its head and at its
+    tail, then ``count`` random, caterpillar and path shapes with a third of
+    their edges short, each in random orientation."""
+    trees = []
+    for short in (1e-10, 5e-10):
+        for first in ((0, 1, short), (1, 0, short)):
+            trees.append(MetricTree(4, [first, (1, 2, 1.0), (3, 2, short)]))
+    for k in range(count):
+        n = int(rng.integers(2, 40))
+        edges = shaped_edges(rng, ("random", "caterpillar", "path")[k % 3], n)
+        for j in rng.integers(0, n - 1, max(1, n // 3)).tolist():
+            u, v, _ = edges[j]
+            edges[j] = (u, v, float(rng.choice([1e-10, 5e-10])))
+        trees.append(MetricTree(n, edges))
+    return trees
+
+
 def line_reader_only(monkeypatch):
     """Send every tree document to the line reader over the whole document,
     as when the bulk pass cannot convert its edge block."""

@@ -1,8 +1,10 @@
 """The public names: every ``__all__`` entry resolves, removed names stay gone."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,13 @@ REMOVED_FIELDS = (("EmbeddingReport", "source_beta"), ("EmbeddingReport", "host_
                   ("CounterexampleRecord", "diameter_exceeds_2r"),
                   ("CounterexampleRecord", "no_small_ball_ok"),
                   ("CounterexampleRecord", "passed"))
+
+
+# the MetricTree tables read outside core and _build, each with its reason
+TABLE_READERS = {
+    ("sampling", "_edge_len"): "edge_samples spaces points along every edge at once, "
+                               "off the lengths column, as core's array kernels do",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -73,3 +82,17 @@ def test_no_unset_tolerance(name):
     # no caller set these; the trees take the default tolerance and the
     # matrix its tree's
     assert "tol" not in inspect.signature(getattr(metrictrees, name)).parameters
+
+
+def test_only_core_reads_tree_tables():
+    """No module but ``core`` and ``_build`` reads a ``MetricTree`` table, a
+    name in its ``__slots__`` other than ``n_nodes`` and ``tol``, outside
+    ``TABLE_READERS``: a rule that needs the tables is core's to state."""
+    tables = set(metrictrees.MetricTree.__slots__) - {"n_nodes", "tol"}
+    reads = set()
+    for path in sorted(Path(metrictrees.__file__).parent.glob("*.py")):
+        if path.stem not in ("core", "_build"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in tables:
+                    reads.add((path.stem, node.attr))
+    assert reads == set(TABLE_READERS)

@@ -259,6 +259,19 @@ class TestCover:
         assert len(cover["centers"]) == 1
         assert cover["centers"][0] == {"kind": "node", "node": 0}
 
+    def test_center_at_a_sub_tolerance_edge(self, tmp_path, capsys):
+        """A center exactly 1.0 up from node 2 sits at the start of the leg
+        over the 1e-10 edge (1, 0), so it is node 1, as ``point_at`` gives;
+        node 0 would lie 1.0000000001 from node 2."""
+        path = tmp_path / "short.tree"
+        path.write_text("edge 0 1 1e-10\nedge 1 2 1.0\npoint a node 2\npoint b node 0\n")
+        code, out, _ = run(capsys, "cover", str(path), "--radius", "1.0")
+        assert code == 0
+        cover = json.loads(out)["cover"]
+        assert cover["centers"] == [{"kind": "node", "node": 1}]
+        tree = parse_tree(path.read_text()).tree
+        assert tree.point_at(tree.node_point(2), tree.node_point(0), 1.0) == tree.node_point(1)
+
     def test_zero_radius_one_per_point(self, star_tree_file, capsys):
         code, out, _ = run(capsys, "cover", str(star_tree_file), "--radius", "0")
         assert code == 0

@@ -58,7 +58,7 @@ from metrictrees._build import _Columns, _id_type, _root_distances
 from metrictrees.ingest import parse_tree
 from metrictrees.reports import report_obj
 
-from conftest import line_reader_only, shaped_edges, shaped_tree, star_tips
+from conftest import line_reader_only, shaped_edges, shaped_tree, star_tips, sub_tolerance_trees
 
 
 class TestValidation:
@@ -1107,6 +1107,12 @@ class TestStationParity:
         for tree in (ties, snaps, last):
             self._check(rng, tree)
 
+    def test_sub_tolerance_edges(self, rng):
+        # edges shorter than abs_eps, with the child at either end; _check
+        # tries every station and 1 ulp to either side
+        for tree in sub_tolerance_trees(rng):
+            self._check(rng, tree)
+
 
 class TestLazyWalk:
     """Point queries walk only as far as t; ``segment`` walks nothing."""
@@ -1929,28 +1935,28 @@ def test_numpy_node_count_builds():
 
 # CPython 3.11's parser grows its token array in powers of two, so compiling
 # a module of more than 2**13 tokens takes about 0.5 MB more memory; the
-# benchmark compiles core.py and _build.py at every import
+# benchmark compiles every module of the package at its first import
 _CORE_TOKEN_STEP = 8192
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="the compile-memory step was measured on Python 3.11")
 def test_core_stays_below_compile_memory_step():
-    """The tokens the parser reads from ``core.py`` and from ``_build.py``,
-    split off it: tokenize's, less comments and NL tokens, which never
-    reach it."""
+    """The tokens the parser reads from each module of the package, ``core``
+    and ``_build`` split off it included: tokenize's, less comments and NL
+    tokens, which never reach it."""
     import io
     import tokenize
+    from pathlib import Path
 
-    import metrictrees._build
-    import metrictrees.core
+    import metrictrees
 
-    for module in (metrictrees.core, metrictrees._build):
-        with open(module.__file__, encoding="utf-8") as fh:
-            tokens = tokenize.generate_tokens(io.StringIO(fh.read()).readline)
-            count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
-        name = module.__name__.rpartition(".")[2]
+    paths = sorted(Path(metrictrees.__file__).parent.glob("*.py"))
+    assert {"core", "_build", "ingest"} <= {path.stem for path in paths}
+    for path in paths:
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+        count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
         assert count <= _CORE_TOKEN_STEP, (
-            f"{name}.py holds {count} parser tokens, above the {_CORE_TOKEN_STEP} at "
+            f"{path.name} holds {count} parser tokens, above the {_CORE_TOKEN_STEP} at "
             "which compiling it takes about 0.5 MB more; split it first"
         )

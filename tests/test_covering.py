@@ -41,7 +41,7 @@ from metrictrees import (
     random_tree,
 )
 
-from conftest import shaped_tree, star_tips
+from conftest import shaped_tree, star_tips, sub_tolerance_trees
 
 
 def all_pairs_diameter(ps):
@@ -817,9 +817,25 @@ class TestCenterPlacement:
         pts += [tree.edge_point(1, 2, 0.05), tree.edge_point(0, 1, 3.0), tree.edge_point(1, 3, 0.1)]
         self.check(rng, PointSet(tree, pts))
 
-    def test_wide_climb_drops_finished_rows(self, rng):
+    def test_sub_tolerance_edges(self, rng):
+        """Edges shorter than ``abs_eps``, with the child at either end, at
+        every exact leg sum and 1 ulp to either side: a center at the start
+        of a leg is the node before it, as the walk places it."""
+        for tree in sub_tolerance_trees(rng, 30):
+            pts = random_points(rng, tree, 4) + [tree.node_point(k) for k in range(tree.n_nodes)]
+            ps = PointSet(tree, pts)
+            seeds, radii = [], []
+            for i in range(len(ps.distinct)):
+                for s in _leg_sums(ps, i):
+                    for r in (s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)):
+                        seeds.append(i)
+                        radii.append(r)
+            got = covering._centers(ps, seeds, radii)
+            assert [_bits(c) for c in got] == [_bits(_walked(ps, i, r)) for i, r in zip(seeds, radii)]
+
+    def test_mixes_long_and_short_climbs(self, rng):
         # seeds far down a path, most with short climbs and a few with long
-        # ones, so that rows finish while others climb on past _WIDE legs
+        # ones, so that rows pass their t while others climb on
         n = 1200
         tree = MetricTree(n, [(k, k + 1, float(rng.uniform(0.2, 2.5))) for k in range(n - 1)])
         ps = PointSet(tree, [tree.node_point(int(k)) for k in rng.integers(n // 2, n, 40)]
